@@ -66,6 +66,9 @@ class HostCpu {
 
   /// Polls until `predicate` holds, probing at the cached-poll interval
   /// (host-memory polling: each probe is an L1 hit plus pipeline cost).
+  /// Between real events the poller waits parked off the event heap, so
+  /// `predicate` must only read state (no side effects, no clock); see
+  /// sim::PollUntil.
   [[nodiscard]] sim::PollUntil poll_until(std::function<bool()> predicate) {
     return {sim_, std::move(predicate), cfg_.cached_poll_interval,
             cfg_.cached_poll_interval};

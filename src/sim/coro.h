@@ -131,33 +131,37 @@ struct Delay {
 /// co_await PollUntil{sim, pred, interval, probe_cost}:
 /// models a CPU polling loop. The predicate is probed every `interval`;
 /// once true, the coroutine resumes `probe_cost` later (the cost of the
-/// successful probe itself). Probes are pure reads of simulator state.
-struct PollUntil {
-  Simulation& sim;
-  std::function<bool()> predicate;
-  SimDuration interval;
-  SimDuration probe_cost = 0;
-
-  std::coroutine_handle<> handle_{};
-  std::uint64_t probes_ = 0;
+/// successful probe itself). The first probe runs at the await itself.
+/// Between real events a false poller waits parked off the event heap
+/// (see Poller in simulation.h), so `pred` must be side-effect free and
+/// must not read the clock; the probe count, resume time and every event
+/// count and tag come out as if each probe had been its own event.
+class PollUntil final : public Poller {
+ public:
+  PollUntil(Simulation& sim, std::function<bool()> predicate,
+            SimDuration interval, SimDuration probe_cost = 0)
+      : Poller(sim, std::move(predicate), interval), probe_cost_(probe_cost) {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     handle_ = h;
-    step();
+    probe();
   }
   /// Number of probes it took (including the successful one).
   std::uint64_t await_resume() const noexcept { return probes_; }
 
  private:
-  void step() {
+  void probe() override {
     ++probes_;
-    if (predicate()) {
-      sim.schedule(probe_cost, [h = handle_]() mutable { h.resume(); });
+    if (predicate_()) {
+      sim_.schedule(probe_cost_, [h = handle_]() mutable { h.resume(); });
       return;
     }
-    sim.schedule(interval, [this] { step(); });
+    park();
   }
+
+  SimDuration probe_cost_;
+  std::coroutine_handle<> handle_{};
 };
 
 /// A broadcast completion signal. Coroutines co_await trigger.wait(sim);

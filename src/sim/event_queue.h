@@ -101,6 +101,34 @@ class EventQueue {
   EventId schedule_admitted(SimTime when, SimTime birth_time,
                             EventId birth_tag, EventFn fn);
 
+  /// Enqueues under a full key whose tag this queue already minted with
+  /// take_birth_tag() (a parked poller's probe, see Simulation). Neither
+  /// consumes a sequence number nor counts toward total_scheduled().
+  EventId schedule_keyed(const Key& key, EventFn fn) {
+    return push_entry(key.time, key.birth_time, key.birth_tag, std::move(fn));
+  }
+
+  /// The tag the k-th next mint would produce (k = 0: the very next),
+  /// in the current minting mode (shared or local).
+  EventId tag_ahead(std::uint64_t k) const {
+    if (shared_seq_ != nullptr && shared_active_) {
+      return kSharedSeqBit | ((*shared_seq_ + k) << 8) | owner_tag_;
+    }
+    return ((next_seq_ + k) << 8) | owner_tag_;
+  }
+
+  /// Consumes the next `n` tags and counts `n` scheduled events without
+  /// enqueueing anything: the events a parked poller's skipped probes
+  /// would have scheduled, credited in one step.
+  void credit(std::uint64_t n) {
+    scheduled_ += n;
+    if (shared_seq_ != nullptr && shared_active_) {
+      *shared_seq_ += n;
+    } else {
+      next_seq_ += n;
+    }
+  }
+
   /// Marks an event as cancelled; it is skipped when its time arrives.
   /// Returns false if the id was never scheduled or already ran.
   bool cancel(EventId id);

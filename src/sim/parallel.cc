@@ -215,6 +215,20 @@ bool ShardGroup::any_limit_hit() const {
   return false;
 }
 
+bool ShardGroup::deadlocked() {
+  bool waiting = false;
+  for (Simulation* s : shards_) {
+    if (s->idle()) continue;
+    if (!s->stalled()) return false;
+    waiting = true;
+  }
+  if (!waiting) return false;
+  for (Simulation* s : shards_) {
+    if (!s->idle()) s->report_stall("ShardGroup");
+  }
+  return true;
+}
+
 void ShardGroup::fence_all(SimTime t) {
   for (Simulation* s : shards_) s->fence_now(t);
   if (t > now_) now_ = t;
@@ -256,6 +270,10 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
   }
   while (unfired > 0) {
     drain_channels();
+    if (deadlocked()) {
+      merge_sinks();
+      return Outcome::kStopped;
+    }
     const Frontier f = frontier();
     if (f.min1 == kNever) {
       merge_sinks();
@@ -344,6 +362,7 @@ ShardGroup::Outcome ShardGroup::run_until_global_before(
   merge_sinks();
   if (pred()) return Outcome::kFired;
   for (;;) {
+    if (deadlocked()) return Outcome::kStopped;
     int best = -1;
     EventQueue::Key best_key{};
     for (int i = 0; i < num_shards(); ++i) {
@@ -396,6 +415,7 @@ std::uint64_t ShardGroup::run() {
   const int n = num_shards();
   for (;;) {
     drain_channels();
+    if (deadlocked()) break;
     const Frontier f = frontier();
     if (f.min1 == kNever) break;
     for (int i = 0; i < n; ++i) {

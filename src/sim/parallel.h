@@ -98,8 +98,8 @@ class ShardGroup {
   /// Runs until every condition has fired, then fences every clock at
   /// t* = the timestamp of the last firing event — no shard executes
   /// past t*, exactly like the sequential engine stopping on a global
-  /// AND of the predicates. Returns false if the group drained or an
-  /// event limit tripped first.
+  /// AND of the predicates. Returns false if the group drained,
+  /// deadlocked on parked pollers or an event limit tripped first.
   bool run_until_local(std::vector<ShardCond> conds);
 
   /// Exact sequential fallback for predicates that read cross-shard
@@ -139,7 +139,8 @@ class ShardGroup {
   std::uint64_t run_until_time(SimTime deadline);
   std::uint64_t run_for(SimDuration d) { return run_until_time(now_ + d); }
 
-  /// Drains every shard; fences all clocks at the last event time.
+  /// Drains every shard (or stops on a deadlock, see deadlocked());
+  /// fences all clocks at the last event time.
   std::uint64_t run();
 
   std::uint64_t total_scheduled() const;
@@ -208,6 +209,12 @@ class ShardGroup {
 
   /// True when any shard tripped its event-storm limit.
   bool any_limit_hit() const;
+
+  /// True (and reported on every waiting shard, see
+  /// Simulation::report_stall) when no shard has a heap event and no
+  /// parked poller's predicate holds: nothing can ever run again.
+  /// Coordinator only, after drain_channels().
+  bool deadlocked();
 
   /// Fences every shard clock (and the group clock) at `t`.
   void fence_all(SimTime t);

@@ -10,16 +10,61 @@
 // the clock across synchronization fences with fence_now(); events
 // crossing shards enter through schedule_admitted() carrying the
 // sender's birth stamp.
+//
+// Host polling loops (Poller, implemented by sim::PollUntil) do not put
+// their probes through the heap. After a false probe a poller *parks*,
+// holding the birth key its next probe would have had. Before every real
+// event the run loops evaluate each parked predicate whose next probe
+// precedes that event, once: a poller whose predicate holds gets its
+// probe pushed into the heap under that exact key; every other poller
+// skips past the event in O(1), credited with the probes, sequence
+// numbers and event counts it would have used. Poll predicates only read
+// state and state only changes inside real events, so the skipped probes
+// could not have seen anything else. Execution order, tags, counts and
+// outputs are identical to probing event by event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "common/units.h"
 #include "sim/event_queue.h"
 
 namespace pg::sim {
+
+class Simulation;
+
+/// A polling loop that waits off the event heap between real events.
+/// Contract: `predicate` is side-effect free and never reads the clock.
+/// The subclass implements probe() — one probe as executed from the
+/// heap: count it, then either resume (predicate holds) or park().
+class Poller {
+ public:
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+ protected:
+  Poller(Simulation& sim, std::function<bool()> predicate,
+         SimDuration interval);
+  ~Poller();
+
+  virtual void probe() = 0;
+
+  /// Waits for the next probe, one interval after now(), off the heap.
+  void park();
+
+  Simulation& sim_;
+  std::function<bool()> predicate_;
+  const SimDuration interval_;
+  std::uint64_t probes_ = 0;
+
+ private:
+  friend class Simulation;
+  EventQueue::Key next_{};  // birth key of the next probe while parked
+  bool parked_ = false;
+};
 
 class Simulation {
  public:
@@ -43,7 +88,10 @@ class Simulation {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or `run_stop()` is called.
-  /// Returns the number of events executed.
+  /// Returns the number of events executed (skipped probes included).
+  /// When nothing but parked pollers is left and none of their
+  /// predicates holds, the run can never progress: it reports the
+  /// deadlock, sets event_limit_hit() and returns.
   std::uint64_t run();
 
   /// Runs events with timestamps <= `deadline` (events exactly at the
@@ -51,14 +99,18 @@ class Simulation {
   std::uint64_t run_until(SimTime deadline);
 
   /// Runs until `predicate()` turns true (checked after every event) or
-  /// the queue drains. Returns true when the predicate was satisfied.
+  /// the queue drains (or deadlocks on parked pollers, as run() does).
+  /// Returns true when the predicate was satisfied. Like poll
+  /// predicates, `predicate` must be side-effect free and not read the
+  /// clock: it is not re-checked after skipped probes.
   bool run_until_condition(const std::function<bool()>& predicate);
 
   /// run_until_condition segmented at a sim-time boundary: only events
   /// with timestamps <= `deadline` execute. kFired = predicate turned
   /// true (clock reads the firing event); kDeadline = every event up to
   /// the deadline ran without firing (clock fenced at the deadline);
-  /// kDrained = queue empty / event limit with the predicate unmet.
+  /// kDrained = queue empty / deadlock / event limit with the predicate
+  /// unmet.
   /// Drives the telemetry sampler (sys/Cluster): the exact same events
   /// execute as one unsegmented run_until_condition call would.
   enum class RunOutcome { kFired, kDeadline, kDrained };
@@ -68,7 +120,18 @@ class Simulation {
   /// Requests that run()/run_until() return after the current event.
   void run_stop() { stop_requested_ = true; }
 
-  bool idle() const { return queue_.empty(); }
+  /// No pending work: the heap is empty and no poller is parked.
+  bool idle() const { return queue_.empty() && parked_.empty(); }
+
+  /// Only parked pollers are pending and none of their predicates holds:
+  /// nothing can ever change the state they wait on (unless another
+  /// shard sends an event).
+  bool stalled() const;
+
+  /// Diagnoses a deadlock (see run()): logs the clock and the parked
+  /// count, and trips the event-limit flag so callers see a failed run.
+  void report_stall(const char* who);
+
   std::uint64_t events_executed() const { return events_executed_; }
 
   /// Total events ever scheduled (a determinism fingerprint: two runs of
@@ -114,8 +177,9 @@ class Simulation {
     queue_.schedule_admitted(when, birth_time, birth_tag, std::move(fn));
   }
 
-  /// Runs events with timestamps strictly below `cap`. When `condition`
-  /// is non-null it is evaluated after every event; execution stops
+  /// Runs events with timestamps strictly below `cap`, parked pollers'
+  /// probes included (settled up to the cap). When `condition` is
+  /// non-null it is evaluated after every real event; execution stops
   /// with fired=true the moment it turns true (the clock then reads the
   /// firing event's timestamp). Monotone conditions only: once true it
   /// must stay true until the group observes it.
@@ -128,12 +192,14 @@ class Simulation {
 
   /// Executes exactly the next pending event (requires !idle()) and
   /// returns its timestamp, or -1 if the event limit tripped instead.
-  /// The merged-sequential path of ShardGroup interleaves shards one
-  /// event at a time through this.
+  /// The next event may be a parked poller's probe: a false one is
+  /// skipped and credited alone. The merged-sequential path of
+  /// ShardGroup interleaves shards one event at a time through this.
   SimTime step_one();
 
-  /// Ordering key of the next pending event. Requires !idle().
-  EventQueue::Key next_key() const { return queue_.next_key(); }
+  /// Ordering key of the next pending event, a parked probe included.
+  /// Requires !idle().
+  EventQueue::Key next_key() const;
 
   /// Full ordering key of the event currently executing (valid only
   /// inside an event callback). The shard-aware observability buffers
@@ -142,7 +208,9 @@ class Simulation {
   const EventQueue::Key& current_key() const { return current_key_; }
 
   /// Timestamp of the next pending event. Requires !idle().
-  SimTime next_time() const { return queue_.next_time(); }
+  SimTime next_time() const {
+    return parked_.empty() ? queue_.next_time() : next_key().time;
+  }
 
   /// Moves the clock forward to a group synchronization point without
   /// executing anything (never backwards).
@@ -151,9 +219,53 @@ class Simulation {
   }
 
  private:
+  friend class Poller;
+
+  static constexpr SimTime kNoCap = std::numeric_limits<SimTime>::max();
+
+  /// Exclusive time cap that lets every event at or before `deadline` run.
+  static SimTime cap_after(SimTime deadline) {
+    return deadline == kNoCap ? kNoCap : deadline + 1;
+  }
+
+  void park(Poller& p);
+  void unpark(Poller& p);
+
+  /// Brings the parked pollers up to the next heap event below `cap`
+  /// (or to `cap` itself): pushes the probes whose predicate holds and
+  /// credits the false ones past it. kStalled: no heap event, no cap
+  /// and no predicate holds; kLimit: the event limit tripped.
+  enum class Settle { kOk, kStalled, kLimit };
+  Settle settle(SimTime cap);
+
+  /// Credits every probe of the due pollers (all false, all parked
+  /// before `bound`) that precedes `bound`, as if each had executed in
+  /// key order.
+  Settle credit_probes(const EventQueue::Key& bound);
+
+  /// Executes one probe of a false poller without the heap.
+  void skip_probe(Poller& p);
+
+  /// Settles, then executes the next heap event below `cap`.
+  enum class Step { kRan, kNone, kStalled, kLimit };
+  Step advance(SimTime cap);
+
+  /// Pops and executes the heap top (requires a pending heap event).
+  /// Returns false when the event limit tripped instead.
   bool step();
 
+  void trip_limit(const char* who);
+
   EventQueue queue_;
+  std::vector<Poller*> parked_;
+  // settle() scratch: false pollers due before the bound, with the
+  // probes they are credited and the key they park at afterwards.
+  struct Due {
+    Poller* poller;
+    std::uint64_t probes = 0;
+    EventQueue::Key next{};
+  };
+  std::vector<Due> due_;
   SimTime now_ = 0;
   EventQueue::Key current_key_{};
   bool stop_requested_ = false;

@@ -4,13 +4,18 @@
 
 #include <algorithm>
 #include <array>
+#include <coroutine>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "sim/coro.h"
 #include "sim/event_queue.h"
 #include "sim/inline_fn.h"
+#include "sim/parallel.h"
 #include "sim/simulation.h"
 
 namespace pg::sim {
@@ -297,6 +302,477 @@ TEST(Coro, WaitOnFiredTriggerContinuesImmediately) {
   sim.run();
   EXPECT_TRUE(t.done());
   EXPECT_EQ(rank, 1);
+}
+
+// --- Parked polling against explicit per-probe events ----------------------
+
+// The reference implementation: every probe is its own heap event.
+// PollUntil must reproduce it exactly: probe counts, resume times, event
+// counts, and the birth key of every event that is not a probe.
+struct ExplicitPoll {
+  Simulation& sim;
+  std::function<bool()> predicate;
+  SimDuration interval;
+  SimDuration probe_cost = 0;
+
+  std::coroutine_handle<> handle_{};
+  std::uint64_t probes_ = 0;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    handle_ = h;
+    step();
+  }
+  std::uint64_t await_resume() const noexcept { return probes_; }
+
+  void step() {
+    ++probes_;
+    if (predicate()) {
+      sim.schedule(probe_cost, [h = handle_]() mutable { h.resume(); });
+      return;
+    }
+    sim.schedule(interval, [this] { step(); });
+  }
+};
+
+using KeyTuple = std::tuple<SimTime, SimTime, EventId>;
+KeyTuple tuple_of(const EventQueue::Key& k) {
+  return {k.time, k.birth_time, k.birth_tag};
+}
+
+// Everything observable about one run, probes aside.
+struct PollTrace {
+  std::vector<std::uint64_t> probes;  // per completed poll
+  std::vector<SimTime> resumed;       // clock at each resume
+  std::vector<KeyTuple> keys;         // every non-probe event, in order
+  std::uint64_t scheduled = 0;
+  std::uint64_t executed = 0;
+  SimTime end = 0;
+
+  void snapshot(const Simulation& sim) {
+    scheduled = sim.total_scheduled();
+    executed = sim.events_executed();
+    end = sim.now();
+  }
+  bool operator==(const PollTrace&) const = default;
+};
+
+// One host loop: waits on each flag in turn, logs the resume, and
+// schedules a follow-up event whose birth key is logged too.
+template <class Poll>
+SimTask poll_flags(Simulation& sim, const std::vector<char>& flags,
+                   std::vector<int> order, SimDuration interval,
+                   SimDuration cost, PollTrace& tr, int& done) {
+  for (int f : order) {
+    const std::uint64_t probes =
+        co_await Poll{sim, [&flags, f] { return flags[f] != 0; }, interval,
+                      cost};
+    tr.probes.push_back(probes);
+    tr.resumed.push_back(sim.now());
+    tr.keys.push_back(tuple_of(sim.current_key()));
+    sim.schedule(nanoseconds(f % 3 * 10), [&sim, &tr] {
+      tr.keys.push_back(tuple_of(sim.current_key()));
+    });
+  }
+  ++done;
+}
+
+struct PollerSpec {
+  SimTime start;         // the loop starts inside an event at this time
+  SimDuration interval;
+  SimDuration cost;
+  std::vector<int> flags;
+};
+
+// A flag write at `at`, scheduled `delay` earlier by a relay event, so
+// both the write's birth time and its tag relative to probe tags vary.
+struct WriteSpec {
+  SimTime at;
+  SimDuration delay;
+  int flag;
+};
+
+struct PollScenario {
+  std::vector<PollerSpec> pollers;
+  std::vector<WriteSpec> writes;
+  int num_flags = 0;
+  // At t=0 the writes' creator events run before (true) or after the
+  // pollers' start events, so relays mint their tags before or after
+  // the probes.
+  bool writes_first = true;
+};
+
+enum class Drive { kRun, kCondition, kSegments, kBefore };
+
+void snapshot_boundary(const Simulation& sim, PollTrace& tr) {
+  tr.keys.push_back({sim.now(), static_cast<SimTime>(sim.events_executed()),
+                     sim.total_scheduled()});
+  if (!sim.idle()) tr.keys.push_back(tuple_of(sim.next_key()));
+}
+
+template <class Poll>
+PollTrace run_poll_scenario(const PollScenario& sc, Drive drive,
+                            SimDuration segment = nanoseconds(70)) {
+  Simulation sim;
+  PollTrace tr;
+  std::vector<char> flags(static_cast<std::size_t>(sc.num_flags), 0);
+  std::vector<SimTask> tasks;
+  int done = 0;
+  // Each write: a creator event at t=0 schedules the relay, which
+  // schedules the write itself.
+  auto schedule_writes = [&] {
+    for (const WriteSpec& w : sc.writes) {
+      sim.schedule_at(0, [&sim, &flags, &tr, w] {
+        sim.schedule_at(w.at - w.delay, [&sim, &flags, &tr, w] {
+          sim.schedule(w.delay, [&sim, &flags, &tr, f = w.flag] {
+            flags[static_cast<std::size_t>(f)] = 1;
+            tr.keys.push_back(tuple_of(sim.current_key()));
+          });
+        });
+      });
+    }
+  };
+  if (sc.writes_first) schedule_writes();
+  for (const PollerSpec& p : sc.pollers) {
+    sim.schedule_at(p.start, [&sim, &flags, &tr, &tasks, &done, p] {
+      tasks.push_back(poll_flags<Poll>(sim, flags, p.flags, p.interval,
+                                       p.cost, tr, done));
+    });
+  }
+  if (!sc.writes_first) schedule_writes();
+  const int loops = static_cast<int>(sc.pollers.size());
+  auto all_done = [&done, loops] { return done == loops; };
+  switch (drive) {
+    case Drive::kRun:
+      sim.run();
+      break;
+    case Drive::kCondition:
+      EXPECT_TRUE(sim.run_until_condition(all_done));
+      break;
+    case Drive::kSegments:
+      // run_until ends mid-park at every boundary; snapshot each one,
+      // including the key of the next pending event (a parked probe's
+      // tag is visible only there).
+      while (!sim.idle()) {
+        sim.run_until(sim.now() + segment);
+        snapshot_boundary(sim, tr);
+      }
+      break;
+    case Drive::kBefore: {
+      SimTime deadline = segment;
+      for (;;) {
+        const auto out = sim.run_until_condition_before(all_done, deadline);
+        snapshot_boundary(sim, tr);
+        if (out != Simulation::RunOutcome::kDeadline) {
+          EXPECT_EQ(out, Simulation::RunOutcome::kFired);
+          break;
+        }
+        deadline += segment;
+      }
+      break;
+    }
+  }
+  EXPECT_EQ(done, loops);
+  EXPECT_FALSE(sim.event_limit_hit());
+  tr.snapshot(sim);
+  return tr;
+}
+
+void expect_parked_matches_explicit(const PollScenario& sc) {
+  for (Drive d : {Drive::kRun, Drive::kCondition, Drive::kSegments,
+                  Drive::kBefore}) {
+    const PollTrace ref = run_poll_scenario<ExplicitPoll>(sc, d);
+    const PollTrace got = run_poll_scenario<PollUntil>(sc, d);
+    EXPECT_EQ(got.probes, ref.probes) << "drive " << static_cast<int>(d);
+    EXPECT_EQ(got.resumed, ref.resumed) << "drive " << static_cast<int>(d);
+    EXPECT_EQ(got.keys, ref.keys) << "drive " << static_cast<int>(d);
+    EXPECT_EQ(got.scheduled, ref.scheduled) << "drive " << static_cast<int>(d);
+    EXPECT_EQ(got.executed, ref.executed) << "drive " << static_cast<int>(d);
+    EXPECT_EQ(got.end, ref.end) << "drive " << static_cast<int>(d);
+  }
+}
+
+TEST(ParkedPoll, WriteOnLatticePointTiesBothWays) {
+  // One poller from t=0 at 60 ns: probes at 0, 60, 120, ... The write
+  // lands exactly on the 120 ns probe. Born at 60 ns it ties the probe
+  // on (time, birth) and the tags decide: a relay created before the
+  // poller starts runs before the 60 ns probe and wins; one created
+  // after loses. Born at 0 ns it always wins, at 100 ns it always loses.
+  struct Case {
+    SimDuration delay;
+    bool writes_first;
+    std::uint64_t probes;
+  };
+  for (const Case c : {Case{nanoseconds(60), true, 3},
+                       Case{nanoseconds(60), false, 4},
+                       Case{nanoseconds(120), false, 3},
+                       Case{nanoseconds(20), true, 4}}) {
+    PollScenario sc;
+    sc.num_flags = 1;
+    sc.pollers = {{0, nanoseconds(60), nanoseconds(60), {0}}};
+    sc.writes = {{nanoseconds(120), c.delay, 0}};
+    sc.writes_first = c.writes_first;
+    expect_parked_matches_explicit(sc);
+    const PollTrace got = run_poll_scenario<PollUntil>(sc, Drive::kRun);
+    ASSERT_EQ(got.probes.size(), 1u);
+    EXPECT_EQ(got.probes[0], c.probes)
+        << "delay " << c.delay << " first " << c.writes_first;
+    EXPECT_EQ(got.resumed[0], nanoseconds(60) * static_cast<SimTime>(c.probes));
+  }
+}
+
+TEST(ParkedPoll, TwoSamePhasePollers) {
+  PollScenario sc;
+  sc.num_flags = 4;
+  sc.pollers = {{0, nanoseconds(60), nanoseconds(60), {0, 2}},
+                {0, nanoseconds(60), 0, {1, 3}},
+                // Same phase, joining three intervals later.
+                {nanoseconds(180), nanoseconds(60), nanoseconds(60), {3}}};
+  sc.writes = {{nanoseconds(300), nanoseconds(60), 0},
+               {nanoseconds(300), nanoseconds(60), 1},
+               {nanoseconds(725), nanoseconds(5), 2},
+               {nanoseconds(1020), nanoseconds(240), 3}};
+  for (bool first : {true, false}) {
+    sc.writes_first = first;
+    expect_parked_matches_explicit(sc);
+  }
+}
+
+TEST(ParkedPoll, DifferentIntervals) {
+  PollScenario sc;
+  sc.num_flags = 3;
+  sc.pollers = {{0, nanoseconds(40), nanoseconds(40), {0}},
+                {nanoseconds(10), nanoseconds(60), nanoseconds(60), {1}},
+                {nanoseconds(30), nanoseconds(90), 0, {2}}};
+  // All three lattices meet at 360 ns (birth 320, 300 and 270 ns).
+  sc.writes = {{nanoseconds(360), nanoseconds(60), 0},
+               {nanoseconds(370), nanoseconds(10), 1},
+               {nanoseconds(390), nanoseconds(90), 2}};
+  for (bool first : {true, false}) {
+    sc.writes_first = first;
+    expect_parked_matches_explicit(sc);
+  }
+}
+
+TEST(ParkedPoll, RunUntilEndsMidParkAndSegmentsResume) {
+  PollScenario sc;
+  sc.num_flags = 2;
+  sc.pollers = {{0, nanoseconds(60), nanoseconds(60), {0, 1}}};
+  sc.writes = {{nanoseconds(1000), nanoseconds(40), 0},
+               {nanoseconds(1500), nanoseconds(500), 1}};
+  for (SimDuration seg : {nanoseconds(50), nanoseconds(60), nanoseconds(333)}) {
+    for (Drive d : {Drive::kSegments, Drive::kBefore}) {
+      const PollTrace ref = run_poll_scenario<ExplicitPoll>(sc, d, seg);
+      const PollTrace got = run_poll_scenario<PollUntil>(sc, d, seg);
+      EXPECT_EQ(got, ref) << "segment " << seg;
+    }
+  }
+  // Mid-park state: after run_until(250 ns) the probes at 0..240 ran.
+  Simulation sim;
+  bool flag = false;
+  std::uint64_t probes = 0;
+  SimTime when = -1;
+  SimTask task = poller(sim, flag, when, probes);
+  sim.run_until(nanoseconds(250));
+  EXPECT_EQ(sim.now(), nanoseconds(250));
+  EXPECT_EQ(sim.events_executed(), 25u);   // probes at 10..250
+  EXPECT_EQ(sim.total_scheduled(), 26u);   // one more probe pending
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_time(), nanoseconds(260));
+  flag = true;
+  sim.run();
+  EXPECT_EQ(when, nanoseconds(260));
+  EXPECT_EQ(probes, 27u);
+}
+
+TEST(ParkedPoll, RandomScenariosMatchExplicitProbes) {
+  Rng rng(20261017);
+  for (int round = 0; round < 60; ++round) {
+    PollScenario sc;
+    const int loops = 1 + static_cast<int>(rng.next_below(4));
+    const SimDuration intervals[] = {nanoseconds(20), nanoseconds(40),
+                                     nanoseconds(60), nanoseconds(90)};
+    for (int l = 0; l < loops; ++l) {
+      PollerSpec p;
+      p.start = nanoseconds(10) * static_cast<SimTime>(rng.next_below(12));
+      p.interval = intervals[rng.next_below(4)];
+      p.cost = rng.next_below(2) != 0 ? p.interval : 0;
+      const int waits = 1 + static_cast<int>(rng.next_below(3));
+      for (int w = 0; w < waits; ++w) p.flags.push_back(sc.num_flags++);
+      sc.pollers.push_back(p);
+    }
+    for (int f = 0; f < sc.num_flags; ++f) {
+      const SimTime at = nanoseconds(10) * static_cast<SimTime>(1 + rng.next_below(150));
+      const SimDuration delay =
+          std::min<SimDuration>(at, nanoseconds(10) * static_cast<SimTime>(rng.next_below(12)));
+      sc.writes.push_back({at, delay, f});
+    }
+    sc.writes_first = rng.next_below(2) != 0;
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_parked_matches_explicit(sc);
+  }
+}
+
+// Sharded pair: each shard runs host loops polling flags that the other
+// shard's events set through cross-shard posts.
+template <class Poll>
+std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
+  Simulation a, b;
+  a.set_shard_tag(0);
+  b.set_shard_tag(1);
+  const SimDuration lookahead = nanoseconds(100);
+  ShardGroup group({&a, &b}, ShardGroup::Options{workers, lookahead, 16});
+  Simulation* sims[2] = {&a, &b};
+  std::array<PollTrace, 2> tr;
+  std::array<std::vector<char>, 2> flags{std::vector<char>(3, 0),
+                                         std::vector<char>(3, 0)};
+  std::array<int, 2> done{0, 0};
+  std::vector<SimTask> tasks;
+  for (int s = 0; s < 2; ++s) {
+    Simulation& sim = *sims[s];
+    const SimDuration iv = s == 0 ? nanoseconds(60) : nanoseconds(40);
+    tasks.push_back(poll_flags<Poll>(sim, flags[s], {0, 1}, iv, iv, tr[s],
+                                     done[s]));
+    tasks.push_back(poll_flags<Poll>(sim, flags[s], {2}, iv, 0, tr[s],
+                                     done[s]));
+    // Writers on the other shard post these flag sets; one lands on a
+    // probe lattice point of this shard's loops.
+    const int src = 1 - s;
+    Simulation& from = *sims[src];
+    const SimTime sends[3] = {nanoseconds(140), nanoseconds(380),
+                              nanoseconds(200)};
+    for (int f = 0; f < 3; ++f) {
+      from.schedule_at(sends[f], [&, s, src, f, lookahead] {
+        const Simulation::Birth birth = sims[src]->take_birth();
+        group.post(src, s, sims[src]->now() + lookahead + nanoseconds(20 * f),
+                   birth.time, birth.tag, [&, s, f] {
+                     flags[s][static_cast<std::size_t>(f)] = 1;
+                     tr[s].keys.push_back(tuple_of(sims[s]->current_key()));
+                   });
+      });
+    }
+  }
+  bool ok = true;
+  switch (driver) {
+    case 0:
+      group.run();
+      break;
+    case 1:
+      ok = group.run_until_local({{0, [&] { return done[0] == 2; }},
+                                  {1, [&] { return done[1] == 2; }}});
+      break;
+    case 2:
+      ok = group.run_until_global(
+          [&] { return done[0] == 2 && done[1] == 2; });
+      break;
+  }
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(done[0], 2);
+  EXPECT_EQ(done[1], 2);
+  tr[0].snapshot(a);
+  tr[1].snapshot(b);
+  return tr;
+}
+
+TEST(ParkedPoll, ShardedPairMatchesAtOneAndFourWorkers) {
+  for (int driver : {0, 1, 2}) {
+    const auto ref = run_sharded_polls<ExplicitPoll>(1, driver);
+    for (int workers : {1, 4}) {
+      EXPECT_EQ(run_sharded_polls<ExplicitPoll>(workers, driver), ref)
+          << "explicit driver " << driver << " workers " << workers;
+      EXPECT_EQ(run_sharded_polls<PollUntil>(workers, driver), ref)
+          << "parked driver " << driver << " workers " << workers;
+    }
+  }
+}
+
+TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
+  // The only pending work is a poll that cannot succeed: every run loop
+  // reports the deadlock and returns instead of spinning. Each case then
+  // lets the poll succeed, so its coroutine finishes.
+  for (int driver : {0, 1, 2}) {
+    Simulation sim;
+    bool flag = false;
+    SimTime when = -1;
+    std::uint64_t probes = 0;
+    SimTask task = poller(sim, flag, when, probes);
+    sim.schedule(nanoseconds(35), [] {});
+    const auto resumed = [&when] { return when >= 0; };
+    switch (driver) {
+      case 0:
+        sim.run();
+        break;
+      case 1:
+        EXPECT_FALSE(sim.run_until_condition(resumed));
+        break;
+      case 2:
+        EXPECT_EQ(sim.run_until_condition_before(resumed, microseconds(1)),
+                  Simulation::RunOutcome::kDrained);
+        break;
+    }
+    EXPECT_TRUE(sim.event_limit_hit()) << "driver " << driver;
+    EXPECT_EQ(sim.now(), nanoseconds(35)) << "driver " << driver;
+    flag = true;
+    sim.run();
+    EXPECT_TRUE(task.done());
+    EXPECT_EQ(when, nanoseconds(40));
+  }
+  for (int driver : {0, 1, 2}) {
+    Simulation a, b;
+    a.set_shard_tag(0);
+    b.set_shard_tag(1);
+    ShardGroup group({&a, &b}, ShardGroup::Options{2, nanoseconds(100), 16});
+    bool flag = false;
+    SimTime when = -1;
+    std::uint64_t probes = 0;
+    SimTask task = poller(b, flag, when, probes);
+    a.schedule(nanoseconds(500), [] {});
+    const auto resumed = [&when] { return when >= 0; };
+    switch (driver) {
+      case 0:
+        group.run();
+        break;
+      case 1:
+        EXPECT_FALSE(group.run_until_local({{1, resumed}}));
+        break;
+      case 2:
+        EXPECT_FALSE(group.run_until_global(resumed));
+        break;
+    }
+    EXPECT_TRUE(group.event_limit_hit()) << "driver " << driver;
+    EXPECT_EQ(a.events_executed(), 1u) << "driver " << driver;
+    flag = true;
+    group.run();
+    EXPECT_TRUE(task.done()) << "driver " << driver;
+  }
+}
+
+template <class Poll>
+PollTrace run_until_limit(std::uint64_t limit) {
+  Simulation sim;
+  sim.set_event_limit(limit);
+  std::vector<char> flags(2, 0);
+  PollTrace tr;
+  int done = 0;
+  SimTask a = poll_flags<Poll>(sim, flags, {0}, nanoseconds(20), 0, tr, done);
+  SimTask b = poll_flags<Poll>(sim, flags, {1}, nanoseconds(30), 0, tr, done);
+  sim.schedule(microseconds(5), [&flags] { flags[0] = flags[1] = 1; });
+  sim.run();
+  EXPECT_TRUE(sim.event_limit_hit());
+  tr.snapshot(sim);
+  // Let both loops finish, so their coroutines are not left suspended.
+  sim.set_event_limit(std::numeric_limits<std::uint64_t>::max());
+  sim.run();
+  EXPECT_EQ(done, 2);
+  return tr;
+}
+
+TEST(ParkedPoll, EventLimitStopsInsideSkippedProbes) {
+  for (std::uint64_t limit : {1u, 7u, 40u}) {
+    EXPECT_EQ(run_until_limit<PollUntil>(limit),
+              run_until_limit<ExplicitPoll>(limit))
+        << "limit " << limit;
+  }
 }
 
 }  // namespace
