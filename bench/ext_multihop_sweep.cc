@@ -44,11 +44,6 @@ struct CaseResult {
   bool ok = false;
 };
 
-sys::Cluster::Backend cluster_backend(RmaBackend b) {
-  return b == RmaBackend::kExtoll ? sys::Cluster::Backend::kExtoll
-                                  : sys::Cluster::Backend::kIb;
-}
-
 /// One (topology, nodes, backend) case. `snapshot` additionally emits
 /// the per-link utilization table through `session`.
 CaseResult run_case(net::Topology topo, int nodes, RmaBackend backend,
@@ -148,10 +143,9 @@ CaseResult run_case(net::Topology topo, int nodes, RmaBackend backend,
   out.mmsgs = static_cast<double>(kRatePuts) / to_us(cluster.now() - t_rate);
 
   // Frame conservation against the per-link counters (hard check).
-  const sys::Cluster::Backend which = cluster_backend(backend);
-  const net::FabricTotals totals = cluster.fabric_totals(which);
+  const net::FabricTotals totals = cluster.fabric_totals(backend);
   const std::vector<sys::Cluster::LinkReport> reports =
-      cluster.link_reports(which);
+      cluster.link_reports(backend);
   std::uint64_t link_frames = 0, link_bytes = 0;
   for (const auto& r : reports) {
     link_frames += r.frames;
@@ -226,7 +220,7 @@ int main(int argc, char** argv) {
       for (RmaBackend backend : backends) {
         const std::string case_name =
             std::string("multihop-") + net::topology_name(topo) + "-n" +
-            std::to_string(nodes) + "-" + putget::rma_backend_name(backend);
+            std::to_string(nodes) + "-" + sys::backend_name(backend);
         const CaseResult r =
             run_case(topo, nodes, backend, session.threads(), session,
                      /*snapshot=*/nodes == 8, case_name);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const auto r = shmem::run_gups(cfg);
     if (!r.verified) {
       std::fprintf(stderr, "FAILED: %s/%s %u updates: %s\n",
-                   putget::rma_backend_name(backend),
+                   sys::backend_name(backend),
                    shmem::gups_mode_name(mode), updates,
                    r.error.empty() ? "table mismatch" : r.error.c_str());
       std::exit(1);

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     const auto r = shmem::run_halo2d(cfg);
     if (!r.verified || r.notified_total != r.halo_puts) {
       std::fprintf(stderr, "FAILED: %s %ux%u: %s\n",
-                   putget::rma_backend_name(backend), nx, ny,
+                   sys::backend_name(backend), nx, ny,
                    r.error.empty() ? "field mismatch" : r.error.c_str());
       std::exit(1);
     }

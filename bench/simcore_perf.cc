@@ -3,10 +3,10 @@
 // Measures the host-time cost of the three simulation hot paths (event
 // engine, PTX-lite interpreter, sparse memory), the end-to-end
 // wall-clock of the two heaviest figure sweeps, and the parallel-engine
-// scaling matrix (ring workload, nodes x threads, every cell hard-gated
-// to the threads=1 fingerprint), and writes the numbers to a JSON file
-// (default BENCH_simcore.json) so CI can archive them and regressions
-// show up as a diff, not an anecdote.
+// scaling matrix (the halo workload on a ring of PEs, nodes x threads,
+// every cell hard-gated to the threads=1 fingerprint), and writes the
+// numbers to a JSON file (default BENCH_simcore.json) so CI can archive
+// them and regressions show up as a diff, not an anecdote.
 //
 //   simcore_perf [--json=FILE]
 //
@@ -26,7 +26,7 @@
 #include "obs/trace.h"
 #include "pcie/fabric.h"
 #include "putget/extoll_experiments.h"
-#include "putget/ring_workload.h"
+#include "shmem/workloads.h"
 #include "sim/simulation.h"
 #include "sys/testbed.h"
 
@@ -170,8 +170,8 @@ double bench_fig2_wall_ms() {
 
 // --- Parallel-engine scaling matrix --------------------------------
 
-// One cell of the PDES matrix: the ring halo-exchange workload at a
-// given cluster size and worker count.
+// One cell of the PDES matrix: the halo-exchange workload on an N x 1
+// ring of PEs at a given cluster size and worker count.
 struct PdesCell {
   int nodes = 0;
   int threads = 0;
@@ -181,49 +181,41 @@ struct PdesCell {
   std::uint64_t events = 0;
 };
 
-// Small per-node state with many iterations puts the run in the
-// communication/poll-dominated regime, where engine cost (scheduling,
-// heap discipline, window synchronization) is the bill being measured
-// — large cell counts shift time into modeled payload work that both
-// engines pay identically and only dilutes the comparison.
-constexpr std::uint32_t kPdesCells = 8;
-constexpr std::uint32_t kPdesIters = 200;
+// The tile edge sets the grain: the GPU work each shard runs between
+// two fabric exchanges. Small tiles with many iterations keep the run
+// communication/poll-dominated, where engine cost (scheduling, heap
+// discipline, window synchronization) is the bill being measured.
+constexpr std::uint32_t kPdesTile = 8;
+constexpr std::uint32_t kPdesIters = 40;
 // Timing reps per (nodes, threads) cell. Reps are interleaved across
 // thread counts and the minimum wall per cell is reported — the
 // standard estimator for "cost of the work itself" on a machine with
 // background load (every source of noise only ever adds time).
 constexpr int kPdesReps = 12;
-// The link latency is the conservative lookahead, i.e. how much work a
-// shard may run ahead of a synchronization fence. The scaling matrix
-// uses a rack-scale 2 us link (vs the paper testbed's 400 ns
-// board-to-board hop) so the windows are wide enough to measure engine
-// scaling rather than barrier overhead.
-constexpr SimDuration kPdesLinkLatency = microseconds(2);
 
 /// One timed run of the N-node EXTOLL ring workload on `threads` engine
 /// workers. The checksum/fingerprint of every run is hard-gated against
 /// threads=1 by the caller: the parallel engine must be byte-equivalent,
 /// not just fast.
-PdesCell run_pdes_once(int nodes, int threads, bool classic_engine = false) {
-  sys::ClusterConfig cfg = sys::extoll_testbed();
-  cfg.num_nodes = nodes;
+PdesCell run_pdes_once(int nodes, int threads) {
+  shmem::Halo2dConfig cfg;
+  cfg.backend = putget::RmaBackend::kExtoll;
   cfg.topology = net::Topology::kRing;
-  cfg.extoll_net.latency = kPdesLinkLatency;
-  cfg.force_classic_engine = classic_engine;
-  putget::RingConfig ring;
-  ring.backend = putget::RingBackend::kExtoll;
-  ring.cells_per_node = kPdesCells;
-  ring.iterations = kPdesIters;
-  ring.threads = threads;
+  cfg.px = nodes;
+  cfg.py = 1;
+  cfg.nx = kPdesTile;
+  cfg.ny = kPdesTile;
+  cfg.iterations = kPdesIters;
+  cfg.threads = threads;
   const auto start = Clock::now();
-  const putget::RingResult r = putget::run_ring_halo_exchange(cfg, ring);
+  const shmem::Halo2dResult r = shmem::run_halo2d(cfg);
   PdesCell cell;
   cell.nodes = nodes;
   cell.threads = threads;
   cell.wall_ms = ms_since(start);
   cell.checksum = r.checksum;
-  cell.events = r.events_scheduled;
-  if (!r.verified || r.delivered != r.halo_messages) {
+  cell.events = r.events_executed;
+  if (!r.verified || r.notified_total != r.halo_puts) {
     std::fprintf(stderr, "pdes ring FAILED at nodes=%d threads=%d\n", nodes,
                  threads);
     std::exit(1);
@@ -272,24 +264,19 @@ std::vector<PdesCell> bench_pdes_matrix() {
 // --- Traced scaling -------------------------------------------------
 
 // One cell of the traced matrix: the same ring workload with every
-// observability sink attached (trace + metrics + flows). Before the
-// shard-aware sinks this configuration silently fell back to the
-// sequential engine; that old behavior is kept measurable as the
-// "classic" baseline row (force_classic_engine pins the single heap),
-// and the gate below requires the serialized output of every sink to be
-// byte-identical across the sharded thread counts.
+// observability sink attached (trace + metrics + flows). The gate below
+// requires the serialized output of every sink to be byte-identical
+// across thread counts.
 struct TracedCell {
-  const char* engine = "sharded";
   int threads = 0;
   double wall_ms = 0.0;
-  double speedup = 1.0;  // vs the sequential classic-engine cell
+  double speedup = 1.0;  // vs the one-worker cell
 };
 
 constexpr int kTracedNodes = 8;
 constexpr int kTracedReps = 7;
 
-double run_pdes_traced_once(int threads, bool classic_engine,
-                            std::string* trace_json,
+double run_pdes_traced_once(int threads, std::string* trace_json,
                             std::string* metrics_json,
                             std::string* flow_json) {
   obs::TraceRecorder rec;
@@ -299,7 +286,7 @@ double run_pdes_traced_once(int threads, bool classic_engine,
   obs::attach_metrics(&met);
   obs::attach_flows(&flows);
   const auto start = Clock::now();
-  const PdesCell c = run_pdes_once(kTracedNodes, threads, classic_engine);
+  const PdesCell c = run_pdes_once(kTracedNodes, threads);
   const double wall = ms_since(start);
   (void)c;
   obs::attach_recorder(nullptr);
@@ -311,55 +298,39 @@ double run_pdes_traced_once(int threads, bool classic_engine,
   return wall;
 }
 
-/// Traced matrix at the largest node count: the classic single-heap
-/// engine (what an attached sink used to force) as the sequential
-/// baseline, then the sharded engine at one and four workers. The
-/// sharded cells are byte-parity gated against each other: a single
+/// Traced matrix at the largest node count, at one and four workers.
+/// The cells are byte-parity gated against each other: a single
 /// differing byte in any sink's JSON is a determinism failure, exactly
-/// like a checksum mismatch in the untraced matrix. The classic cell is
-/// timing-only — its single global tie-break counter orders
-/// same-timestamp events differently, which is the very reason routed
-/// clusters now shard at every thread count.
+/// like a checksum mismatch in the untraced matrix.
 std::vector<TracedCell> bench_pdes_traced() {
-  struct Cfg {
-    const char* engine;
-    int threads;
-    bool classic;
-  };
-  constexpr Cfg kCfgs[] = {
-      {"classic", 1, true}, {"sharded", 1, false}, {"sharded", 4, false}};
+  constexpr int kThreads[] = {1, 4};
   std::string ref_trace, ref_metrics, ref_flows;
-  TracedCell best[3];
+  TracedCell best[2];
   for (int rep = 0; rep < kTracedReps; ++rep) {
-    for (std::size_t t = 0; t < 3; ++t) {
+    for (std::size_t t = 0; t < 2; ++t) {
       std::string trace, metrics, flows;
-      const double wall = run_pdes_traced_once(
-          kCfgs[t].threads, kCfgs[t].classic, &trace, &metrics, &flows);
-      if (!kCfgs[t].classic) {
-        if (ref_trace.empty()) {
-          ref_trace = trace;
-          ref_metrics = metrics;
-          ref_flows = flows;
-        } else if (trace != ref_trace || metrics != ref_metrics ||
-                   flows != ref_flows) {
-          std::fprintf(stderr,
-                       "pdes TRACED-DETERMINISM FAILURE at nodes=%d "
-                       "threads=%d: sink output differs from threads=1\n",
-                       kTracedNodes, kCfgs[t].threads);
-          std::exit(1);
-        }
+      const double wall =
+          run_pdes_traced_once(kThreads[t], &trace, &metrics, &flows);
+      if (ref_trace.empty()) {
+        ref_trace = trace;
+        ref_metrics = metrics;
+        ref_flows = flows;
+      } else if (trace != ref_trace || metrics != ref_metrics ||
+                 flows != ref_flows) {
+        std::fprintf(stderr,
+                     "pdes TRACED-DETERMINISM FAILURE at nodes=%d "
+                     "threads=%d: sink output differs from threads=1\n",
+                     kTracedNodes, kThreads[t]);
+        std::exit(1);
       }
       if (best[t].threads == 0 || wall < best[t].wall_ms) {
-        best[t].engine = kCfgs[t].engine;
-        best[t].threads = kCfgs[t].threads;
+        best[t].threads = kThreads[t];
         best[t].wall_ms = wall;
       }
     }
   }
-  for (std::size_t t = 0; t < 3; ++t) {
-    best[t].speedup = best[0].wall_ms / best[t].wall_ms;
-  }
-  return {best[0], best[1], best[2]};
+  for (TracedCell& c : best) c.speedup = best[0].wall_ms / c.wall_ms;
+  return {best[0], best[1]};
 }
 
 }  // namespace
@@ -402,8 +373,8 @@ int main(int argc, char** argv) {
               mem_mb_per_s, static_cast<unsigned long long>(bytes));
   std::printf("  fig1 latency sweep %10.1f ms wall\n", fig1_ms);
   std::printf("  fig2 msgrate sweep %10.1f ms wall\n", fig2_ms);
-  std::printf("  pdes ring scaling (cells=%u iters=%u, checksum-gated)\n",
-              kPdesCells, kPdesIters);
+  std::printf("  pdes ring scaling (tile=%ux%u iters=%u, checksum-gated)\n",
+              kPdesTile, kPdesTile, kPdesIters);
   for (const PdesCell& c : pdes) {
     std::printf("    nodes=%d threads=%d %9.1f ms wall  %5.2fx\n", c.nodes,
                 c.threads, c.wall_ms, c.speedup);
@@ -411,8 +382,8 @@ int main(int argc, char** argv) {
   std::printf("  traced pdes ring (nodes=%d, all sinks, byte-parity gated)\n",
               kTracedNodes);
   for (const TracedCell& c : traced) {
-    std::printf("    %-7s threads=%d %9.1f ms wall  %5.2fx\n", c.engine,
-                c.threads, c.wall_ms, c.speedup);
+    std::printf("    threads=%d %9.1f ms wall  %5.2fx\n", c.threads,
+                c.wall_ms, c.speedup);
   }
 
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
@@ -425,11 +396,10 @@ int main(int argc, char** argv) {
                  "\"fig2_extoll_msgrate_wall_ms\":%.3f},\n",
                  event_ns, instr_per_s, mem_mb_per_s, fig1_ms, fig2_ms);
     std::fprintf(f,
-                 " \"pdes\":{\"workload\":\"ext_multinode_ring/extoll\","
-                 "\"cells_per_node\":%u,\"iterations\":%u,\"reps\":%d,"
-                 "\"link_latency_us\":%.1f,\"matrix\":[\n",
-                 kPdesCells, kPdesIters, kPdesReps,
-                 to_us(kPdesLinkLatency));
+                 " \"pdes\":{\"workload\":\"halo2d-ring/extoll\","
+                 "\"tile\":%u,\"iterations\":%u,\"reps\":%d,"
+                 "\"matrix\":[\n",
+                 kPdesTile, kPdesIters, kPdesReps);
     for (std::size_t i = 0; i < pdes.size(); ++i) {
       const PdesCell& c = pdes[i];
       std::fprintf(f,
@@ -442,16 +412,16 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, " ]},\n");
     std::fprintf(f,
-                 " \"traced_pdes\":{\"workload\":\"ext_multinode_ring/extoll"
+                 " \"traced_pdes\":{\"workload\":\"halo2d-ring/extoll"
                  "+trace+metrics+flows\",\"nodes\":%d,\"reps\":%d,"
                  "\"byte_identical\":true,\"matrix\":[\n",
                  kTracedNodes, kTracedReps);
     for (std::size_t i = 0; i < traced.size(); ++i) {
       const TracedCell& c = traced[i];
       std::fprintf(f,
-                   "  {\"engine\":\"%s\",\"threads\":%d,\"wall_ms\":%.3f,"
+                   "  {\"threads\":%d,\"wall_ms\":%.3f,"
                    "\"speedup\":%.3f}%s\n",
-                   c.engine, c.threads, c.wall_ms, c.speedup,
+                   c.threads, c.wall_ms, c.speedup,
                    i + 1 < traced.size() ? "," : "");
     }
     std::fprintf(f, " ]}}\n");

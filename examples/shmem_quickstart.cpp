@@ -83,7 +83,7 @@ std::uint64_t run_backend(RmaBackend backend) {
   }
   const std::uint64_t checksum = scatter_and_verify(**s);
   std::printf("  %-6s : checksum %016llx, %llu arrivals/PE observed\n",
-              putget::rma_backend_name(backend),
+              sys::backend_name(backend),
               static_cast<unsigned long long>(checksum),
               static_cast<unsigned long long>((*s)->notified(0)));
   return checksum;

@@ -29,7 +29,8 @@ class ShardOpBuffer;
 
 /// The buffer bound to this thread for the current shard window, or
 /// nullptr when observability applies directly (the common case).
-extern thread_local ShardOpBuffer* t_shard_ops;
+/// constinit: no dynamic initializer, so reads bypass the TLS wrapper.
+extern thread_local constinit ShardOpBuffer* t_shard_ops;
 inline ShardOpBuffer* shard_ops() { return t_shard_ops; }
 
 // Out-of-line deferred recorders, defined in shard_sink.cc. Callers

@@ -11,7 +11,7 @@
 
 namespace pg::obs {
 
-thread_local ShardOpBuffer* t_shard_ops = nullptr;
+constinit thread_local ShardOpBuffer* t_shard_ops = nullptr;
 
 namespace {
 

@@ -15,14 +15,6 @@ using mem::Addr;
 
 }  // namespace
 
-const char* rma_backend_name(RmaBackend backend) {
-  switch (backend) {
-    case RmaBackend::kExtoll: return "extoll";
-    case RmaBackend::kIb: return "ib";
-  }
-  return "?";
-}
-
 const char* completion_name(Completion c) {
   switch (c) {
     case Completion::kNotification: return "notification";

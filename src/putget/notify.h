@@ -46,9 +46,8 @@
 
 namespace pg::putget {
 
-enum class RmaBackend { kExtoll, kIb };
-
-const char* rma_backend_name(RmaBackend backend);
+// Kept because the shmem API and perfbench/src/workloads.cc use this name.
+using RmaBackend = sys::Backend;
 
 /// How the target learns that a put arrived (see file comment).
 enum class Completion : std::uint8_t {

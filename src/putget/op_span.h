@@ -20,6 +20,16 @@
 
 namespace pg::putget {
 
+/// Opens a new unit on every attached sink: a fresh trace process, and —
+/// because a new run means a fresh correlation namespace, latency
+/// breakdown and sample timeline — a fresh flow-table and time-series
+/// unit.
+inline void begin_obs_unit(const std::string& label) {
+  obs::begin_unit(label);
+  if (obs::FlowTable* f = obs::flows()) f->begin_unit(label);
+  obs::timeseries_begin_unit(label);
+}
+
 class OpSpan {
  public:
   OpSpan(sim::Simulation& sim, std::string label)
@@ -31,12 +41,7 @@ class OpSpan {
   /// shards have quiesced).
   OpSpan(std::function<SimTime()> now, std::string label)
       : now_(std::move(now)), label_(std::move(label)) {
-    obs::begin_unit(label_);
-    // The flow table's and time series' units follow the trace units: a
-    // new run means a fresh correlation namespace, a fresh latency
-    // breakdown, and a fresh sample timeline.
-    if (obs::FlowTable* f = obs::flows()) f->begin_unit(label_);
-    obs::timeseries_begin_unit(label_);
+    begin_obs_unit(label_);
   }
 
   OpSpan(const OpSpan&) = delete;

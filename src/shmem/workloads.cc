@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "gpu/assembler.h"
+#include "putget/op_span.h"
 #include "putget/setup.h"
 #include "putget/stats.h"
 #include "shmem/shmem.h"
@@ -378,21 +380,33 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
   Halo2dResult out;
   out.num_pes = cfg.px * cfg.py;
   out.iterations = cfg.iterations;
-  if (cfg.px < 2 || cfg.py < 2 || cfg.nx == 0 || cfg.ny == 0) {
-    out.error = "halo2d: need a grid of at least 2x2 PEs and nonzero tile";
+  if (cfg.px < 2 || cfg.py < 1 || cfg.nx == 0 || cfg.ny == 0) {
+    out.error = "halo2d: need a grid of at least 2x1 PEs and nonzero tile";
     return out;
   }
   const int n = cfg.px * cfg.py;
   const std::uint32_t S = cfg.nx + 2;  // row stride in words
   const std::uint64_t field_words =
       static_cast<std::uint64_t>(S) * (cfg.ny + 2);
+  // A one-row grid keeps its north/south halos local (see the header).
+  const bool ring = cfg.py == 1;
+  const std::uint64_t puts_per_pe = ring ? 2 : 4;
 
   sys::ClusterConfig cc = sys::default_testbed();
   cc.num_nodes = n;
-  cc.topology = net::Topology::kFullMesh;
+  cc.topology = cfg.topology;
   cc.threads = cfg.threads;
   cc.sample_every = cfg.sample_every;
+  if (Status st = sys::Cluster::validate(cc); !st.is_ok()) {
+    out.error = "halo2d: " + st.to_string();
+    return out;
+  }
   sys::Cluster cluster(cc);
+  // A run is one sink unit: flow correlation state must not leak into
+  // the next run's cluster.
+  putget::begin_obs_unit(std::string("halo2d/") +
+                         sys::backend_name(cfg.backend) + "/" +
+                         std::to_string(cfg.px) + "x" + std::to_string(cfg.py));
 
   ShmemOptions so;
   so.backend = cfg.backend;
@@ -481,7 +495,8 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
   int cur = 0;
   for (std::uint32_t it = 0; it < cfg.iterations; ++it) {
     // Phase 1: pack the west/east interior columns into the contiguous
-    // send buffers (strided GPU gather).
+    // send buffers (strided GPU gather). A ring PE also wraps its own
+    // last/first interior rows into its top/bottom halo rows.
     {
       std::vector<gpu::KernelLaunch> kls;
       std::vector<int> on;
@@ -498,6 +513,18 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
           kls.push_back(kl);
           on.push_back(pe);
         }
+        for (int e = 0; ring && e < 2; ++e) {
+          const std::uint32_t from = e == 0 ? cfg.ny : 1;
+          const std::uint32_t to = e == 0 ? 0 : cfg.ny + 1;
+          gpu::KernelLaunch kl;
+          kl.program = &copy;
+          kl.blocks = 1;
+          kl.threads_per_block = cfg.nx;
+          kl.params = {s.addr(pe, buf[cur] + (from * S + 1) * 8),
+                       s.addr(pe, buf[cur] + (to * S + 1) * 8), 8, 8};
+          kls.push_back(kl);
+          on.push_back(pe);
+        }
       }
       if (!run_kernels(kls, on)) {
         out.error = "halo2d: pack kernels stalled";
@@ -506,7 +533,8 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
     }
 
     // Phase 2: four notification puts per PE — contiguous rows straight
-    // from the field, columns from the staging buffers.
+    // from the field, columns from the staging buffers; a ring PE puts
+    // only its two columns.
     std::vector<std::vector<OpHandle>> sent(
         static_cast<std::size_t>(n));
     for (int pe = 0; pe < n; ++pe) {
@@ -527,7 +555,7 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
           // east column -> east neighbour's from-west staging
           {neighbor(pe, 1, 0), col_recv_w, col_send_e, cfg.ny * 8},
       };
-      for (const Edge& e : edges) {
+      for (const Edge& e : std::span(edges).subspan(ring ? 2 : 0)) {
         auto op = s.put_nbi(pe, e.to, e.dst, e.src, e.bytes,
                             Completion::kNotification);
         if (!op.is_ok()) {
@@ -538,7 +566,7 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
       }
     }
 
-    // Phase 3: sources reusable, all four inbound edges arrived.
+    // Phase 3: sources reusable, all inbound edges arrived.
     for (int pe = 0; pe < n; ++pe) {
       for (OpHandle h : sent[pe]) {
         if (!s.domain().wait_local(h)) {
@@ -546,7 +574,7 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
           return out;
         }
       }
-      if (!s.wait_notified(pe, 4ull * (it + 1))) {
+      if (!s.wait_notified(pe, puts_per_pe * (it + 1))) {
         out.error = "halo2d: halo arrivals missing";
         return out;
       }
@@ -627,7 +655,7 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
     out.notified_total += s.notified(pe);
   }
   out.verified = ok;
-  out.halo_puts = 4ull * n * cfg.iterations;
+  out.halo_puts = puts_per_pe * n * cfg.iterations;
   out.sim_time_us = to_us(cluster.now() - t_start);
   out.events_executed = cluster.events_executed();
   return out;

@@ -78,11 +78,17 @@ GupsResult run_gups(const GupsConfig& cfg);
 // pack/unpack kernels plus staging buffers. All four edges per PE per
 // iteration are put-with-notification, so target-side readiness is one
 // wait_notified call.
+//
+// A px x 1 grid is a ring of PEs: each PE is its own north and south
+// neighbour, so its halo rows are filled by local GPU copies and only
+// the two column edges cross the fabric.
 
 struct Halo2dConfig {
   putget::RmaBackend backend = putget::RmaBackend::kExtoll;
-  int px = 2;  // PE grid width
-  int py = 2;  // PE grid height
+  /// Wiring of the px*py-node cluster the workload builds.
+  net::Topology topology = net::Topology::kFullMesh;
+  int px = 2;  // PE grid width, >= 2
+  int py = 2;  // PE grid height, >= 1
   std::uint32_t nx = 8;  // interior cells per PE, x
   std::uint32_t ny = 8;  // interior cells per PE, y
   std::uint32_t iterations = 4;

@@ -33,14 +33,6 @@ Status check_net(const net::NetConfig& net, const char* which) {
   return Status::ok();
 }
 
-/// Test-sweep override: PG_FORCE_THREADS=<n> reruns any cluster that
-/// *can* shard (positive link latencies on every enabled backend) on the
-/// parallel engine with n workers, without touching each call site.
-/// Determinism makes this safe — results are identical by construction —
-/// and it is how CI drives the whole tier-1 suite through the sharded
-/// code paths under TSan. Configs that cannot shard (zero-latency links,
-/// too many nodes) silently keep their configured engine: the knob is
-/// best-effort coverage, not a correctness switch.
 /// True when the config can legally run on the sharded engine: every
 /// enabled backend has positive link latency (the latency is the
 /// conservative lookahead) and the node count fits the one-byte shard
@@ -51,8 +43,15 @@ bool can_shard(const ClusterConfig& cfg) {
   return cfg.num_nodes <= 255;
 }
 
+/// Test-sweep override: PG_FORCE_THREADS=<n> reruns any cluster that
+/// *can* shard (positive link latencies on every enabled backend) on the
+/// parallel engine with n workers, without touching each call site.
+/// Determinism makes this safe — results are identical by construction —
+/// and it is how CI drives the whole tier-1 suite through the sharded
+/// code paths under TSan. Configs that cannot shard (zero-latency links,
+/// too many nodes) silently keep their configured engine: the knob is
+/// best-effort coverage, not a correctness switch.
 int forced_threads(const ClusterConfig& cfg) {
-  if (cfg.force_classic_engine) return cfg.threads;
   const char* env = std::getenv("PG_FORCE_THREADS");
   if (env == nullptr) return cfg.threads;
   const int forced = std::atoi(env);
@@ -62,6 +61,14 @@ int forced_threads(const ClusterConfig& cfg) {
 }
 
 }  // namespace
+
+const char* backend_name(Backend b) {
+  switch (b) {
+    case Backend::kExtoll: return "extoll";
+    case Backend::kIb: return "ib";
+  }
+  return "?";
+}
 
 Status Cluster::validate(const ClusterConfig& cfg) {
   if (cfg.num_nodes < 2) {
@@ -78,11 +85,6 @@ Status Cluster::validate(const ClusterConfig& cfg) {
   }
   if (cfg.threads < 1) {
     return invalid_argument("cluster threads must be >= 1");
-  }
-  if (cfg.force_classic_engine && cfg.threads > 1) {
-    return invalid_argument(
-        "force_classic_engine pins the single-heap engine and cannot run "
-        "more than one thread");
   }
   if (cfg.threads > 1) {
     // Sharding across a link needs the link's flight time as lookahead;
@@ -121,14 +123,9 @@ Cluster::Cluster(const ClusterConfig& cfg) {
   // single global counter and order trace/flow minting differently.
   // Pair-topology clusters keep the classic single heap at threads=1:
   // the paper's two-node experiment drivers script against sim()
-  // directly. force_classic_engine pins the single heap regardless — a
-  // measurement escape hatch (the engine-A/B rows in simcore_perf), not
-  // a supported configuration: its sink output follows the classic
-  // tie-break order, so byte-parity with sharded runs is not promised.
+  // directly.
   const bool shard =
-      !cfg.force_classic_engine &&
-      (threads > 1 ||
-       (cfg.topology != net::Topology::kPair && can_shard(cfg)));
+      threads > 1 || (cfg.topology != net::Topology::kPair && can_shard(cfg));
   sample_every_ = cfg.sample_every;
   next_sample_ = sample_every_;
 
@@ -206,7 +203,7 @@ Cluster::Cluster(const ClusterConfig& cfg) {
 void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg,
                            bool shard) {
   const bool extoll = which == Backend::kExtoll;
-  const std::string bname = extoll ? "extoll" : "ib";
+  const std::string bname = backend_name(which);
   auto& links = extoll ? extoll_links_ : ib_links_;
   auto& switches = extoll ? extoll_switches_ : ib_switches_;
   const int n = plan_.num_terminals;
@@ -426,7 +423,7 @@ void Cluster::sample_telemetry() {
   for (Backend b : {Backend::kExtoll, Backend::kIb}) {
     const auto& links = b == Backend::kExtoll ? extoll_links_ : ib_links_;
     if (links.empty()) continue;
-    const std::string bname = b == Backend::kExtoll ? "extoll" : "ib";
+    const std::string bname = backend_name(b);
     std::uint64_t frames = 0;
     for (const LinkReport& r : link_reports(b)) {
       v["net." + r.label + ".util"] = r.utilization;
@@ -551,7 +548,7 @@ void Cluster::publish_link_metrics() const {
   for (Backend b : {Backend::kExtoll, Backend::kIb}) {
     const auto& links = b == Backend::kExtoll ? extoll_links_ : ib_links_;
     if (links.empty()) continue;
-    const std::string bname = b == Backend::kExtoll ? "extoll" : "ib";
+    const std::string bname = backend_name(b);
     obs::Log2Histogram& depth = m->histogram("net." + bname + ".queue_depth");
     std::uint64_t stalls = 0;
     std::uint64_t link_frames = 0;

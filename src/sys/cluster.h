@@ -52,6 +52,11 @@ class ShardSinkHub;
 
 namespace pg::sys {
 
+/// The two put/get fabrics every node can carry.
+enum class Backend { kExtoll, kIb };
+
+const char* backend_name(Backend b);
+
 struct ClusterConfig {
   NodeConfig node;
   net::NetConfig extoll_net;
@@ -67,13 +72,6 @@ struct ClusterConfig {
   /// link latency on every enabled backend (the latency is the
   /// synchronization lookahead).
   int threads = 1;
-  /// Measurement escape hatch: pin the classic single-heap engine even
-  /// on routed topologies (requires threads == 1; also disables the
-  /// PG_FORCE_THREADS override). Only for A/B-timing the engines, as in
-  /// simcore_perf's sequential-traced baseline row — the classic heap
-  /// tie-breaks same-timestamp events with one global counter, so its
-  /// serialized sink output is NOT byte-comparable with sharded runs.
-  bool force_classic_engine = false;
   /// Telemetry sample interval in simulated time; 0 = off. With an
   /// attached obs::TimeSeries the cluster records one sample row per
   /// interval (see obs/timeseries.h). Sampling never changes which
@@ -137,8 +135,6 @@ class Cluster {
   /// routes(), i, j) gives a pair's hop count.
   const net::FabricPlan& fabric_plan() const { return plan_; }
   const net::RouteTables& routes() const { return routes_; }
-
-  enum class Backend { kExtoll, kIb };
 
   /// One transmit direction of one physical link, snapshotted against
   /// the current clock (utilization = serialization occupancy /

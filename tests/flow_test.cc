@@ -22,7 +22,7 @@
 #include "putget/extoll_experiments.h"
 #include "putget/ib_experiments.h"
 #include "putget/modes.h"
-#include "putget/ring_workload.h"
+#include "shmem/workloads.h"
 #include "sys/testbed.h"
 
 namespace pg {
@@ -267,30 +267,33 @@ TEST(FlowParity, PingpongUnperturbedBothFabrics) {
 }
 
 TEST(FlowParity, RingN3Unperturbed) {
-  sys::ClusterConfig cfg = sys::extoll_testbed();
-  cfg.num_nodes = 3;
+  shmem::Halo2dConfig cfg;
   cfg.topology = net::Topology::kRing;
-  putget::RingConfig ring;
-  ring.iterations = 8;
+  cfg.px = 3;
+  cfg.py = 1;
+  cfg.iterations = 8;
 
-  const auto plain = putget::run_ring_halo_exchange(cfg, ring);
+  const auto plain = shmem::run_halo2d(cfg);
   ASSERT_TRUE(plain.verified);
 
   FlowTable ft;
   ScopedSinks sinks(&ft);
-  const auto traced = putget::run_ring_halo_exchange(cfg, ring);
+  const auto traced = shmem::run_halo2d(cfg);
   ASSERT_TRUE(traced.verified);
   EXPECT_EQ(traced.checksum, plain.checksum);
-  EXPECT_EQ(traced.events_scheduled, plain.events_scheduled);
+  EXPECT_EQ(traced.events_executed, plain.events_executed);
   EXPECT_EQ(traced.sim_time_us, plain.sim_time_us);
-  EXPECT_EQ(traced.delivered, plain.delivered);
+  EXPECT_EQ(traced.notified_total, plain.notified_total);
 
-  // And the run was actually tracked: one flow per halo message, all of
-  // them detected by a poll on some node.
-  const FlowTable::Breakdown* b = ft.find("ring-halo/extoll/528B");
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->completed, plain.halo_messages);
-  EXPECT_EQ(b->abandoned, 0u);
+  // And the run was actually tracked: one completed flow per halo put.
+  std::uint64_t completed = 0;
+  std::uint64_t abandoned = 0;
+  for (const FlowTable::Breakdown& b : ft.breakdowns()) {
+    completed += b.completed;
+    abandoned += b.abandoned;
+  }
+  EXPECT_EQ(completed, plain.halo_puts);
+  EXPECT_EQ(abandoned, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ TEST(NotifyParity, NotificationCountersMatchAcrossFabrics) {
     for (int i = 0; i < 5; ++i) {
       EXPECT_EQ(rig.memory(1).read_u64(rig.at(1, 512 + i * 8)),
                 std::uint64_t(0xA0 + i))
-          << putget::rma_backend_name(backend);
+          << sys::backend_name(backend);
     }
     ++bi;
   }
@@ -258,7 +258,7 @@ TEST(NotifyParity, WaitAnyReturnsFirstPostedOnBothFabrics) {
     }
     // FIFO pipeline: the earliest posted op is the first local completion.
     EXPECT_EQ(rig.domain->wait_any(ops), 0)
-        << putget::rma_backend_name(backend);
+        << sys::backend_name(backend);
     // Draining the last op implies every earlier op completed too.
     EXPECT_TRUE(rig.domain->wait_local(ops[2]));
     EXPECT_TRUE(rig.domain->done_local(ops[0]));
@@ -276,7 +276,7 @@ TEST(Notify, GetRoundTripBothFabrics) {
     ASSERT_TRUE(op.is_ok()) << op.status().to_string();
     EXPECT_TRUE(rig.domain->wait_local(*op));
     EXPECT_EQ(rig.memory(0).read_u64(rig.at(0, 2048)), 0xDEADu)
-        << putget::rma_backend_name(backend);
+        << sys::backend_name(backend);
     EXPECT_EQ(rig.memory(0).read_u64(rig.at(0, 2056)), 0xBEEFu);
   }
 }
@@ -298,7 +298,7 @@ TEST(Notify, QuietMeansRemoteCompletion) {
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(rig.memory(1).read_u64(rig.at(1, 512 + i * 8)),
                 std::uint64_t(900 + i))
-          << putget::rma_backend_name(backend) << " i=" << i;
+          << sys::backend_name(backend) << " i=" << i;
     }
   }
 }
@@ -390,7 +390,7 @@ TEST(Notify, FlowStageSumsReconcileWithEndToEnd) {
       EXPECT_TRUE(rig.domain->wait_notified(1, 3));
     }
     ASSERT_FALSE(ft.breakdowns().empty())
-        << putget::rma_backend_name(backend);
+        << sys::backend_name(backend);
     std::uint64_t completed = 0;
     for (const FlowTable::Breakdown& b : ft.breakdowns()) {
       completed += b.completed;
@@ -403,9 +403,9 @@ TEST(Notify, FlowStageSumsReconcileWithEndToEnd) {
       const double e2e = static_cast<double>(b.e2e_ns.sum());
       ASSERT_GT(e2e, 0.0);
       EXPECT_NEAR(static_cast<double>(stage_total) / e2e, 1.0, 0.02)
-          << putget::rma_backend_name(backend) << " unit " << b.label;
+          << sys::backend_name(backend) << " unit " << b.label;
     }
-    EXPECT_GT(completed, 0u) << putget::rma_backend_name(backend);
+    EXPECT_GT(completed, 0u) << sys::backend_name(backend);
   }
 }
 
@@ -455,7 +455,7 @@ TEST(Shmem, PutGetRoundTripBothFabrics) {
     ASSERT_TRUE(s->put(0, 1, buf + 8, buf, 8).is_ok());
     EXPECT_TRUE(s->wait_notified(1, 1));
     EXPECT_EQ(s->peek_u64(1, buf + 8), 0x5151u)
-        << putget::rma_backend_name(backend);
+        << sys::backend_name(backend);
 
     s->poke_u64(1, buf + 16, 0x7272);
     ASSERT_TRUE(s->get(0, 1, buf + 24, buf + 16, 8).is_ok());
@@ -476,7 +476,7 @@ TEST(Shmem, AtomicFetchAddSequencesBothFabrics) {
     for (std::uint64_t d : deltas) {
       auto old = s->atomic_fetch_add(from, 2, ctr, d);
       ASSERT_TRUE(old.is_ok()) << old.status().to_string();
-      EXPECT_EQ(*old, expect_old) << putget::rma_backend_name(backend);
+      EXPECT_EQ(*old, expect_old) << sys::backend_name(backend);
       expect_old += d;
       from = 1 - from;  // alternate the driving PE
     }
@@ -506,7 +506,7 @@ TEST(Shmem, BarrierAllIsRepeatable) {
     ASSERT_NE(s, nullptr);
     for (int round = 0; round < 3; ++round) {
       ASSERT_TRUE(s->barrier_all().is_ok())
-          << putget::rma_backend_name(backend) << " round " << round;
+          << sys::backend_name(backend) << " round " << round;
     }
     // The barrier is built from payload-poll puts only.
     for (int pe = 0; pe < 4; ++pe) EXPECT_EQ(s->notified(pe), 0u);

@@ -14,7 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "putget/ring_workload.h"
+#include "shmem/workloads.h"
 #include "sim/parallel.h"
 #include "sim/simulation.h"
 #include "sys/cluster.h"
@@ -168,17 +168,21 @@ TEST(ShardGroup, RunUntilTimeExecutesInclusiveDeadline) {
 
 TEST(ShardGroup, ShardLocalCancelKeepsTombstonesLocal) {
   TwoShards t(2);
-  int ran = 0;
+  // One counter per shard: the two workers run their shards' events
+  // concurrently.
+  int ran_a = 0;
+  int ran_b = 0;
   const sim::EventId doomed =
-      t.a.schedule(nanoseconds(100), [&] { ran += 10; });
-  t.a.schedule(nanoseconds(200), [&] { ran += 1; });
-  t.b.schedule(nanoseconds(150), [&] { ran += 100; });
+      t.a.schedule(nanoseconds(100), [&] { ran_a += 10; });
+  t.a.schedule(nanoseconds(200), [&] { ran_a += 1; });
+  t.b.schedule(nanoseconds(150), [&] { ran_b += 100; });
   EXPECT_TRUE(t.a.cancel(doomed));
   EXPECT_FALSE(t.a.cancel(doomed)) << "double cancel must be a no-op";
   // A shard never knows another shard's locally minted ids.
   EXPECT_FALSE(t.b.cancel(doomed));
   t.group.run();
-  EXPECT_EQ(ran, 101);
+  EXPECT_EQ(ran_a, 1);
+  EXPECT_EQ(ran_b, 100);
 }
 
 // --- Cluster-level edge cases ----------------------------------------------
@@ -206,70 +210,51 @@ TEST(ShardedCluster, ThreadCountValidation) {
   EXPECT_TRUE(sys::Cluster::validate(cfg).is_ok());
 }
 
-TEST(ShardedCluster, ForceClassicEngineValidation) {
-  sys::ClusterConfig cfg = sys::default_testbed();
-  cfg.force_classic_engine = true;
-  EXPECT_TRUE(sys::Cluster::validate(cfg).is_ok());
-  cfg.threads = 4;  // the escape hatch pins the single heap
-  EXPECT_FALSE(sys::Cluster::validate(cfg).is_ok());
-}
-
-// The measurement escape hatch must not change physics: the classic
-// single-heap engine and the sharded engine agree on every fingerprint
-// of the routed ring workload. (Their *sink ordering* may differ —
-// that is the documented reason routed clusters shard by default — but
-// checksums, event counts, clocks and deliveries are engine-invariant.)
-TEST(ShardedCluster, ClassicEngineMatchesShardedFingerprint) {
-  sys::ClusterConfig cfg = sys::default_testbed();
-  cfg.num_nodes = 3;
-  cfg.topology = net::Topology::kRing;
-  putget::RingConfig ring;
-  ring.backend = putget::RingBackend::kExtoll;
-  ring.cells_per_node = 16;
-  ring.iterations = 8;
-  ring.threads = 1;
-  const putget::RingResult sharded = putget::run_ring_halo_exchange(cfg, ring);
-  ASSERT_TRUE(sharded.verified);
-  cfg.force_classic_engine = true;
-  const putget::RingResult classic = putget::run_ring_halo_exchange(cfg, ring);
-  ASSERT_TRUE(classic.verified);
-  EXPECT_EQ(classic.checksum, sharded.checksum);
-  EXPECT_EQ(classic.events_scheduled, sharded.events_scheduled);
-  EXPECT_EQ(classic.sim_time_us, sharded.sim_time_us);
-  EXPECT_EQ(classic.delivered, sharded.delivered);
-}
-
 // --- Fingerprint equality on the real workload -----------------------------
 
+using putget::RmaBackend;
+using shmem::Halo2dConfig;
+using shmem::Halo2dResult;
+
+/// The halo workload on an n x 1 PE grid (a ring of PEs) wired as `topo`.
+Halo2dConfig ring_halo(RmaBackend backend, net::Topology topo, int nodes,
+                       int threads) {
+  Halo2dConfig cfg;
+  cfg.backend = backend;
+  cfg.topology = topo;
+  cfg.px = nodes;
+  cfg.py = 1;
+  cfg.nx = 4;
+  cfg.ny = 4;
+  cfg.iterations = 4;
+  cfg.threads = threads;
+  return cfg;
+}
+
+void expect_same_run(const Halo2dResult& a, const Halo2dResult& b,
+                     const std::string& name) {
+  EXPECT_EQ(a.checksum, b.checksum) << name;
+  EXPECT_EQ(a.events_executed, b.events_executed) << name;
+  EXPECT_EQ(a.sim_time_us, b.sim_time_us) << name;
+  EXPECT_EQ(a.notified_total, b.notified_total) << name;
+}
+
 // The hard gate of the parallel engine: for any thread count, the ring
-// workload's event fingerprint, clock, checksum and delivery counters
-// are identical to the sequential engine's.
+// workload's event fingerprint, clock, checksum and notification
+// counters are identical to the one-worker run's.
 TEST(ShardedCluster, RingFingerprintIndependentOfThreads) {
-  for (const auto backend :
-       {putget::RingBackend::kExtoll, putget::RingBackend::kIb}) {
-    sys::ClusterConfig cfg = sys::default_testbed();
-    cfg.num_nodes = 3;
-    cfg.topology = net::Topology::kRing;
-    putget::RingConfig ring;
-    ring.backend = backend;
-    ring.cells_per_node = 16;
-    ring.iterations = 8;
-    ring.threads = 1;
-    const putget::RingResult seq = putget::run_ring_halo_exchange(cfg, ring);
-    ASSERT_TRUE(seq.verified);
+  for (const RmaBackend backend : {RmaBackend::kExtoll, RmaBackend::kIb}) {
+    const Halo2dResult seq =
+        shmem::run_halo2d(ring_halo(backend, net::Topology::kRing, 3, 1));
+    ASSERT_TRUE(seq.verified) << seq.error;
+    EXPECT_EQ(seq.notified_total, seq.halo_puts);
     for (int threads : {2, 4}) {
-      ring.threads = threads;
-      const putget::RingResult par =
-          putget::run_ring_halo_exchange(cfg, ring);
-      const char* name = putget::ring_backend_name(backend);
-      ASSERT_TRUE(par.verified) << name << " threads=" << threads;
-      EXPECT_EQ(par.checksum, seq.checksum) << name << " t=" << threads;
-      EXPECT_EQ(par.events_scheduled, seq.events_scheduled)
-          << name << " t=" << threads;
-      EXPECT_EQ(par.sim_time_us, seq.sim_time_us) << name << " t=" << threads;
-      EXPECT_EQ(par.delivered, seq.delivered) << name << " t=" << threads;
-      EXPECT_EQ(par.halo_messages, seq.halo_messages)
-          << name << " t=" << threads;
+      const Halo2dResult par = shmem::run_halo2d(
+          ring_halo(backend, net::Topology::kRing, 3, threads));
+      const std::string name = std::string(sys::backend_name(backend)) +
+                               " t=" + std::to_string(threads);
+      ASSERT_TRUE(par.verified) << name;
+      expect_same_run(par, seq, name);
     }
   }
 }
@@ -282,33 +267,19 @@ TEST(ShardedCluster, RingFingerprintIndependentOfThreads) {
 TEST(ShardedCluster, MultiHopFingerprintIndependentOfThreads) {
   for (const net::Topology topo :
        {net::Topology::kTorus2D, net::Topology::kFatTree}) {
-    for (const auto backend :
-         {putget::RingBackend::kExtoll, putget::RingBackend::kIb}) {
-      sys::ClusterConfig cfg = sys::default_testbed();
-      cfg.num_nodes = 8;
-      cfg.topology = topo;
-      putget::RingConfig ring;
-      ring.backend = backend;
-      ring.cells_per_node = 16;
-      ring.iterations = 4;
-      ring.threads = 1;
-      const putget::RingResult seq = putget::run_ring_halo_exchange(cfg, ring);
+    for (const RmaBackend backend : {RmaBackend::kExtoll, RmaBackend::kIb}) {
+      const Halo2dResult seq =
+          shmem::run_halo2d(ring_halo(backend, topo, 8, 1));
       ASSERT_TRUE(seq.verified)
-          << net::topology_name(topo) << " "
-          << putget::ring_backend_name(backend);
+          << net::topology_name(topo) << " " << sys::backend_name(backend);
       for (int threads : {2, 4}) {
-        ring.threads = threads;
-        const putget::RingResult par =
-            putget::run_ring_halo_exchange(cfg, ring);
-        const std::string name =
-            std::string(net::topology_name(topo)) + " " +
-            putget::ring_backend_name(backend) + " t=" +
-            std::to_string(threads);
+        const Halo2dResult par =
+            shmem::run_halo2d(ring_halo(backend, topo, 8, threads));
+        const std::string name = std::string(net::topology_name(topo)) +
+                                 " " + sys::backend_name(backend) +
+                                 " t=" + std::to_string(threads);
         ASSERT_TRUE(par.verified) << name;
-        EXPECT_EQ(par.checksum, seq.checksum) << name;
-        EXPECT_EQ(par.events_scheduled, seq.events_scheduled) << name;
-        EXPECT_EQ(par.sim_time_us, seq.sim_time_us) << name;
-        EXPECT_EQ(par.delivered, seq.delivered) << name;
+        expect_same_run(par, seq, name);
       }
     }
   }
@@ -317,34 +288,24 @@ TEST(ShardedCluster, MultiHopFingerprintIndependentOfThreads) {
 // --- Shard-aware observability: parity across thread counts ----------------
 
 struct SinkSnapshot {
-  putget::RingResult result;
+  Halo2dResult result;
   std::string trace;
   std::string metrics;
   std::string flows;
   std::string timeseries;
 };
 
-sys::ClusterConfig obs_cluster(net::Topology topo) {
-  sys::ClusterConfig cfg = sys::default_testbed();
-  cfg.num_nodes = topo == net::Topology::kRing ? 3 : 8;
-  cfg.topology = topo;
+Halo2dConfig obs_halo(net::Topology topo, RmaBackend backend, int threads) {
+  Halo2dConfig cfg = ring_halo(
+      backend, topo, topo == net::Topology::kRing ? 3 : 8, threads);
+  cfg.iterations = 2;
   cfg.sample_every = microseconds(50);
   return cfg;
 }
 
-putget::RingConfig obs_ring(putget::RingBackend backend, int threads) {
-  putget::RingConfig ring;
-  ring.backend = backend;
-  ring.cells_per_node = 16;
-  ring.iterations = 4;
-  ring.threads = threads;
-  return ring;
-}
-
 /// Runs the halo exchange with every sink attached and snapshots all
 /// four serialized outputs.
-SinkSnapshot run_traced(net::Topology topo, putget::RingBackend backend,
-                        int threads) {
+SinkSnapshot run_traced(net::Topology topo, RmaBackend backend, int threads) {
   obs::TraceRecorder rec;
   obs::MetricsRegistry met;
   obs::FlowTable flow;
@@ -354,8 +315,7 @@ SinkSnapshot run_traced(net::Topology topo, putget::RingBackend backend,
   obs::attach_flows(&flow);
   obs::attach_timeseries(&ts);
   SinkSnapshot s;
-  s.result =
-      putget::run_ring_halo_exchange(obs_cluster(topo), obs_ring(backend, threads));
+  s.result = shmem::run_halo2d(obs_halo(topo, backend, threads));
   obs::attach_recorder(nullptr);
   obs::attach_metrics(nullptr);
   obs::attach_flows(nullptr);
@@ -373,22 +333,17 @@ SinkSnapshot run_traced(net::Topology topo, putget::RingBackend backend,
 TEST(ShardedObs, TracedRunMatchesUntracedFingerprint) {
   for (const net::Topology topo :
        {net::Topology::kRing, net::Topology::kTorus2D, net::Topology::kFatTree}) {
-    for (const auto backend :
-         {putget::RingBackend::kExtoll, putget::RingBackend::kIb}) {
+    for (const RmaBackend backend : {RmaBackend::kExtoll, RmaBackend::kIb}) {
       for (int threads : {1, 4}) {
-        const putget::RingResult bare = putget::run_ring_halo_exchange(
-            obs_cluster(topo), obs_ring(backend, threads));
+        const Halo2dResult bare =
+            shmem::run_halo2d(obs_halo(topo, backend, threads));
         const SinkSnapshot traced = run_traced(topo, backend, threads);
         const std::string name = std::string(net::topology_name(topo)) + " " +
-                                 putget::ring_backend_name(backend) + " t=" +
+                                 sys::backend_name(backend) + " t=" +
                                  std::to_string(threads);
         ASSERT_TRUE(bare.verified) << name;
         ASSERT_TRUE(traced.result.verified) << name;
-        EXPECT_EQ(traced.result.checksum, bare.checksum) << name;
-        EXPECT_EQ(traced.result.events_scheduled, bare.events_scheduled)
-            << name;
-        EXPECT_EQ(traced.result.sim_time_us, bare.sim_time_us) << name;
-        EXPECT_EQ(traced.result.delivered, bare.delivered) << name;
+        expect_same_run(traced.result, bare, name);
       }
     }
   }
@@ -400,12 +355,11 @@ TEST(ShardedObs, TracedRunMatchesUntracedFingerprint) {
 TEST(ShardedObs, SinkOutputByteIdenticalAcrossThreads) {
   for (const net::Topology topo :
        {net::Topology::kRing, net::Topology::kTorus2D, net::Topology::kFatTree}) {
-    for (const auto backend :
-         {putget::RingBackend::kExtoll, putget::RingBackend::kIb}) {
+    for (const RmaBackend backend : {RmaBackend::kExtoll, RmaBackend::kIb}) {
       const SinkSnapshot t1 = run_traced(topo, backend, 1);
       const SinkSnapshot t4 = run_traced(topo, backend, 4);
       const std::string name = std::string(net::topology_name(topo)) + " " +
-                               putget::ring_backend_name(backend);
+                               sys::backend_name(backend);
       ASSERT_TRUE(t1.result.verified) << name;
       ASSERT_TRUE(t4.result.verified) << name;
       EXPECT_FALSE(t1.trace.empty()) << name;

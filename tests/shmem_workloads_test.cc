@@ -6,6 +6,8 @@
 // event-count fingerprint.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "shmem/workloads.h"
 
 namespace pg::shmem {
@@ -51,7 +53,7 @@ TEST(GupsWorkload, GpuDrivenMatchesHostDriven) {
     // Same seed, same update stream, same final table — whether the
     // puts were posted by the host or by the device put-list kernel.
     EXPECT_EQ(gpu.checksum, host.checksum)
-        << putget::rma_backend_name(backend);
+        << sys::backend_name(backend);
     EXPECT_GT(gpu.device_span_ns, 0.0);
   }
 }
@@ -130,10 +132,60 @@ TEST(Halo2dWorkload, DeterministicEventFingerprint) {
   EXPECT_EQ(a.checksum, b.checksum);
 }
 
+// A px x 1 grid is a ring of PEs: north/south halos stay local, so
+// exactly the two column edges per PE per iteration cross the fabric,
+// on every wiring that can carry the ring.
+TEST(Halo2dWorkload, OneRowGridVerifiesOnEveryTopology) {
+  const struct {
+    net::Topology topo;
+    int px;
+  } cases[] = {{net::Topology::kPair, 2},
+               {net::Topology::kRing, 3},
+               {net::Topology::kRing, 4},
+               {net::Topology::kTorus2D, 8},
+               {net::Topology::kFatTree, 8}};
+  for (const auto& c : cases) {
+    Halo2dResult r[2];
+    int i = 0;
+    for (RmaBackend backend : kBackends) {
+      Halo2dConfig cfg = small_halo(backend);
+      cfg.topology = c.topo;
+      cfg.px = c.px;
+      cfg.py = 1;
+      r[i] = run_halo2d(cfg);
+      const std::string name = std::string(net::topology_name(c.topo)) + " " +
+                               std::to_string(c.px) + "x1 " +
+                               sys::backend_name(backend);
+      ASSERT_TRUE(r[i].verified) << name << ": " << r[i].error;
+      EXPECT_EQ(r[i].num_pes, c.px) << name;
+      EXPECT_EQ(r[i].halo_puts, 2u * c.px * cfg.iterations) << name;
+      EXPECT_EQ(r[i].notified_total, r[i].halo_puts) << name;
+      ++i;
+    }
+    EXPECT_EQ(r[0].checksum, r[1].checksum) << net::topology_name(c.topo);
+  }
+}
+
 TEST(Halo2dWorkload, RejectsDegenerateGrid) {
   Halo2dConfig cfg = small_halo(RmaBackend::kExtoll);
   cfg.px = 1;
-  const Halo2dResult r = run_halo2d(cfg);
+  Halo2dResult r = run_halo2d(cfg);
+  EXPECT_FALSE(r.verified);
+  EXPECT_FALSE(r.error.empty());
+
+  cfg = small_halo(RmaBackend::kIb);
+  cfg.py = 0;
+  r = run_halo2d(cfg);
+  EXPECT_FALSE(r.verified);
+  EXPECT_FALSE(r.error.empty());
+
+  // A wiring the cluster cannot build (a torus needs a factorable
+  // n >= 4) is an error too, not an abort.
+  cfg = small_halo(RmaBackend::kExtoll);
+  cfg.topology = net::Topology::kTorus2D;
+  cfg.px = 3;
+  cfg.py = 1;
+  r = run_halo2d(cfg);
   EXPECT_FALSE(r.verified);
   EXPECT_FALSE(r.error.empty());
 }

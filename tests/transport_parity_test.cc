@@ -1,8 +1,8 @@
 // Cross-backend parity suite for the unified Transport layer and the
-// N-node ring workload: both fabrics must move the same payloads with
-// exactly-once delivery, and every run must be deterministic (the
-// events-scheduled fingerprint and the field checksum repeat bit-for-bit
-// across identical runs).
+// halo workload on an N-node ring: both fabrics must move the same
+// payloads with exactly-once delivery, and every run must be
+// deterministic (the event fingerprint and the field checksum repeat
+// bit-for-bit across identical runs).
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -16,27 +16,23 @@
 #include "putget/extoll_experiments.h"
 #include "putget/ib_experiments.h"
 #include "putget/notify.h"
-#include "putget/ring_workload.h"
+#include "shmem/workloads.h"
 #include "sys/testbed.h"
 
 namespace pg::putget {
 namespace {
 
-sys::ClusterConfig ring_config(RingBackend backend, int nodes) {
-  sys::ClusterConfig cfg = backend == RingBackend::kExtoll
-                               ? sys::extoll_testbed()
-                               : sys::ib_testbed();
-  cfg.num_nodes = nodes;
+/// The halo workload on an n x 1 PE grid wired as a ring.
+shmem::Halo2dConfig small_ring(RmaBackend backend, int nodes) {
+  shmem::Halo2dConfig cfg;
+  cfg.backend = backend;
   cfg.topology = net::Topology::kRing;
+  cfg.px = nodes;
+  cfg.py = 1;
+  cfg.nx = 4;
+  cfg.ny = 4;
+  cfg.iterations = 6;
   return cfg;
-}
-
-RingConfig small_ring(RingBackend backend) {
-  RingConfig ring;
-  ring.backend = backend;
-  ring.cells_per_node = 16;
-  ring.iterations = 6;
-  return ring;
 }
 
 TEST(ClusterConfigValidation, RejectsSingleNode) {
@@ -58,42 +54,36 @@ TEST(ClusterConfigValidation, IgnoresDisabledBackendLinks) {
 }
 
 TEST(ClusterConfigValidation, AcceptsRingOfFour) {
-  sys::ClusterConfig cfg = ring_config(RingBackend::kExtoll, 4);
+  sys::ClusterConfig cfg = sys::extoll_testbed();
+  cfg.num_nodes = 4;
+  cfg.topology = net::Topology::kRing;
   EXPECT_TRUE(sys::Cluster::validate(cfg).is_ok());
 }
 
 class RingParityTest : public ::testing::TestWithParam<int> {};
 
+void expect_ring_exactly_once(RmaBackend backend, int nodes) {
+  const shmem::Halo2dResult r = shmem::run_halo2d(small_ring(backend, nodes));
+  EXPECT_TRUE(r.verified) << r.error;
+  EXPECT_EQ(r.num_pes, nodes);
+  EXPECT_EQ(r.halo_puts, static_cast<std::uint64_t>(nodes) * 2 * 6);
+  EXPECT_EQ(r.notified_total, r.halo_puts);
+}
+
 TEST_P(RingParityTest, ExtollRingVerifiesExactlyOnce) {
-  const int nodes = GetParam();
-  const RingResult r = run_ring_halo_exchange(
-      ring_config(RingBackend::kExtoll, nodes),
-      small_ring(RingBackend::kExtoll));
-  EXPECT_TRUE(r.verified);
-  EXPECT_EQ(r.num_nodes, nodes);
-  EXPECT_EQ(r.halo_messages, static_cast<std::uint64_t>(nodes) * 2 * 6);
-  EXPECT_EQ(r.delivered, r.halo_messages);
+  expect_ring_exactly_once(RmaBackend::kExtoll, GetParam());
 }
 
 TEST_P(RingParityTest, IbRingVerifiesExactlyOnce) {
-  const int nodes = GetParam();
-  const RingResult r =
-      run_ring_halo_exchange(ring_config(RingBackend::kIb, nodes),
-                             small_ring(RingBackend::kIb));
-  EXPECT_TRUE(r.verified);
-  EXPECT_EQ(r.num_nodes, nodes);
-  EXPECT_EQ(r.halo_messages, static_cast<std::uint64_t>(nodes) * 2 * 6);
-  EXPECT_EQ(r.delivered, r.halo_messages);
+  expect_ring_exactly_once(RmaBackend::kIb, GetParam());
 }
 
 TEST_P(RingParityTest, BackendsComputeTheSameField) {
   const int nodes = GetParam();
-  const RingResult ext = run_ring_halo_exchange(
-      ring_config(RingBackend::kExtoll, nodes),
-      small_ring(RingBackend::kExtoll));
-  const RingResult ib =
-      run_ring_halo_exchange(ring_config(RingBackend::kIb, nodes),
-                             small_ring(RingBackend::kIb));
+  const shmem::Halo2dResult ext =
+      shmem::run_halo2d(small_ring(RmaBackend::kExtoll, nodes));
+  const shmem::Halo2dResult ib =
+      shmem::run_halo2d(small_ring(RmaBackend::kIb, nodes));
   ASSERT_TRUE(ext.verified);
   ASSERT_TRUE(ib.verified);
   EXPECT_EQ(ext.checksum, ib.checksum);
@@ -101,16 +91,16 @@ TEST_P(RingParityTest, BackendsComputeTheSameField) {
 
 TEST_P(RingParityTest, FingerprintRepeatsAcrossRuns) {
   const int nodes = GetParam();
-  for (RingBackend backend : {RingBackend::kExtoll, RingBackend::kIb}) {
-    const RingResult a = run_ring_halo_exchange(ring_config(backend, nodes),
-                                                small_ring(backend));
-    const RingResult b = run_ring_halo_exchange(ring_config(backend, nodes),
-                                                small_ring(backend));
-    ASSERT_TRUE(a.verified) << ring_backend_name(backend);
-    EXPECT_EQ(a.events_scheduled, b.events_scheduled)
-        << ring_backend_name(backend);
-    EXPECT_EQ(a.checksum, b.checksum) << ring_backend_name(backend);
-    EXPECT_EQ(a.sim_time_us, b.sim_time_us) << ring_backend_name(backend);
+  for (RmaBackend backend : {RmaBackend::kExtoll, RmaBackend::kIb}) {
+    const shmem::Halo2dResult a =
+        shmem::run_halo2d(small_ring(backend, nodes));
+    const shmem::Halo2dResult b =
+        shmem::run_halo2d(small_ring(backend, nodes));
+    ASSERT_TRUE(a.verified) << sys::backend_name(backend);
+    EXPECT_EQ(a.events_executed, b.events_executed)
+        << sys::backend_name(backend);
+    EXPECT_EQ(a.checksum, b.checksum) << sys::backend_name(backend);
+    EXPECT_EQ(a.sim_time_us, b.sim_time_us) << sys::backend_name(backend);
   }
 }
 
@@ -172,21 +162,19 @@ TEST(TransportParityTest, ThreeHopPayloadParityBothBackends) {
     for (int i = 0; i < 8; ++i) {
       const std::uint64_t v =
           cluster.node(3).memory().read_u64(bases[3] + 256 + 8 * i);
-      EXPECT_EQ(v, 0x0D0A0000ull + 17 * i) << rma_backend_name(backend);
+      EXPECT_EQ(v, 0x0D0A0000ull + 17 * i) << sys::backend_name(backend);
       sum = sum * 1315423911ull + v;
     }
     checksum[bi++] = sum;
     // Drain the fabric (the IB ACK is still in flight after the
     // notification lands) before auditing conservation.
     ASSERT_TRUE((*d)->quiet(0).is_ok());
-    const net::FabricTotals totals = cluster.fabric_totals(
-        backend == RmaBackend::kExtoll ? sys::Cluster::Backend::kExtoll
-                                       : sys::Cluster::Backend::kIb);
-    EXPECT_GT(totals.frames_forwarded, 0u) << rma_backend_name(backend);
+    const net::FabricTotals totals = cluster.fabric_totals(backend);
+    EXPECT_GT(totals.frames_forwarded, 0u) << sys::backend_name(backend);
     EXPECT_EQ(totals.frames_delivered, totals.frames_originated)
-        << rma_backend_name(backend);
+        << sys::backend_name(backend);
     EXPECT_EQ(totals.bytes_delivered, totals.bytes_originated)
-        << rma_backend_name(backend);
+        << sys::backend_name(backend);
   }
   EXPECT_EQ(checksum[0], checksum[1]);
 }
@@ -194,8 +182,8 @@ TEST(TransportParityTest, ThreeHopPayloadParityBothBackends) {
 TEST(TransportParityTest, PerNodeTraceTracksAreDistinct) {
   obs::TraceRecorder recorder;
   obs::attach_recorder(&recorder);
-  const RingResult r = run_ring_halo_exchange(
-      ring_config(RingBackend::kExtoll, 3), small_ring(RingBackend::kExtoll));
+  const shmem::Halo2dResult r =
+      shmem::run_halo2d(small_ring(RmaBackend::kExtoll, 3));
   obs::attach_recorder(nullptr);
   ASSERT_TRUE(r.verified);
 
