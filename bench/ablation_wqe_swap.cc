@@ -61,7 +61,7 @@ std::uint64_t count_post_instructions(bool preswap) {
     bool done = false;
     n0.gpu().launch({.program = &prog, .params = {}}, [&] { done = true; });
     cluster.run_until([&] { return done; });
-    cluster.sim().run_until(cluster.sim().now() + microseconds(200));
+    cluster.run_for(microseconds(200));
     return (n0.gpu().counters_snapshot() - before).instructions_executed;
   };
   const gpu::Program baseline = build(false);

@@ -177,7 +177,7 @@ int main() {
     return 1;
   }
   // Drain in-flight posted writes before reading results.
-  cluster.sim().run_until(cluster.sim().now() + microseconds(100));
+  cluster.run_for(microseconds(100));
 
   // Expected checksum, computed on the host.
   std::uint64_t expect = 0;
@@ -200,7 +200,7 @@ int main() {
   std::printf("checksum verified (%llu); simulated time %.1f us; "
               "%llu HCA messages\n",
               static_cast<unsigned long long>(got),
-              to_us(cluster.sim().now()),
+              to_us(cluster.now()),
               static_cast<unsigned long long>(
                   n1.hca().messages_delivered()));
   std::printf("producer GPU executed %llu instructions with zero CPU "

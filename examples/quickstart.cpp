@@ -68,12 +68,12 @@ int main() {
   put.dst_nla = *dst_nla;
 
   sim::Trigger put_sent, put_landed;
-  auto t1 = port0->post(n0.cpu(), put);
-  auto t2 = port0->wait_requester(n0.cpu(), &put_sent);
-  auto t3 = port1->wait_completer(n1.cpu(), &put_landed);
+  auto t1 = sim::spawn(port0->post(n0.cpu(), put));
+  auto t2 = sim::spawn(port0->wait_requester(n0.cpu()), &put_sent);
+  auto t3 = sim::spawn(port1->wait_completer(n1.cpu()), &put_landed);
   cluster.run_until([&] { return put_sent.fired() && put_landed.fired(); });
   std::printf("put: %u bytes delivered at t=%.2f us\n", kSize,
-              to_us(cluster.sim().now()));
+              to_us(cluster.now()));
 
   // 4. GET: node0 pulls the data back from node1 into a third buffer.
   extoll::WorkRequest get;
@@ -85,11 +85,11 @@ int main() {
   get.dst_nla = *back_nla;      // local destination
 
   sim::Trigger got;
-  auto t4 = port0->post(n0.cpu(), get);
-  auto t5 = port0->wait_completer(n0.cpu(), &got);
+  auto t4 = sim::spawn(port0->post(n0.cpu(), get));
+  auto t5 = sim::spawn(port0->wait_completer(n0.cpu()), &got);
   cluster.run_until([&] { return got.fired(); });
   std::printf("get: %u bytes pulled back at t=%.2f us\n", kSize,
-              to_us(cluster.sim().now()));
+              to_us(cluster.now()));
 
   // 5. Verify both hops byte for byte.
   std::vector<std::uint8_t> at_dst(kSize), at_back(kSize);

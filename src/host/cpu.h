@@ -9,7 +9,9 @@
 //
 // State access (loads/stores to the node's own DRAM) is immediate;
 // crossing the fabric (MMIO writes, stores into GPU memory) is posted
-// through the PCIe model from the root complex.
+// through the PCIe model from the root complex. One exception: the
+// host drivers write queue-ring entries with the zero-time stores
+// below wherever the ring lives (see store_bytes).
 #pragma once
 
 #include <cstdint>
@@ -88,6 +90,9 @@ class HostCpu {
   void store_u32(mem::Addr addr, std::uint32_t v) {
     fabric_.memory().write_u32(addr, v);
   }
+  /// Also writes host-posted WQEs/RQEs into their ring, even one in GPU
+  /// memory: the entry's cost is the descriptor-build charge, and the
+  /// NIC cannot fetch it before the doorbell posted behind it lands.
   void store_bytes(mem::Addr addr, std::span<const std::uint8_t> bytes) {
     fabric_.memory().write(addr, bytes);
   }

@@ -214,7 +214,8 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
   PingPongResult result;
   result.iterations = iterations;
   sys::Cluster cluster(cfg);
-  OpSpan op(cluster.sim(), t.pingpong_label(mode, size));
+  OpSpan op([&cluster] { return cluster.now(); },
+            t.pingpong_label(mode, size));
   sys::Node& n0 = cluster.node(0);
   sys::Node& n1 = cluster.node(1);
   const bool gpu_mode = mode == TransferMode::kGpuDirect ||
@@ -244,7 +245,7 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
     result.poll_sum_us = st.poll_sum_ns / 1000.0;
   } else if (mode == TransferMode::kHostControlled) {
     sim::Trigger done0, done1;
-    const SimTime t_start = cluster.sim().now();
+    const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
     auto t0 = pingpong_initiator(t, n0.cpu(), iterations, &t_end, done0);
     auto t1 = pingpong_responder(t, n1.cpu(), iterations, done1);
@@ -277,7 +278,7 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
   // Integrity: node1's landing zone must equal node0's final payload
   // (and vice versa).
   result.payload_ok = t.payload_ok_bidir(size);
-  result.events_scheduled = cluster.sim().total_scheduled();
+  result.events_scheduled = cluster.events_scheduled();
   return result;
 }
 
@@ -290,7 +291,8 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
   BandwidthResult result;
   result.bytes = static_cast<std::uint64_t>(size) * messages;
   sys::Cluster cluster(cfg);
-  OpSpan op(cluster.sim(), t.bandwidth_label(mode, size));
+  OpSpan op([&cluster] { return cluster.now(); },
+            t.bandwidth_label(mode, size));
   sys::Node& n0 = cluster.node(0);
   sys::Node& n1 = cluster.node(1);
   if (!t.setup_stream(cluster, cfg, size).is_ok()) return result;
@@ -387,7 +389,8 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
   result.messages = static_cast<std::uint64_t>(pairs) * msgs_per_pair;
   constexpr std::uint32_t kMsgSize = 64;
   sys::Cluster cluster(cfg);
-  OpSpan op(cluster.sim(), t.rate_label(variant, kMsgSize));
+  OpSpan op([&cluster] { return cluster.now(); },
+            t.rate_label(variant, kMsgSize));
   sys::Node& n0 = cluster.node(0);
 
   for (std::uint32_t i = 0; i < pairs; ++i) {
@@ -415,22 +418,24 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
     // overhead is therefore part of the per-message cost - which is why
     // the GPU curves start so low.
     t.build_rate_gpu(variant);
-    const SimTime t_start = cluster.sim().now();
+    const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
     if (variant == RateVariant::kBlocks) {
       sim::Trigger all_done;
       // Host relaunch loop: synchronize on the kernel, pay the driver
       // call, launch the next round.
       auto round = std::make_shared<std::function<void(std::uint32_t)>>();
+      // Runs inside node0's events: its clock, not the cluster fence.
+      sim::Simulation& sim0 = n0.cpu().sim();
       *round = [&, round](std::uint32_t r) {
         if (r == msgs_per_pair) {
-          t_end = cluster.sim().now();
+          t_end = sim0.now();
           all_done.fire();
           return;
         }
         t.launch_rate_round([&, round, r] {
-          cluster.sim().schedule(n0.cpu().config().driver_call_cost,
-                                 [round, r] { (*round)(r + 1); });
+          sim0.schedule(n0.cpu().config().driver_call_cost,
+                        [round, r] { (*round)(r + 1); });
         });
       };
       (*round)(0);
@@ -445,9 +450,9 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
       std::uint32_t finished = 0;
       for (std::uint32_t i = 0; i < pairs; ++i) {
         for (std::uint32_t r = 0; r < msgs_per_pair; ++r) {
-          t.launch_rate_stream(i, [&finished, &t_end, &cluster] {
+          t.launch_rate_stream(i, [&finished, &t_end, &n0] {
             ++finished;
-            t_end = cluster.sim().now();
+            t_end = n0.cpu().sim().now();  // node0's clock, in its event
           });
         }
       }
@@ -483,7 +488,7 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
     launch_with_trigger(n0.gpu(),
                         {.program = &prog, .blocks = pairs, .params = {table}},
                         kernel_done);
-    const SimTime t_start = cluster.sim().now();
+    const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
     auto serve = rate_server(t, n0.cpu(), pairs, go, ack, result.messages,
                              &t_end, server_done);
@@ -505,7 +510,7 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
   // kHostControlled: one host thread per connection.
   {
     std::uint32_t finished = 0;
-    const SimTime t_start = cluster.sim().now();
+    const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
     std::vector<sim::SimTask> tasks;
     tasks.reserve(pairs);

@@ -1,7 +1,5 @@
 #include "putget/extoll_host.h"
 
-#include "obs/flow.h"
-
 namespace pg::putget {
 
 Result<ExtollHostPort> ExtollHostPort::open(extoll::ExtollNic& nic,
@@ -11,9 +9,7 @@ Result<ExtollHostPort> ExtollHostPort::open(extoll::ExtollNic& nic,
   return ExtollHostPort(*info);
 }
 
-sim::SimTask ExtollHostPort::post(host::HostCpu& cpu,
-                                  const extoll::WorkRequest& wr,
-                                  sim::Trigger* posted) {
+sim::CoTask ExtollHostPort::post(host::HostCpu& cpu, extoll::WorkRequest wr) {
   const mem::Addr page = info_.requester_page;
   // Open this message's lifecycle before the CPU starts assembling the
   // descriptor; the NIC pops it (by requester page) when it accepts the
@@ -25,36 +21,20 @@ sim::SimTask ExtollHostPort::post(host::HostCpu& cpu,
                               wr.encode_word0());
   co_await cpu.mmio_write_u64(page + extoll::kWrWord1Offset, wr.src_nla);
   co_await cpu.mmio_write_u64(page + extoll::kWrWord2Offset, wr.dst_nla);
-  if (posted) posted->fire();
 }
 
-sim::SimTask ExtollHostPort::wait_requester(host::HostCpu& cpu,
-                                            sim::Trigger* done) {
+sim::CoTask ExtollHostPort::wait_requester(host::HostCpu& cpu) {
   co_await cpu.poll_until(
       [this, &cpu] { return req_reader_.pending(cpu); });
   co_await cpu.touch_dram();
-  const mem::Addr slot = req_reader_.current_slot();
   (void)req_reader_.consume(cpu);
-  // Requester notifications signal local WR completion; no message
-  // lifecycle ends here, but drain any queued entry so the slot's
-  // channel never aliases a later flow.
-  (void)obs::flow_pop(obs::flow_key(&cpu.fabric(), slot));
-  if (done) done->fire();
 }
 
-sim::SimTask ExtollHostPort::wait_completer(host::HostCpu& cpu,
-                                            sim::Trigger* done) {
+sim::CoTask ExtollHostPort::wait_completer(host::HostCpu& cpu) {
   co_await cpu.poll_until(
       [this, &cpu] { return cmp_reader_.pending(cpu); });
   co_await cpu.touch_dram();
-  const mem::Addr slot = cmp_reader_.current_slot();
   (void)cmp_reader_.consume(cpu);
-  // The spin loop just observed the completer notification: the message
-  // that triggered it ends here.
-  const obs::FlowId flow = obs::flow_pop(obs::flow_key(&cpu.fabric(), slot));
-  obs::flow_stage(flow, "host", "poll_detect", cpu.sim().now());
-  obs::flow_end(flow, "host", cpu.sim().now());
-  if (done) done->fire();
 }
 
 }  // namespace pg::putget

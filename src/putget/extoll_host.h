@@ -11,6 +11,7 @@
 
 #include "host/cpu.h"
 #include "nic/extoll/rma_unit.h"
+#include "obs/flow.h"
 #include "sim/coro.h"
 
 namespace pg::putget {
@@ -38,7 +39,10 @@ class NotificationReader {
   }
 
   /// Host-side consume: read both words, zero the slot, advance the read
-  /// pointer. Caller must have seen pending().
+  /// pointer. Caller must have seen pending(). The message lifecycle the
+  /// NIC parked under the slot (completer notifications carry one;
+  /// requester notifications never do) ends here: this is the poll that
+  /// observed it.
   extoll::Notification consume(host::HostCpu& cpu) {
     const mem::Addr slot = current_slot();
     const std::uint64_t w0 = cpu.load_u64(slot);
@@ -48,6 +52,9 @@ class NotificationReader {
     ++index_;
     slot_ = slot_base_ + (index_ % entries_) * extoll::kNotificationBytes;
     cpu.store_u32(rp_addr_, index_);
+    const obs::FlowId flow = obs::flow_pop(obs::flow_key(&cpu.fabric(), slot));
+    obs::flow_stage(flow, "host", "poll_detect", cpu.sim().now());
+    obs::flow_end(flow, "host", cpu.sim().now());
     return extoll::Notification::decode(w0, w1);
   }
 
@@ -76,16 +83,19 @@ class ExtollHostPort {
   NotificationReader& requester_notifications() { return req_reader_; }
   NotificationReader& completer_notifications() { return cmp_reader_; }
 
+  // Host primitives. Each is a lazy CoTask: awaiting one runs its body
+  // inline on the caller's schedule (no extra events); sim::spawn runs
+  // one fire-and-forget.
+
   /// Builds the WR and writes its three words to the BAR page.
   /// The third write kicks the transfer.
-  sim::SimTask post(host::HostCpu& cpu, const extoll::WorkRequest& wr,
-                    sim::Trigger* posted = nullptr);
+  sim::CoTask post(host::HostCpu& cpu, extoll::WorkRequest wr);
 
   /// Polls the requester queue until a notification arrives, consumes it.
-  sim::SimTask wait_requester(host::HostCpu& cpu, sim::Trigger* done);
+  sim::CoTask wait_requester(host::HostCpu& cpu);
 
   /// Polls the completer queue until a notification arrives, consumes it.
-  sim::SimTask wait_completer(host::HostCpu& cpu, sim::Trigger* done);
+  sim::CoTask wait_completer(host::HostCpu& cpu);
 
  private:
   ExtollHostPort(extoll::PortInfo info)

@@ -1,7 +1,5 @@
 #include "putget/ib_host.h"
 
-#include "obs/flow.h"
-
 namespace pg::putget {
 
 Result<IbHostEndpoint> IbHostEndpoint::create(sys::Node& node,
@@ -29,18 +27,7 @@ void IbHostEndpoint::connect(IbHostEndpoint& a, IbHostEndpoint& b) {
   (void)b.node_->hca().connect_qp(b.qp_.qpn, a.qp_.qpn);
 }
 
-void IbHostEndpoint::write_ring_slot(host::HostCpu& cpu, mem::Addr slot,
-                                     std::span<const std::uint8_t> bytes) {
-  if (mem::AddressMap::in_gpu_dram(slot)) {
-    cpu.fabric().write(pcie::kRootComplex, slot,
-                       std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-  } else {
-    cpu.store_bytes(slot, bytes);
-  }
-}
-
-sim::SimTask IbHostEndpoint::post_send(host::HostCpu& cpu, ib::SendWqe wqe,
-                                       sim::Trigger* posted) {
+sim::CoTask IbHostEndpoint::post_send(host::HostCpu& cpu, ib::SendWqe wqe) {
   wqe.index = sq_pi_;
   // Open this message's lifecycle before the WQE build; the HCA pops it
   // (keyed by this QP's doorbell) when it fetches the WQE, closing the
@@ -50,41 +37,26 @@ sim::SimTask IbHostEndpoint::post_send(host::HostCpu& cpu, ib::SendWqe wqe,
   // Building the WQE (field packing + endian conversion) is cheap on the
   // CPU: one descriptor-build charge.
   co_await cpu.build_descriptor();
-  const auto bytes = ib::encode_send_wqe(wqe);
-  const mem::Addr slot =
-      qp_.sq_buffer + (sq_pi_ % qp_.sq_entries) * ib::kSendWqeBytes;
-  write_ring_slot(cpu, slot, bytes);
+  cpu.store_bytes(qp_.sq_buffer + (sq_pi_ % qp_.sq_entries) * ib::kSendWqeBytes,
+                  ib::encode_send_wqe(wqe));
   ++sq_pi_;
   co_await cpu.mmio_write_u64(qp_.sq_doorbell, sq_pi_);
-  if (posted) posted->fire();
 }
 
-sim::SimTask IbHostEndpoint::post_recv(host::HostCpu& cpu, ib::RecvWqe wqe,
-                                       sim::Trigger* posted) {
+sim::CoTask IbHostEndpoint::post_recv(host::HostCpu& cpu, ib::RecvWqe wqe) {
   co_await cpu.build_descriptor();
-  const auto bytes = ib::encode_recv_wqe(wqe);
-  const mem::Addr slot =
-      qp_.rq_buffer + (rq_pi_ % qp_.rq_entries) * ib::kRecvWqeBytes;
-  write_ring_slot(cpu, slot, bytes);
+  cpu.store_bytes(qp_.rq_buffer + (rq_pi_ % qp_.rq_entries) * ib::kRecvWqeBytes,
+                  ib::encode_recv_wqe(wqe));
   ++rq_pi_;
   co_await cpu.mmio_write_u64(qp_.rq_doorbell, rq_pi_);
-  if (posted) posted->fire();
 }
 
-sim::SimTask IbHostEndpoint::wait_cqe(host::HostCpu& cpu, ib::Cqe* out,
-                                      sim::Trigger* done) {
+sim::CoTask IbHostEndpoint::wait_cqe(host::HostCpu& cpu, ib::Cqe* out) {
   co_await cpu.poll_until(
       [this, &cpu] { return cq_reader_.pending(cpu); });
   co_await cpu.touch_dram();
-  const mem::Addr valid = cq_reader_.current_slot() + ib::kCqeValidOffset;
   const ib::Cqe cqe = cq_reader_.consume(cpu);
-  // The poll loop just observed this CQE's valid marker; if it carried
-  // a message lifecycle (receive-side completions do), it ends here.
-  const obs::FlowId flow = obs::flow_pop(obs::flow_key(&cpu.fabric(), valid));
-  obs::flow_stage(flow, "host", "poll_detect", cpu.sim().now());
-  obs::flow_end(flow, "host", cpu.sim().now());
   if (out) *out = cqe;
-  if (done) done->fire();
 }
 
 }  // namespace pg::putget

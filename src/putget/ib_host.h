@@ -6,12 +6,18 @@
 // WQEs (with the big-endian conversion folded into the cheap cached
 // descriptor build), rings the doorbell, and polls CQEs with cached
 // loads when the CQ is host-resident.
+//
+// A host-posted WQE/RQE is a zero-time store into the ring wherever the
+// ring lives (HostCpu::store_bytes); only the doorbell crosses PCIe.
+// Its cost is the descriptor-build charge, and the HCA cannot fetch the
+// entry before the doorbell lands behind it.
 #pragma once
 
 #include <cstdint>
 
 #include "host/cpu.h"
 #include "nic/ib/hca.h"
+#include "obs/flow.h"
 #include "putget/modes.h"
 #include "sim/coro.h"
 #include "sys/node.h"
@@ -38,13 +44,20 @@ class CqReader {
   }
 
   /// Reads the CQE, invalidates the slot, advances the consumer index.
+  /// The message lifecycle parked under the slot's valid marker (recv
+  /// CQEs and signaled send completions carry one) ends here: this is
+  /// the poll that observed it.
   ib::Cqe consume(host::HostCpu& cpu) {
+    const mem::Addr valid = current_slot() + ib::kCqeValidOffset;
     std::uint8_t bytes[ib::kCqeBytes];
     cpu.load_bytes(current_slot(), bytes);
-    cpu.store_u64(current_slot() + ib::kCqeValidOffset, 0);
+    cpu.store_u64(valid, 0);
     ++ci_;
     slot_ = info_.buffer + (ci_ % info_.entries) * ib::kCqeBytes;
     cpu.store_u32(info_.ci_addr, ci_);
+    const obs::FlowId flow = obs::flow_pop(obs::flow_key(&cpu.fabric(), valid));
+    obs::flow_stage(flow, "host", "poll_detect", cpu.sim().now());
+    obs::flow_end(flow, "host", cpu.sim().now());
     return ib::decode_cqe(bytes);
   }
 
@@ -84,36 +97,25 @@ class IbHostEndpoint {
     return node_->hca().reg_mr(base, length, access);
   }
 
+  // Host primitives. Each is a lazy CoTask: awaiting one runs its body
+  // inline on the caller's schedule (no extra events); sim::spawn runs
+  // one fire-and-forget.
+
   /// ibv_post_send from the host: stamps+writes the WQE into the ring and
   /// rings the SQ doorbell.
-  sim::SimTask post_send(host::HostCpu& cpu, ib::SendWqe wqe,
-                         sim::Trigger* posted = nullptr);
+  sim::CoTask post_send(host::HostCpu& cpu, ib::SendWqe wqe);
 
   /// ibv_post_recv from the host.
-  sim::SimTask post_recv(host::HostCpu& cpu, ib::RecvWqe wqe,
-                         sim::Trigger* posted = nullptr);
+  sim::CoTask post_recv(host::HostCpu& cpu, ib::RecvWqe wqe);
 
-  /// ibv_poll_cq loop: polls until a CQE arrives, consumes it into *out.
-  sim::SimTask wait_cqe(host::HostCpu& cpu, ib::Cqe* out,
-                        sim::Trigger* done = nullptr);
-
-  std::uint32_t sq_produced() const { return sq_pi_; }
-  std::uint32_t rq_produced() const { return rq_pi_; }
-
-  /// Manual producer-index advancement for protocol code that writes ring
-  /// slots itself (post_send/post_recv use these internally).
-  void bump_sq() { ++sq_pi_; }
-  void bump_rq() { ++rq_pi_; }
+  /// ibv_poll_cq loop: polls until a CQE arrives, consumes it into *out
+  /// (when given).
+  sim::CoTask wait_cqe(host::HostCpu& cpu, ib::Cqe* out = nullptr);
 
  private:
   IbHostEndpoint(sys::Node& node, const ib::QpInfo& qp,
                  const ib::CqInfo& cq)
       : node_(&node), qp_(qp), cq_reader_(cq) {}
-
-  /// Writes WQE bytes into a ring slot: a cached store when the ring is
-  /// host-resident, a posted PCIe write when it lives in GPU memory.
-  void write_ring_slot(host::HostCpu& cpu, mem::Addr slot,
-                       std::span<const std::uint8_t> bytes);
 
   sys::Node* node_;
   ib::QpInfo qp_;

@@ -11,7 +11,6 @@ namespace {
 
 using extoll::RmaCmd;
 using extoll::WorkRequest;
-using mem::Addr;
 
 }  // namespace
 
@@ -83,44 +82,57 @@ Status NotifyDomain::setup_extoll() {
   return Status::ok();
 }
 
-Status NotifyDomain::setup_ib() {
-  // One RC pair per linked (i, j), i < j; side 0 lives on the lower id.
+Result<NotifyDomain::Pair> NotifyDomain::connect_pair(int a, int b,
+                                                      QueueLocation loc_a) {
+  const sys::Cluster::Route ra = cluster_->ib_route(a, b);
+  const sys::Cluster::Route rb = cluster_->ib_route(b, a);
+  if (ra.link == nullptr || rb.link == nullptr) {
+    return not_found("no IB link between the two nodes");
+  }
   IbHostEndpoint::Options opts;
   opts.sq_entries = options_.sq_entries;
   opts.rq_entries = options_.rq_entries;
   opts.cq_entries = options_.cq_entries;
+  opts.location = loc_a;
+  auto ea = IbHostEndpoint::create(cluster_->node(a), opts);
+  if (!ea.is_ok()) return ea.status();
   opts.location = QueueLocation::kHostMemory;
+  auto eb = IbHostEndpoint::create(cluster_->node(b), opts);
+  if (!eb.is_ok()) return eb.status();
+  // Pin both directions of the pair's traffic to the pair's first-hop
+  // egress; the remote node id lets the fabric relay the frames when the
+  // peers are not adjacent.
+  Status sa = cluster_->node(a).hca().connect_qp(ea->qp().qpn, eb->qp().qpn,
+                                                 ra.link, ra.side, b);
+  if (!sa.is_ok()) return sa;
+  Status sb = cluster_->node(b).hca().connect_qp(eb->qp().qpn, ea->qp().qpn,
+                                                 rb.link, rb.side, a);
+  if (!sb.is_ok()) return sb;
+  Pair pr;
+  pr.side[0].ep = std::make_unique<IbHostEndpoint>(std::move(*ea));
+  pr.side[0].node = a;
+  pr.side[1].ep = std::make_unique<IbHostEndpoint>(std::move(*eb));
+  pr.side[1].node = b;
+  return pr;
+}
+
+Status NotifyDomain::setup_ib() {
   for (int i = 0; i < num_nodes(); ++i) {
     if (!cluster_->node(i).has_ib()) {
       return failed_precondition(
           "ib backend requested but the cluster has no HCAs");
     }
   }
+  // One RC pair per linked (i, j), i < j; side 0 lives on the lower id.
   for (int i = 0; i < num_nodes(); ++i) {
     for (int j = i + 1; j < num_nodes(); ++j) {
-      const sys::Cluster::Route ra = cluster_->ib_route(i, j);
-      const sys::Cluster::Route rb = cluster_->ib_route(j, i);
-      if (ra.link == nullptr || rb.link == nullptr) continue;
-      auto ea = IbHostEndpoint::create(cluster_->node(i), opts);
-      if (!ea.is_ok()) return ea.status();
-      auto eb = IbHostEndpoint::create(cluster_->node(j), opts);
-      if (!eb.is_ok()) return eb.status();
-      // Pin both directions of the pair's traffic to the pair's
-      // first-hop egress; the remote node id lets the fabric relay the
-      // frames when the peers are not adjacent.
-      Status sa = cluster_->node(i).hca().connect_qp(
-          ea->qp().qpn, eb->qp().qpn, ra.link, ra.side, j);
-      if (!sa.is_ok()) return sa;
-      Status sb = cluster_->node(j).hca().connect_qp(
-          eb->qp().qpn, ea->qp().qpn, rb.link, rb.side, i);
-      if (!sb.is_ok()) return sb;
+      auto pr = connect_pair(i, j, QueueLocation::kHostMemory);
+      if (!pr.is_ok()) {
+        if (pr.status().code() == StatusCode::kNotFound) continue;  // unlinked
+        return pr.status();
+      }
       const int idx = static_cast<int>(pairs_.size());
-      pairs_.emplace_back();
-      Pair& pr = pairs_.back();
-      pr.side[0].ep = std::make_unique<IbHostEndpoint>(std::move(*ea));
-      pr.side[0].node = i;
-      pr.side[1].ep = std::make_unique<IbHostEndpoint>(std::move(*eb));
-      pr.side[1].node = j;
+      pairs_.push_back(std::move(*pr));
       nodes_[static_cast<std::size_t>(i)].pair_by_peer[j] = idx;
       nodes_[static_cast<std::size_t>(j)].pair_by_peer[i] = idx;
       nodes_[static_cast<std::size_t>(i)].endpoints.push_back({idx, 0});
@@ -173,7 +185,8 @@ Status NotifyDomain::register_region(const std::vector<mem::Addr>& bases,
         rwqe.len = 8;
         rwqe.lkey = ns.mr.lkey;
         for (std::uint32_t r = 0; r < options_.rx_window; ++r) {
-          tasks.push_back(ps.ep->post_recv(cpu(ps.node), rwqe, &posted[k++]));
+          tasks.push_back(sim::spawn(ps.ep->post_recv(cpu(ps.node), rwqe),
+                                     &posted[k++]));
         }
       }
     }
@@ -379,24 +392,11 @@ sim::SimTask NotifyDomain::run_extoll_put(std::int32_t op_id,
   if (prev != nullptr) co_await prev->wait(hc.sim());
   ExtollHostPort& port =
       *nodes_[static_cast<std::size_t>(op.from)].ports[port_idx];
-  obs::flow_push(obs::flow_key(&hc.fabric(), port.info().requester_page),
-                 obs::flow_begin(hc.sim().now()));
-  co_await hc.build_descriptor();
-  co_await hc.mmio_write_u64(
-      port.info().requester_page + extoll::kWrWord0Offset, wr.encode_word0());
-  co_await hc.mmio_write_u64(
-      port.info().requester_page + extoll::kWrWord1Offset, wr.src_nla);
-  co_await hc.mmio_write_u64(
-      port.info().requester_page + extoll::kWrWord2Offset, wr.dst_nla);
+  co_await port.post(hc, wr);
   op.posted.fire();
-  // Local completion: the requester notification. Its slot channel is
-  // drained (not ended) - the message lifecycle rides to the target.
-  NotificationReader& rd = port.requester_notifications();
-  co_await hc.poll_until([&rd, &hc] { return rd.pending(hc); });
-  co_await hc.touch_dram();
-  const Addr slot = rd.current_slot();
-  (void)rd.consume(hc);
-  (void)obs::flow_pop(obs::flow_key(&hc.fabric(), slot));
+  // Local completion: the requester notification (the message lifecycle
+  // rides on to the target).
+  co_await port.wait_requester(hc);
   op.local_done.fire();
 }
 
@@ -408,28 +408,11 @@ sim::SimTask NotifyDomain::run_extoll_get(std::int32_t op_id,
   if (prev != nullptr) co_await prev->wait(hc.sim());
   ExtollHostPort& port = *nodes_[static_cast<std::size_t>(op.from)]
                               .ports[options_.put_ports];
-  obs::flow_push(obs::flow_key(&hc.fabric(), port.info().requester_page),
-                 obs::flow_begin(hc.sim().now()));
-  co_await hc.build_descriptor();
-  co_await hc.mmio_write_u64(
-      port.info().requester_page + extoll::kWrWord0Offset, wr.encode_word0());
-  co_await hc.mmio_write_u64(
-      port.info().requester_page + extoll::kWrWord1Offset, wr.src_nla);
-  co_await hc.mmio_write_u64(
-      port.info().requester_page + extoll::kWrWord2Offset, wr.dst_nla);
+  co_await port.post(hc, wr);
   op.posted.fire();
   // Gets complete with the completer notification at the origin, written
   // once the response data has landed locally.
-  NotificationReader& rd = port.completer_notifications();
-  co_await hc.poll_until([&rd, &hc] { return rd.pending(hc); });
-  co_await hc.touch_dram();
-  const Addr slot = rd.current_slot();
-  (void)rd.consume(hc);
-  const obs::FlowId flow = obs::flow_pop(obs::flow_key(&hc.fabric(), slot));
-  if (flow != 0) {
-    obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
-    obs::flow_end(flow, "host", hc.sim().now());
-  }
+  co_await port.wait_completer(hc);
   op.local_done.fire();
 }
 
@@ -442,10 +425,8 @@ sim::SimTask NotifyDomain::run_ib_post(std::int32_t op_id, sim::Trigger* prev,
   // op on this endpoint has rung its doorbell.
   if (prev != nullptr) co_await prev->wait(hc.sim());
   PairSide& ps = pairs_[static_cast<std::size_t>(pair_idx)].side[side];
-  obs::flow_push(obs::flow_key(&hc.fabric(), ps.ep->qp().sq_doorbell),
-                 obs::flow_begin(hc.sim().now()));
   sim::Trigger rung;
-  (void)ps.ep->post_send(hc, wqe, &rung);
+  (void)sim::spawn(ps.ep->post_send(hc, wqe), &rung);
   co_await rung.wait(hc.sim());
   op.posted.fire();
 }
@@ -476,14 +457,8 @@ sim::SimTask NotifyDomain::pump_extoll(int node, std::uint64_t epoch) {
     NotificationReader& rd =
         ns.ports[static_cast<std::size_t>(hit)]->completer_notifications();
     if (!rd.pending(hc)) continue;
-    const Addr slot = rd.current_slot();
     (void)rd.consume(hc);
     ++ns.notified;
-    const obs::FlowId flow = obs::flow_pop(obs::flow_key(&hc.fabric(), slot));
-    if (flow != 0) {
-      obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
-      obs::flow_end(flow, "host", hc.sim().now());
-    }
   }
 }
 
@@ -510,10 +485,7 @@ sim::SimTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
     PairSide& ps = pairs_[static_cast<std::size_t>(hit_pair)].side[hit_side];
     CqReader& cq = ps.ep->cq();
     if (!cq.pending(hc)) continue;
-    const Addr slot = cq.current_slot();
     const ib::Cqe cqe = cq.consume(hc);
-    const obs::FlowId flow = obs::flow_pop(
-        obs::flow_key(&hc.fabric(), slot + ib::kCqeValidOffset));
     if (cqe.is_recv) {
       // An inbound write-with-immediate: count the arrival, release the
       // sender's window slot, replenish the consumed receive.
@@ -525,16 +497,12 @@ sim::SimTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
       rwqe.addr = ns.base;
       rwqe.len = 8;
       rwqe.lkey = ns.mr.lkey;
-      (void)ps.ep->post_recv(hc, rwqe);
+      (void)sim::spawn(ps.ep->post_recv(hc, rwqe));
     } else {
       // A send CQE at ACK-retire: the op is locally (and, RC semantics,
       // remotely) complete.
       const std::size_t id = static_cast<std::size_t>(cqe.wr_id);
       if (id < ops_.size()) ops_[id].local_done.fire();
-    }
-    if (flow != 0) {
-      obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
-      obs::flow_end(flow, "host", hc.sim().now());
     }
   }
 }
@@ -664,10 +632,8 @@ sim::SimTask NotifyDomain::run_wait_value(int node, mem::Addr addr,
   // the payload tail; detecting the value is what completes it.
   const obs::FlowId flow =
       obs::flow_pop(obs::flow_key(&hc.fabric(), addr + 7));
-  if (flow != 0) {
-    obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
-    obs::flow_end(flow, "host", hc.sim().now());
-  }
+  obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
+  obs::flow_end(flow, "host", hc.sim().now());
   *done = true;
 }
 
@@ -739,35 +705,11 @@ Result<IbHostEndpoint*> NotifyDomain::device_endpoint(int from, int to) {
       return entry.second.side[0].ep.get();
     }
   }
-  const sys::Cluster::Route ra = cluster_->ib_route(from, to);
-  const sys::Cluster::Route rb = cluster_->ib_route(to, from);
-  if (ra.link == nullptr || rb.link == nullptr) {
-    return not_found("no IB link between the two nodes");
-  }
-  IbHostEndpoint::Options opts;
-  opts.sq_entries = options_.sq_entries;
-  opts.rq_entries = options_.rq_entries;
-  opts.cq_entries = options_.cq_entries;
-  opts.location = QueueLocation::kGpuMemory;  // device posts/polls locally
-  auto ea = IbHostEndpoint::create(cluster_->node(from), opts);
-  if (!ea.is_ok()) return ea.status();
-  IbHostEndpoint::Options tgt = opts;
-  tgt.location = QueueLocation::kHostMemory;
-  auto eb = IbHostEndpoint::create(cluster_->node(to), tgt);
-  if (!eb.is_ok()) return eb.status();
-  Status sa = cluster_->node(from).hca().connect_qp(
-      ea->qp().qpn, eb->qp().qpn, ra.link, ra.side, to);
-  if (!sa.is_ok()) return sa;
-  Status sb = cluster_->node(to).hca().connect_qp(eb->qp().qpn, ea->qp().qpn,
-                                                  rb.link, rb.side, from);
-  if (!sb.is_ok()) return sb;
-  device_pairs_.emplace_back(std::pair<int, int>{from, to}, Pair{});
-  Pair& pr = device_pairs_.back().second;
-  pr.side[0].ep = std::make_unique<IbHostEndpoint>(std::move(*ea));
-  pr.side[0].node = from;
-  pr.side[1].ep = std::make_unique<IbHostEndpoint>(std::move(*eb));
-  pr.side[1].node = to;
-  return pr.side[0].ep.get();
+  // The device posts and polls its own rings, so they live in GPU memory.
+  auto pr = connect_pair(from, to, QueueLocation::kGpuMemory);
+  if (!pr.is_ok()) return pr.status();
+  device_pairs_.emplace_back(std::pair<int, int>{from, to}, std::move(*pr));
+  return device_pairs_.back().second.side[0].ep.get();
 }
 
 }  // namespace pg::putget

@@ -219,6 +219,10 @@ class NotifyDomain {
 
   Status setup_extoll();
   Status setup_ib();
+  /// Creates an endpoint on `a` (rings at `loc_a`) and one on `b` (host
+  /// rings) and RC-connects them over the first-hop routes both ways;
+  /// not_found when either direction has no IB route.
+  Result<Pair> connect_pair(int a, int b, QueueLocation loc_a);
 
   host::HostCpu& cpu(int node) { return cluster_->node(node).cpu(); }
 

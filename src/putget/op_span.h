@@ -12,11 +12,11 @@
 #include <string>
 #include <utility>
 
+#include "common/units.h"
 #include "obs/flow.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "sim/simulation.h"
 
 namespace pg::putget {
 
@@ -32,13 +32,10 @@ inline void begin_obs_unit(const std::string& label) {
 
 class OpSpan {
  public:
-  OpSpan(sim::Simulation& sim, std::string label)
-      : OpSpan([&sim] { return sim.now(); }, std::move(label)) {}
-
-  /// Clock-functor form for workloads on a sharded cluster, which has
-  /// no single Simulation: pass [&cluster] { return cluster.now(); }
-  /// (the fence time — the destructor runs in host context, where the
-  /// shards have quiesced).
+  /// `now` reads the run's clock when the span closes; for a cluster
+  /// pass [&cluster] { return cluster.now(); } (the fence time when
+  /// sharded — the destructor runs in host context, where the shards
+  /// have quiesced).
   OpSpan(std::function<SimTime()> now, std::string label)
       : now_(std::move(now)), label_(std::move(label)) {
     begin_obs_unit(label_);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/flow.h"
 #include "putget/device_lib.h"
 #include "putget/extoll_host.h"
 #include "putget/ib_host.h"
@@ -18,44 +17,6 @@ using ib::RecvWqe;
 using ib::SendWqe;
 using ib::WqeOpcode;
 using mem::Addr;
-
-/// Inline host-side post (the coroutine body of ExtollHostPort::post,
-/// usable inside larger protocol coroutines). Opens the message
-/// lifecycle under the port's requester page before the CPU touches the
-/// descriptor; the NIC claims it when it accepts the WR.
-#define PG_HOST_POST(cpu, port_info, wr)                                    \
-  obs::flow_push(                                                          \
-      obs::flow_key(&(cpu).fabric(), (port_info).requester_page),          \
-      obs::flow_begin((cpu).sim().now()));                                 \
-  co_await (cpu).build_descriptor();                                       \
-  co_await (cpu).mmio_write_u64((port_info).requester_page +               \
-                                    extoll::kWrWord0Offset,                \
-                                (wr).encode_word0());                      \
-  co_await (cpu).mmio_write_u64(                                           \
-      (port_info).requester_page + extoll::kWrWord1Offset, (wr).src_nla);  \
-  co_await (cpu).mmio_write_u64(                                           \
-      (port_info).requester_page + extoll::kWrWord2Offset, (wr).dst_nla)
-
-/// Inline host-side notification wait+consume. `ends_flow` is true for
-/// completer notifications, which close a message lifecycle at the spin
-/// loop; requester notifications are local signals whose slot channel is
-/// merely drained so it can never alias a later flow.
-#define PG_HOST_WAIT_NOTIF(cpu, reader, ends_flow)                     \
-  co_await (cpu).poll_until(                                           \
-      [rd = &(reader), c = &(cpu)] { return rd->pending(*c); });       \
-  co_await (cpu).touch_dram();                                         \
-  {                                                                    \
-    const Addr pg_slot = (reader).current_slot();                      \
-    (void)(reader).consume(cpu);                                       \
-    const obs::FlowId pg_flow =                                        \
-        obs::flow_pop(obs::flow_key(&(cpu).fabric(), pg_slot));        \
-    if (ends_flow) {                                                   \
-      obs::flow_stage(pg_flow, "host", "poll_detect",                  \
-                      (cpu).sim().now());                              \
-      obs::flow_end(pg_flow, "host", (cpu).sim().now());               \
-    }                                                                  \
-  }                                                                    \
-  static_assert(true, "")
 
 }  // namespace
 
@@ -169,18 +130,15 @@ sim::CoTask ExtollTransport::prepost_rx(std::uint32_t, int, std::uint64_t) {
 }
 
 sim::CoTask ExtollTransport::post(std::uint32_t c, int side, std::uint64_t) {
-  host::HostCpu& hc = cpu(side);
-  PG_HOST_POST(hc, port(c, side).info(), wr(c, side));
+  return port(c, side).post(cpu(side), wr(c, side));
 }
 
 sim::CoTask ExtollTransport::wait_tx(std::uint32_t c, int side) {
-  host::HostCpu& hc = cpu(side);
-  PG_HOST_WAIT_NOTIF(hc, port(c, side).requester_notifications(), false);
+  return port(c, side).wait_requester(cpu(side));
 }
 
 sim::CoTask ExtollTransport::wait_rx(std::uint32_t c, int side) {
-  host::HostCpu& hc = cpu(side);
-  PG_HOST_WAIT_NOTIF(hc, port(c, side).completer_notifications(), true);
+  return port(c, side).wait_completer(cpu(side));
 }
 
 bool ExtollTransport::tx_pending(std::uint32_t c) {
@@ -194,7 +152,7 @@ void ExtollTransport::consume_tx(std::uint32_t c) {
 sim::CoTask ExtollTransport::rate_post(std::uint32_t c, std::uint64_t) {
   host::HostCpu& hc = cpu(0);
   co_await hc.touch_dram();
-  PG_HOST_POST(hc, port(c, 0).info(), wr(c, 0));
+  co_await port(c, 0).post(hc, wr(c, 0));
 }
 
 Addr ExtollTransport::rate_stats(std::uint32_t c) const {
@@ -447,74 +405,31 @@ Status IbTransport::add_rate_conn(sys::Cluster& cluster,
 
 sim::CoTask IbTransport::prepost_rx(std::uint32_t c, int side,
                                     std::uint64_t seq) {
-  host::HostCpu& hc = cpu(side);
-  IbHostEndpoint& e = ep(c, side);
-  const ib::Mr& mr =
-      side == 0 ? conns_[c].pair.mr_recv0 : conns_[c].pair.mr_recv1;
   RecvWqe recv;
   recv.wr_id = seq;
-  recv.lkey = mr.lkey;
-  co_await hc.build_descriptor();
-  const auto bytes = ib::encode_recv_wqe(recv);
-  hc.store_bytes(e.qp().rq_buffer +
-                     (e.rq_produced() % e.qp().rq_entries) *
-                         ib::kRecvWqeBytes,
-                 bytes);
-  e.bump_rq();
-  co_await hc.mmio_write_u64(e.qp().rq_doorbell, e.rq_produced());
+  recv.lkey = (side == 0 ? conns_[c].pair.mr_recv0 : conns_[c].pair.mr_recv1)
+                  .lkey;
+  return ep(c, side).post_recv(cpu(side), recv);
 }
 
 sim::CoTask IbTransport::post(std::uint32_t c, int side, std::uint64_t seq) {
-  host::HostCpu& hc = cpu(side);
-  IbHostEndpoint& e = ep(c, side);
-  // Open the message lifecycle before the WQE build; the HCA claims it
-  // (keyed by this QP's doorbell) when it fetches the WQE.
-  obs::flow_push(obs::flow_key(&hc.fabric(), e.qp().sq_doorbell),
-                 obs::flow_begin(hc.sim().now()));
-  co_await hc.build_descriptor();
   SendWqe w = side == 0 ? conns_[c].wqe0 : conns_[c].wqe1;
   w.wr_id = seq;
-  const auto bytes = ib::encode_send_wqe(w);
-  hc.store_bytes(e.qp().sq_buffer +
-                     (e.sq_produced() % e.qp().sq_entries) *
-                         ib::kSendWqeBytes,
-                 bytes);
-  e.bump_sq();
-  co_await hc.mmio_write_u64(e.qp().sq_doorbell, e.sq_produced());
+  return ep(c, side).post_send(cpu(side), w);
 }
 
 sim::CoTask IbTransport::wait_tx(std::uint32_t c, int side) {
   if (!conns_[c].tx_signaled) co_return;  // unsignaled descriptors
-  host::HostCpu& hc = cpu(side);
-  IbHostEndpoint& e = ep(c, side);
-  co_await hc.poll_until([&] { return e.cq().pending(hc); });
-  co_await hc.touch_dram();
-  const Addr valid = e.cq().current_slot() + ib::kCqeValidOffset;
-  (void)e.cq().consume(hc);
-  // Signaled send completions carry their own lifecycle leg (opened when
-  // the ACK retired the WR); the poll that observed the CQE ends it.
-  const obs::FlowId flow = obs::flow_pop(obs::flow_key(&hc.fabric(), valid));
-  obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
-  obs::flow_end(flow, "host", hc.sim().now());
+  co_await ep(c, side).wait_cqe(cpu(side));
 }
 
 sim::CoTask IbTransport::wait_rx(std::uint32_t c, int side) {
-  host::HostCpu& hc = cpu(side);
-  IbHostEndpoint& e = ep(c, side);
-  // Wait for the receive completion, skipping send completions.
-  for (;;) {
-    co_await hc.poll_until([&] { return e.cq().pending(hc); });
-    co_await hc.touch_dram();
-    const Addr valid = e.cq().current_slot() + ib::kCqeValidOffset;
-    const ib::Cqe cqe = e.cq().consume(hc);
-    // Whatever produced this CQE - the awaited message or a send
-    // completion drained in passing - this poll is what observed it.
-    const obs::FlowId flow =
-        obs::flow_pop(obs::flow_key(&hc.fabric(), valid));
-    obs::flow_stage(flow, "host", "poll_detect", hc.sim().now());
-    obs::flow_end(flow, "host", hc.sim().now());
-    if (cqe.is_recv) break;
-  }
+  // Wait for the receive completion; send completions drained in
+  // passing end their own lifecycle legs inside the consume.
+  ib::Cqe cqe;
+  do {
+    co_await ep(c, side).wait_cqe(cpu(side), &cqe);
+  } while (!cqe.is_recv);
 }
 
 bool IbTransport::tx_pending(std::uint32_t c) {
@@ -522,15 +437,7 @@ bool IbTransport::tx_pending(std::uint32_t c) {
 }
 
 void IbTransport::consume_tx(std::uint32_t c) {
-  IbHostEndpoint& e = ep(c, 0);
-  // Consuming the CQE ends the completion's lifecycle leg (and clears
-  // the slot's channel so ring-entry reuse can never alias a later flow).
-  const Addr valid = e.cq().current_slot() + ib::kCqeValidOffset;
-  (void)e.cq().consume(cpu(0));
-  const obs::FlowId flow =
-      obs::flow_pop(obs::flow_key(&cpu(0).fabric(), valid));
-  obs::flow_stage(flow, "host", "poll_detect", cpu(0).sim().now());
-  obs::flow_end(flow, "host", cpu(0).sim().now());
+  (void)ep(c, 0).cq().consume(cpu(0));
 }
 
 sim::CoTask IbTransport::rate_post(std::uint32_t c, std::uint64_t seq) {

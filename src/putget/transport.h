@@ -5,8 +5,9 @@
 // A Transport owns the per-run connection state - endpoint/pair setup,
 // memory registration, descriptor templates - and exposes the pieces
 // the generic driver composes into protocols:
-//   - host-side primitives (post / wait / pre-post receive) as CoTasks
-//     that inline into the driver's protocol coroutines, so a generic
+//   - host-side primitives (post / wait / pre-post receive): the
+//     ExtollHostPort / IbHostEndpoint CoTasks bound to one connection,
+//     which inline into the driver's protocol coroutines, so a generic
 //     protocol schedules exactly the events the hand-written one did;
 //   - GPU plan builders that allocate stats blocks and parameter tables
 //     and assemble the device kernels (put/get device routines bound to

@@ -24,7 +24,7 @@ VerbsInstructionCounts measure_verbs_instruction_counts(
     const sys::ClusterConfig& cfg, QueueLocation location) {
   VerbsInstructionCounts out;
   sys::Cluster cluster(cfg);
-  OpSpan op(cluster.sim(),
+  OpSpan op([&cluster] { return cluster.now(); },
             op_label("ib-verbs-instr", queue_location_name(location), 64));
   sys::Node& n0 = cluster.node(0);
   auto pair = IbPair::create(cluster, location, 64, 909);
@@ -55,7 +55,7 @@ VerbsInstructionCounts measure_verbs_instruction_counts(
     n0.gpu().launch({.program = &prog, .params = {}},
                     [&finished] { finished = true; });
     cluster.run_until([&] { return finished; });
-    cluster.sim().run_until(cluster.sim().now() + microseconds(200));
+    cluster.run_for(microseconds(200));
     const gpu::PerfCounters delta = n0.gpu().counters_snapshot() - before;
     *instr = delta.instructions_executed;
     *mem = delta.memory_accesses;

@@ -209,4 +209,12 @@ class Trigger {
   std::vector<Pending> waiters_;
 };
 
+/// Runs a CoTask fire-and-forget: the task starts at once (inline, like
+/// any SimTask body) and `done`, when given, fires as it completes. The
+/// wrapper itself schedules no events.
+inline SimTask spawn(CoTask task, Trigger* done = nullptr) {
+  co_await task;
+  if (done) done->fire();
+}
+
 }  // namespace pg::sim

@@ -122,8 +122,8 @@ Cluster::Cluster(const ClusterConfig& cfg) {
   // otherwise tie-break same-timestamp events by the classic engine's
   // single global counter and order trace/flow minting differently.
   // Pair-topology clusters keep the classic single heap at threads=1:
-  // the paper's two-node experiment drivers script against sim()
-  // directly.
+  // it runs the paper's two-node experiment drivers faster than one
+  // worker stepping two shards (DESIGN.md §13).
   const bool shard =
       threads > 1 || (cfg.topology != net::Topology::kPair && can_shard(cfg));
   sample_every_ = cfg.sample_every;
@@ -290,16 +290,6 @@ Cluster::~Cluster() {
   // Every public run_* merges at its exit fence, so this only catches
   // ops buffered by direct shard_sims_ stepping in tests.
   if (obs_hub_) obs_hub_->merge();
-}
-
-sim::Simulation& Cluster::sim() {
-  if (group_) {
-    PG_ERROR("sys",
-             "Cluster::sim() on a sharded cluster: there is no single "
-             "heap; use the run facade or node_sim(i)");
-    std::abort();
-  }
-  return sim_;
 }
 
 sim::Simulation& Cluster::node_sim(int i) {

@@ -67,10 +67,10 @@ struct ClusterConfig {
   /// workers execute one event shard per node. Routed topologies run
   /// sharded at every thread count (threads = 1 steps the shards with a
   /// single worker), so observability output is independent of T; the
-  /// pair topology keeps the classic single-heap engine at threads = 1
-  /// for the two-node experiment drivers. threads > 1 requires positive
-  /// link latency on every enabled backend (the latency is the
-  /// synchronization lookahead).
+  /// pair topology keeps the classic single-heap engine at threads = 1,
+  /// which runs the two-node experiment drivers faster (DESIGN.md §13).
+  /// threads > 1 requires positive link latency on every enabled backend
+  /// (the latency is the synchronization lookahead).
   int threads = 1;
   /// Telemetry sample interval in simulated time; 0 = off. With an
   /// attached obs::TimeSeries the cluster records one sample row per
@@ -92,17 +92,14 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// The single-heap engine. Only meaningful in unsharded mode; aborts
-  /// otherwise — sharded callers go through the facade below or
-  /// node_sim(i).
-  sim::Simulation& sim();
-
   /// True when the cluster runs on per-node event shards.
   bool sharded() const { return group_ != nullptr; }
   sim::ShardGroup* shard_group() { return group_.get(); }
 
   /// The Simulation driving node `i` (the shared heap when unsharded,
-  /// node i's shard otherwise).
+  /// node i's shard otherwise). Code running inside node i's events
+  /// reads and schedules on this clock; host code between runs uses the
+  /// facade below.
   sim::Simulation& node_sim(int i);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }

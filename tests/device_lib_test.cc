@@ -28,7 +28,7 @@ struct Harness {
     bool done = false;
     n0.gpu().launch({.program = &prog, .params = {}}, [&] { done = true; });
     const bool ok = cluster.run_until([&] { return done; });
-    cluster.sim().run_until(cluster.sim().now() + microseconds(100));
+    cluster.run_for(microseconds(100));
     return ok;
   }
 };
@@ -80,12 +80,12 @@ TEST(DeviceLib, PollEqualsSeesDmaWrite) {
   bool done = false;
   h.n0.gpu().launch({.program = &prog.value(), .params = {}},
                     [&] { done = true; });
-  h.cluster.sim().schedule(microseconds(40), [&] {
+  h.cluster.node_sim(0).schedule(microseconds(40), [&] {
     std::uint8_t bytes[8] = {99, 0, 0, 0, 0, 0, 0, 0};
     h.n0.gpu().inbound_write(flag, bytes);
   });
   ASSERT_TRUE(h.cluster.run_until([&] { return done; }));
-  EXPECT_GE(h.cluster.sim().now(), microseconds(40));
+  EXPECT_GE(h.cluster.now(), microseconds(40));
 }
 
 TEST(DeviceLib, NotificationConsumeUpdatesReadPointer) {
@@ -107,7 +107,7 @@ TEST(DeviceLib, NotificationConsumeUpdatesReadPointer) {
   wr.notify_requester = true;
   wr.src_nla = *src_nla;
   wr.dst_nla = *dst_nla;
-  auto post = port0->post(h.n0.cpu(), wr);
+  auto post = sim::spawn(port0->post(h.n0.cpu(), wr));
 
   Assembler a("consume_one");
   const Reg base(8), idx(9), rp(10), s0(11), s1(12), s2(13);

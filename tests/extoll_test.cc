@@ -33,7 +33,7 @@ struct ExtollFixture {
   }
 
   bool run_for(SimDuration d) {
-    cluster.sim().run_until(cluster.sim().now() + d);
+    cluster.run_for(d);
     return true;
   }
 };
@@ -80,9 +80,9 @@ TEST(Extoll, HostControlledPutDeliversGpuToGpu) {
   wr.dst_nla = *dst_nla;
 
   sim::Trigger req_done, cmp_done;
-  auto t1 = port0->post(f.n0.cpu(), wr);
-  auto t2 = port0->wait_requester(f.n0.cpu(), &req_done);
-  auto t3 = port1->wait_completer(f.n1.cpu(), &cmp_done);
+  auto t1 = sim::spawn(port0->post(f.n0.cpu(), wr));
+  auto t2 = sim::spawn(port0->wait_requester(f.n0.cpu()), &req_done);
+  auto t3 = sim::spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
   ASSERT_TRUE(f.cluster.run_until(
       [&] { return req_done.fired() && cmp_done.fired(); }));
 
@@ -114,7 +114,7 @@ TEST(Extoll, PutLandsInOrderSoLastByteSignalsCompletion) {
   wr.size = static_cast<std::uint32_t>(size);
   wr.src_nla = *src_nla;
   wr.dst_nla = *dst_nla;
-  auto t = port0->post(f.n0.cpu(), wr);
+  auto t = sim::spawn(port0->post(f.n0.cpu(), wr));
 
   // Watch for the last byte; whenever it is set, the whole payload must
   // be correct.
@@ -158,8 +158,8 @@ TEST(Extoll, GetPullsRemoteData) {
   wr.dst_nla = *dst_nla;
 
   sim::Trigger done;
-  auto t1 = port0->post(f.n0.cpu(), wr);
-  auto t2 = port0->wait_completer(f.n0.cpu(), &done);
+  auto t1 = sim::spawn(port0->post(f.n0.cpu(), wr));
+  auto t2 = sim::spawn(port0->wait_completer(f.n0.cpu()), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
 
   std::vector<std::uint8_t> got(payload.size());
@@ -200,9 +200,9 @@ TEST(Extoll, PropertyRandomPutSizesAndOffsets) {
     wr.dst_nla = *dst_nla + dst_off;
 
     sim::Trigger req_done, cmp_done;
-    auto t1 = port0->post(f.n0.cpu(), wr);
-    auto t2 = port0->wait_requester(f.n0.cpu(), &req_done);
-    auto t3 = port1->wait_completer(f.n1.cpu(), &cmp_done);
+    auto t1 = sim::spawn(port0->post(f.n0.cpu(), wr));
+    auto t2 = sim::spawn(port0->wait_requester(f.n0.cpu()), &req_done);
+    auto t3 = sim::spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
     ASSERT_TRUE(f.cluster.run_until(
         [&] { return req_done.fired() && cmp_done.fired(); }))
         << "iteration " << iter;
@@ -318,7 +318,7 @@ TEST(Extoll, NotificationQueueOverflowDetected) {
   wr.dst_nla = *dst_nla;
   for (int i = 0; i < 8; ++i) {
     n0.extoll().post_work_request(wr);
-    cluster.sim().run_until(cluster.sim().now() + microseconds(50));
+    cluster.run_for(microseconds(50));
   }
   EXPECT_EQ(n1.extoll().puts_completed(), 8u);
   EXPECT_GT(n1.extoll().notifications_dropped(), 0u);
@@ -343,7 +343,7 @@ TEST(Extoll, BarWritesViaFabricKickTransfers) {
   wr.src_nla = *src_nla;
   wr.dst_nla = *dst_nla;
   sim::Trigger posted;
-  auto t = port0->post(f.n0.cpu(), wr, &posted);
+  auto t = sim::spawn(port0->post(f.n0.cpu(), wr), &posted);
   f.run_for(milliseconds(1));
   std::vector<std::uint8_t> got(256);
   f.n1.memory().read(dst, got);

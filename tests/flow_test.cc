@@ -296,6 +296,63 @@ TEST(FlowParity, RingN3Unperturbed) {
   EXPECT_EQ(abandoned, 0u);
 }
 
+// Every halo put's lifecycle closes exactly once on both fabrics, and an
+// IB post stage ends when the HCA fetches that put's WQE. If a post
+// opened two flows for one WQE, the fetch would claim only one; the
+// other would wait in the doorbell channel for a later post's fetch (a
+// post stage of milliseconds), and the last of each endpoint would be
+// abandoned.
+TEST(FlowParity, HaloFlowsCloseOnBothFabrics) {
+  struct Shape {
+    net::Topology topology;
+    int px, py;
+  };
+  const Shape shapes[] = {{net::Topology::kFullMesh, 2, 2},
+                          {net::Topology::kRing, 3, 1}};
+  for (const sys::Backend backend :
+       {sys::Backend::kExtoll, sys::Backend::kIb}) {
+    for (const Shape& shape : shapes) {
+      shmem::Halo2dConfig cfg;
+      cfg.backend = backend;
+      cfg.topology = shape.topology;
+      cfg.px = shape.px;
+      cfg.py = shape.py;
+      cfg.nx = 4;
+      cfg.ny = 4;
+      cfg.iterations = 2;
+      const std::string what = std::string(sys::backend_name(backend)) + " " +
+                               std::to_string(shape.px) + "x" +
+                               std::to_string(shape.py);
+      FlowTable ft;
+      ScopedSinks sinks(&ft);
+      const auto r = shmem::run_halo2d(cfg);
+      ASSERT_TRUE(r.verified) << what << ": " << r.error;
+      // A unit's abandoned count is taken when the next one begins, so
+      // the run's own unit shows up as flows still open.
+      EXPECT_EQ(ft.open_flows(), 0u) << what;
+      // On the ring each QP carries one put per iteration, so its post
+      // stage is the host post alone. On the 2x2 mesh a PE's two puts to
+      // one peer share a QP, and the second one's post stage also waits
+      // for the send engine to finish the first (~5 us).
+      const std::uint64_t post_max_ns = shape.py == 1 ? 1000 : 10000;
+      std::uint64_t completed = 0;
+      for (const FlowTable::Breakdown& b : ft.breakdowns()) {
+        EXPECT_EQ(b.abandoned, 0u) << what << " unit " << b.label;
+        completed += b.completed;
+        if (backend != sys::Backend::kIb) continue;
+        for (const auto& st : b.stages) {
+          if (st.name != "post") continue;
+          EXPECT_LT(st.ns.percentile(0.50), 1000u) << what;
+          EXPECT_LT(st.ns.max(), post_max_ns) << what;
+        }
+      }
+      // IB signaled send completions carry a lifecycle leg of their own.
+      const std::uint64_t legs = backend == sys::Backend::kIb ? 2 : 1;
+      EXPECT_EQ(completed, legs * r.halo_puts) << what;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The decomposition itself: stage sums reconcile with the end-to-end
 // latency, and the direct-vs-hostControlled gap at small sizes is

@@ -46,7 +46,7 @@ TEST(GpuAware, WarpPostProducesIdenticalWqe) {
                    .params = {}},
                   [&] { done = true; });
   ASSERT_TRUE(cluster.run_until([&] { return done; }));
-  cluster.sim().run_until(cluster.sim().now() + microseconds(100));
+  cluster.run_for(microseconds(100));
 
   std::uint8_t bytes[ib::kSendWqeBytes];
   n0.memory().read(pair->ep0.qp().sq_buffer, bytes);
@@ -158,7 +158,7 @@ TEST(GpuAware, PreswappedPostIsCheaperAndEquivalent) {
     n0.gpu().launch({.program = &prog.value(), .params = {}},
                     [&] { done = true; });
     ASSERT_TRUE(cluster.run_until([&] { return done; }));
-    cluster.sim().run_until(cluster.sim().now() + microseconds(100));
+    cluster.run_for(microseconds(100));
     std::uint8_t bytes[ib::kSendWqeBytes];
     n0.memory().read(pair->ep0.qp().sq_buffer, bytes);
     const ib::SendWqe wqe = ib::decode_send_wqe(bytes);

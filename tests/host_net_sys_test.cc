@@ -183,9 +183,9 @@ TEST(Sys, ClusterIsDeterministic) {
     wr.src_nla = *s;
     wr.dst_nla = *d;
     n0.extoll().post_work_request(wr);
-    cluster.sim().run();
-    return std::pair<std::uint64_t, SimTime>(cluster.sim().events_executed(),
-                                             cluster.sim().now());
+    cluster.run_until([] { return false; });  // run until drained
+    return std::pair<std::uint64_t, SimTime>(cluster.events_executed(),
+                                             cluster.now());
   };
   const auto a = run_once();
   const auto b = run_once();

@@ -133,8 +133,8 @@ TEST(Ib, RdmaWriteDeliversAndCompletes) {
 
   Cqe cqe;
   sim::Trigger done;
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  auto t2 = f.ep0->wait_cqe(f.n0.cpu(), &cqe, &done);
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  auto t2 = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
 
   EXPECT_EQ(cqe.status, WcStatus::kSuccess);
@@ -166,8 +166,8 @@ TEST(Ib, RdmaReadPullsRemoteData) {
 
   Cqe cqe;
   sim::Trigger done;
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  auto t2 = f.ep0->wait_cqe(f.n0.cpu(), &cqe, &done);
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  auto t2 = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
   EXPECT_EQ(cqe.status, WcStatus::kSuccess);
   std::vector<std::uint8_t> got(payload.size());
@@ -189,7 +189,7 @@ TEST(Ib, SendRecvMatchesPostedReceive) {
   recv.lkey = mr1->lkey;
   recv.len = 4096;
   recv.wr_id = 55;
-  auto t0 = f.ep1->post_recv(f.n1.cpu(), recv);
+  auto t0 = sim::spawn(f.ep1->post_recv(f.n1.cpu(), recv));
 
   SendWqe wqe;
   wqe.opcode = WqeOpcode::kSend;
@@ -201,9 +201,9 @@ TEST(Ib, SendRecvMatchesPostedReceive) {
 
   Cqe send_cqe, recv_cqe;
   sim::Trigger send_done, recv_done;
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  auto t2 = f.ep0->wait_cqe(f.n0.cpu(), &send_cqe, &send_done);
-  auto t3 = f.ep1->wait_cqe(f.n1.cpu(), &recv_cqe, &recv_done);
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  auto t2 = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &send_cqe), &send_done);
+  auto t3 = sim::spawn(f.ep1->wait_cqe(f.n1.cpu(), &recv_cqe), &recv_done);
   ASSERT_TRUE(f.cluster.run_until(
       [&] { return send_done.fired() && recv_done.fired(); }));
 
@@ -232,8 +232,8 @@ TEST(Ib, SendWithoutReceiveFailsRnr) {
 
   Cqe cqe;
   sim::Trigger done;
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  auto t2 = f.ep0->wait_cqe(f.n0.cpu(), &cqe, &done);
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  auto t2 = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
   EXPECT_EQ(cqe.status, WcStatus::kRnrError);
   EXPECT_EQ(f.n1.hca().rnr_errors(), 1u);
@@ -251,7 +251,7 @@ TEST(Ib, WriteWithImmediateCompletesBothSides) {
   // Receive with address zero: the write carries all placement info.
   RecvWqe recv;
   recv.wr_id = 66;
-  auto t0 = f.ep1->post_recv(f.n1.cpu(), recv);
+  auto t0 = sim::spawn(f.ep1->post_recv(f.n1.cpu(), recv));
 
   SendWqe wqe;
   wqe.opcode = WqeOpcode::kRdmaWriteImm;
@@ -266,9 +266,9 @@ TEST(Ib, WriteWithImmediateCompletesBothSides) {
 
   Cqe send_cqe, recv_cqe;
   sim::Trigger send_done, recv_done;
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  auto t2 = f.ep0->wait_cqe(f.n0.cpu(), &send_cqe, &send_done);
-  auto t3 = f.ep1->wait_cqe(f.n1.cpu(), &recv_cqe, &recv_done);
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  auto t2 = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &send_cqe), &send_done);
+  auto t3 = sim::spawn(f.ep1->wait_cqe(f.n1.cpu(), &recv_cqe), &recv_done);
   ASSERT_TRUE(f.cluster.run_until(
       [&] { return send_done.fired() && recv_done.fired(); }));
   EXPECT_EQ(send_cqe.status, WcStatus::kSuccess);
@@ -297,8 +297,8 @@ TEST(Ib, ProtectionErrorOnBadRkey) {
 
   Cqe cqe;
   sim::Trigger done;
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  auto t2 = f.ep0->wait_cqe(f.n0.cpu(), &cqe, &done);
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  auto t2 = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
   EXPECT_EQ(cqe.status, WcStatus::kProtectionError);
   EXPECT_EQ(f.n1.hca().protection_errors(), 1u);
@@ -328,8 +328,8 @@ TEST(Ib, QueuesOnGpuMemoryWork) {
   // Host-side polling of a GPU-resident CQ is not possible on the real
   // testbed (the Mellanox patch forbids it); in the model we verify the
   // data path and the CQE landing in GPU memory instead.
-  auto t1 = f.ep0->post_send(f.n0.cpu(), wqe);
-  f.cluster.sim().run_until(f.cluster.sim().now() + milliseconds(2));
+  auto t1 = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
+  f.cluster.run_for(milliseconds(2));
   std::vector<std::uint8_t> got(payload.size());
   f.n1.memory().read(dst, got);
   EXPECT_EQ(got, payload);
@@ -372,12 +372,12 @@ TEST(Ib, ManyMessagesAllDeliveredInOrder) {
     wqe.raddr = dst + off;
     wqe.rkey = mr1->rkey;
     wqe.wr_id = static_cast<std::uint64_t>(i);
-    auto t = f.ep0->post_send(f.n0.cpu(), wqe);
+    auto t = sim::spawn(f.ep0->post_send(f.n0.cpu(), wqe));
     // Drain the posting coroutine before reusing the stack slot.
     f.cluster.run_until([&] { return t.done(); });
   }
   sim::Trigger done;
-  auto t = f.ep0->wait_cqe(f.n0.cpu(), &cqe, &done);
+  auto t = sim::spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
   EXPECT_EQ(cqe.wr_id, static_cast<std::uint64_t>(kMessages - 1));
   // After the signaled last message completes, every earlier write must
