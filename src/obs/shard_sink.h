@@ -2,8 +2,8 @@
 // deterministic post-round merge.
 //
 // The global sinks (TraceRecorder, MetricsRegistry, FlowTable) are
-// single-threaded value objects, which is exactly right for the classic
-// engine but would race under the parallel PDES engine — and the old
+// single-threaded value objects, which is exactly right for serial
+// execution but would race under parallel PDES rounds — and the old
 // answer, forcing traced clusters back onto the sequential engine,
 // meant one could observe small runs or scale big runs, never both.
 //

@@ -7,8 +7,8 @@
 // a link contends. sys::Cluster drives it: when a sample interval is
 // configured (ClusterConfig::sample_every / --metrics-every=), the
 // execution facade segments its runs at exact sim-time boundaries
-// (events never execute differently — see
-// Simulation::run_until_condition_before) and records one row per
+// (events never execute differently — see the ShardGroup *_before
+// primitives in sim/parallel.h) and records one row per
 // boundary with per-link utilization / queue depth, per-backend message
 // rate, and flow-stage quantiles.
 //

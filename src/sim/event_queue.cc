@@ -100,14 +100,6 @@ void EventQueue::drop_cancelled_slow() {
   if (!heap_.empty()) checked_top_ = heap_.front().tag;
 }
 
-EventQueue::Key EventQueue::next_key() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled();
-  assert(!self->heap_.empty());
-  const Entry& top = self->heap_.front();
-  return Key{top.time, top.birth_time, top.tag};
-}
-
 EventQueue::Popped EventQueue::pop_front() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry back = heap_.back();

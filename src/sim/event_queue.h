@@ -64,8 +64,8 @@ class EventQueue {
   /// counter (with kSharedSeqBit set) instead of the local one, so
   /// events scheduled from serial coordinator context — host code
   /// between rounds and merged execution — carry their *global*
-  /// chronological order, exactly the sequence the single-heap engine
-  /// would have assigned. The group deactivates shared minting for the
+  /// chronological order, exactly the sequence one global counter would
+  /// have assigned. The group deactivates shared minting for the
   /// duration of parallel rounds (workers may not touch it concurrently)
   /// and local tags take over; kSharedSeqBit orders every
   /// coordinator-minted tag after same-key round-minted ones, matching
@@ -146,7 +146,13 @@ class EventQueue {
 
   /// Full ordering key of the next live event (for cross-shard merges).
   /// Requires !empty().
-  Key next_key() const;
+  Key next_key() const {
+    auto* self = const_cast<EventQueue*>(this);
+    self->drop_cancelled();
+    assert(!heap_.empty());
+    const Entry& top = heap_.front();
+    return Key{top.time, top.birth_time, top.tag};
+  }
 
   /// Pops and returns the next live event. Requires !empty().
   /// (time, birth_time, id) is the event's full ordering key — the

@@ -361,30 +361,39 @@ ShardGroup::Outcome ShardGroup::run_until_global_before(
   // at sink state.
   merge_sinks();
   if (pred()) return Outcome::kFired;
+  const SimTime cap = deadline == kNever ? kNever : deadline + 1;
   for (;;) {
+    // The coordinator owns every shard here and post() admits directly,
+    // so the shards' heaps and parked pollers are the whole pending set.
+    switch (Simulation::advance(shards_, cap)) {
+      case Simulation::Step::kRan:
+        if (pred()) {
+          // The event just run is the latest anything has reached:
+          // settled probes all precede it.
+          SimTime t = now_;
+          for (const Simulation* s : shards_) t = std::max(t, s->now());
+          fence_all(t);
+          return Outcome::kFired;
+        }
+        continue;
+      case Simulation::Step::kStalled:
+        for (Simulation* s : shards_) {
+          if (!s->idle()) s->report_stall("ShardGroup");
+        }
+        return Outcome::kStopped;
+      case Simulation::Step::kLimit:
+        return Outcome::kStopped;
+      case Simulation::Step::kNone:
+        break;
+    }
+    // Nothing is left below the deadline. Parked pollers that can never
+    // succeed would stall the next segment too: stop here instead.
     if (deadlocked()) return Outcome::kStopped;
-    int best = -1;
-    EventQueue::Key best_key{};
-    for (int i = 0; i < num_shards(); ++i) {
-      Simulation* s = shards_[static_cast<std::size_t>(i)];
-      if (s->idle()) continue;
-      const EventQueue::Key k = s->next_key();
-      if (best < 0 || k < best_key) {
-        best = i;
-        best_key = k;
-      }
-    }
-    if (best < 0) return Outcome::kStopped;
-    if (best_key.time > deadline) {
-      fence_all(deadline);
-      return Outcome::kDeadline;
-    }
-    const SimTime t = shards_[static_cast<std::size_t>(best)]->step_one();
-    if (t < 0) return Outcome::kStopped;  // event limit tripped
-    if (pred()) {
-      fence_all(t);
-      return Outcome::kFired;
-    }
+    bool idle = true;
+    for (const Simulation* s : shards_) idle = idle && s->idle();
+    if (idle) return Outcome::kStopped;
+    fence_all(deadline);
+    return Outcome::kDeadline;
   }
 }
 

@@ -22,17 +22,20 @@
 // for any worker count — thread count only changes which windows run
 // concurrently. Event ids and heap order use the birth keys from
 // event_queue.h, so same-timestamp cross-shard ties resolve exactly as
-// the single-heap engine's global scheduling counter would have.
+// one global scheduling counter would have.
 //
-// The host-side control loops stop *exactly* where the sequential
-// engine would: run_until_local() lets each waiting shard pause on the
+// The host-side control loops stop *exactly* where one serial run
+// would: run_until_local() lets each waiting shard pause on the
 // event that fires its (monotone, shard-local) predicate while
 // non-waiting shards are capped below every unfired waiter's next
 // event, then fences all clocks at t* = the last firing time;
 // run_until_global() is the exact fallback for predicates that read
 // state across shards — the coordinator merges the shards one
-// globally-minimal event at a time (serial, but identical to the
-// single-heap engine).
+// globally-minimal event at a time (serial), settling the parked
+// pollers of all shards together in closed form before each event.
+//
+// Every sys::Cluster runs on a ShardGroup, one shard per node, at every
+// worker count: there is no other engine.
 #pragma once
 
 #include <atomic>
@@ -97,14 +100,17 @@ class ShardGroup {
 
   /// Runs until every condition has fired, then fences every clock at
   /// t* = the timestamp of the last firing event — no shard executes
-  /// past t*, exactly like the sequential engine stopping on a global
+  /// past t*, exactly like one serial run stopping on a global
   /// AND of the predicates. Returns false if the group drained,
   /// deadlocked on parked pollers or an event limit tripped first.
   bool run_until_local(std::vector<ShardCond> conds);
 
   /// Exact sequential fallback for predicates that read cross-shard
   /// state: executes the globally minimal event one at a time on the
-  /// coordinator thread, checking `pred` after each.
+  /// coordinator thread (Simulation::advance over every shard), checking
+  /// `pred` after each real event. Like poll predicates, `pred` must be
+  /// side-effect free and not read the clock: it is not re-checked after
+  /// skipped probes.
   bool run_until_global(const std::function<bool()>& pred);
 
   /// Deadline-segmented variants backing the sim-time telemetry sampler

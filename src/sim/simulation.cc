@@ -89,37 +89,50 @@ Simulation::Settle Simulation::settle(SimTime cap) {
     const EventQueue::Key top = queue_.next_key();
     if (top < bound) bound = top;
   }
+  Simulation* self = this;
+  Simulation* next = nullptr;
+  return settle(std::span<Simulation* const>(&self, 1), bound, next);
+}
+
+Simulation::Settle Simulation::settle(std::span<Simulation* const> sims,
+                                      EventQueue::Key& bound,
+                                      Simulation*& next) {
   // Every parked predicate due before the bound is evaluated once; state
   // cannot change before the next real event, so that one answer holds
   // for all of the poller's probes up to it.
-  due_.clear();
-  for (std::size_t i = 0; i < parked_.size();) {
-    Poller* p = parked_[i];
-    if (!(p->next_ < bound)) {
-      ++i;
-      continue;
+  std::vector<Due>& due = sims.front()->due_;
+  due.clear();
+  for (Simulation* s : sims) {
+    std::vector<Poller*>& parked = s->parked_;
+    for (std::size_t i = 0; i < parked.size();) {
+      Poller* p = parked[i];
+      if (!(p->next_ < bound)) {
+        ++i;
+        continue;
+      }
+      if (!p->predicate_()) {
+        due.push_back(Due{p});
+        ++i;
+        continue;
+      }
+      // The successful probe runs as a real event under its exact key.
+      parked[i] = parked.back();
+      parked.pop_back();
+      p->parked_ = false;
+      s->queue_.schedule_keyed(p->next_, [p] { p->probe(); });
+      bound = p->next_;
+      next = s;
     }
-    if (!p->predicate_()) {
-      due_.push_back(Due{p});
-      ++i;
-      continue;
-    }
-    // The successful probe runs as a real event under its exact key.
-    parked_[i] = parked_.back();
-    parked_.pop_back();
-    p->parked_ = false;
-    queue_.schedule_keyed(p->next_, [p] { p->probe(); });
-    if (p->next_ < bound) bound = p->next_;
   }
-  if (due_.empty()) return Settle::kOk;
+  if (due.empty()) return Settle::kOk;
   if (bound.time == kNoCap) return Settle::kStalled;
   // A successful probe may have lowered the bound below some false
   // pollers' next probe; those wait for the next settle.
-  std::erase_if(due_, [&bound](const Due& d) {
+  std::erase_if(due, [&bound](const Due& d) {
     return !(d.poller->next_ < bound);
   });
-  if (due_.empty()) return Settle::kOk;
-  return credit_probes(bound);
+  if (due.empty()) return Settle::kOk;
+  return credit_probes(due, bound);
 }
 
 // Closed-form replay of the probes the due pollers would have executed
@@ -135,9 +148,14 @@ Simulation::Settle Simulation::settle(SimTime cap) {
 //  - at the same time and interval (same phase) the tags decide. Their
 //    relative order is fixed at the first shared lattice point and kept
 //    from then on, because each probe mints in execution order.
-Simulation::Settle Simulation::credit_probes(const EventQueue::Key& bound) {
-  const std::size_t n = due_.size();
-  const EventId first_tag = queue_.tag_ahead(0);
+Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
+                                             const EventQueue::Key& bound) {
+  const std::size_t n = due.size();
+  // Every due poller mints from its own queue: the shard-local counter
+  // inside a window (one sim), the group-shared one in merged execution.
+  // Either way the k-th mint of the batch is tag_ahead(k) on the minting
+  // poller's queue.
+  const EventId first_tag = due.front().poller->sim_.queue_.tag_ahead(0);
   // A tag minted before this batch sorts either below every batch tag
   // (same minting mode) or above all of them (the other mode).
   auto before_batch = [first_tag](EventId g) { return g < first_tag; };
@@ -163,19 +181,22 @@ Simulation::Settle Simulation::credit_probes(const EventQueue::Key& bound) {
   // Merged-order rank of poller k's probe m. The batch is a prefix of
   // the merged order, so everything preceding a batch probe is in it.
   auto rank = [&](std::size_t k, std::uint64_t m) {
-    const Poller& i = *due_[k].poller;
+    const Poller& i = *due[k].poller;
     const SimTime t = i.next_.time + static_cast<SimTime>(m) * i.interval_;
     std::uint64_t r = m;
     for (std::size_t o = 0; o < n; ++o) {
-      if (o != k) r += preceding(*due_[o].poller, t, i);
+      if (o != k) r += preceding(*due[o].poller, t, i);
     }
     return r;
+  };
+  auto tag_at = [&](std::size_t k, std::uint64_t r) {
+    return due[k].poller->sim_.queue_.tag_ahead(r);
   };
 
   // Probes per poller strictly before the bound.
   std::uint64_t total = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const Poller& p = *due_[k].poller;
+    const Poller& p = *due[k].poller;
     const SimTime t0 = p.next_.time;
     const SimDuration span = bound.time - t0;  // >= 0: next_ < bound
     std::uint64_t c = static_cast<std::uint64_t>(span / p.interval_);
@@ -188,48 +209,56 @@ Simulation::Settle Simulation::credit_probes(const EventQueue::Key& bound) {
         ++c;
       } else if (birth == bound.birth_time) {
         const EventId tag = c == 0 ? p.next_.birth_tag
-                                   : queue_.tag_ahead(rank(k, c - 1));
+                                   : tag_at(k, rank(k, c - 1));
         if (tag < bound.birth_tag) ++c;
       }
     }
     assert(c >= 1 && "a due poller's next probe precedes the bound");
-    due_[k].probes = c;
+    due[k].probes = c;
     total += c;
   }
 
-  if (total > event_limit_ - events_executed_) {
-    // The safety valve trips inside this batch: replay it probe by probe
-    // up to the limit, so the counts stop where stepping would have.
-    for (std::uint64_t left = event_limit_ - events_executed_; left > 0;
-         --left) {
-      Poller* next = due_.front().poller;
-      for (const Due& d : due_) {
+  std::uint64_t room = std::numeric_limits<std::uint64_t>::max();
+  for (const Due& d : due) {
+    const Simulation& s = d.poller->sim_;
+    room = std::min(room, s.event_limit_ - s.events_executed_);
+  }
+  if (total > room) {
+    // The safety valve may trip inside this batch: replay it probe by
+    // probe, in key order, so the counts stop where stepping would have.
+    for (std::uint64_t left = total; left > 0; --left) {
+      Poller* next = due.front().poller;
+      for (const Due& d : due) {
         if (d.poller->next_ < next->next_) next = d.poller;
       }
-      skip_probe(*next);
+      Simulation& s = next->sim_;
+      if (s.events_executed_ >= s.event_limit_) {
+        s.trip_limit("the run loop");
+        return Settle::kLimit;
+      }
+      s.skip_probe(*next);
     }
-    trip_limit("the run loop");
-    return Settle::kLimit;
+    return Settle::kOk;
   }
 
   // New keys first (tag_ahead reads the counter, rank the old keys),
-  // then one credit.
-  SimTime last = now_;
+  // then the credits, each to the sim that owns the poller.
   for (std::size_t k = 0; k < n; ++k) {
-    Due& d = due_[k];
+    Due& d = due[k];
     const SimTime t_last = d.poller->next_.time +
                            static_cast<SimTime>(d.probes - 1) * d.poller->interval_;
     d.next = EventQueue::Key{t_last + d.poller->interval_, t_last,
-                             queue_.tag_ahead(rank(k, d.probes - 1))};
-    last = std::max(last, t_last);
+                             tag_at(k, rank(k, d.probes - 1))};
   }
-  for (const Due& d : due_) {
-    d.poller->next_ = d.next;
-    d.poller->probes_ += d.probes;
+  for (const Due& d : due) {
+    Poller& p = *d.poller;
+    Simulation& s = p.sim_;
+    s.now_ = std::max(s.now_, d.next.birth_time);
+    s.queue_.credit(d.probes);
+    s.events_executed_ += d.probes;
+    p.next_ = d.next;
+    p.probes_ += d.probes;
   }
-  queue_.credit(total);
-  events_executed_ += total;
-  now_ = last;
   return Settle::kOk;
 }
 
@@ -247,17 +276,34 @@ bool Simulation::step() {
   return true;
 }
 
-Simulation::Step Simulation::advance(SimTime cap) {
-  switch (settle(cap)) {
-    case Settle::kOk:
-      break;
-    case Settle::kStalled:
-      return Step::kStalled;
-    case Settle::kLimit:
-      return Step::kLimit;
+Simulation::Step Simulation::advance(std::span<Simulation* const> sims,
+                                     SimTime cap) {
+  // One pass: the smallest heap key below the cap, and whether any
+  // poller is parked.
+  EventQueue::Key bound{cap, std::numeric_limits<SimTime>::min(), 0};
+  Simulation* next = nullptr;
+  bool parked = false;
+  for (Simulation* s : sims) {
+    parked = parked || !s->parked_.empty();
+    if (s->queue_.empty()) continue;
+    const EventQueue::Key top = s->queue_.next_key();
+    if (top < bound) {
+      bound = top;
+      next = s;
+    }
   }
-  if (queue_.empty() || queue_.next_time() >= cap) return Step::kNone;
-  return step() ? Step::kRan : Step::kLimit;
+  if (parked) {
+    switch (settle(sims, bound, next)) {
+      case Settle::kOk:
+        break;
+      case Settle::kStalled:
+        return Step::kStalled;
+      case Settle::kLimit:
+        return Step::kLimit;
+    }
+  }
+  if (next == nullptr) return Step::kNone;
+  return next->step() ? Step::kRan : Step::kLimit;
 }
 
 std::uint64_t Simulation::run() {
@@ -297,37 +343,6 @@ bool Simulation::run_until_condition(const std::function<bool()>& predicate) {
   return predicate();
 }
 
-Simulation::RunOutcome Simulation::run_until_condition_before(
-    const std::function<bool()>& predicate, SimTime deadline) {
-  stop_requested_ = false;
-  if (predicate()) return RunOutcome::kFired;
-  const SimTime cap = cap_after(deadline);
-  while (!stop_requested_) {
-    // The same deadlock point an unsegmented run_until_condition stops
-    // at, whatever the deadline.
-    if (stalled()) {
-      report_stall("run_until_condition_before");
-      return RunOutcome::kDrained;
-    }
-    switch (advance(cap)) {
-      case Step::kRan:
-        if (predicate()) return RunOutcome::kFired;
-        continue;
-      case Step::kStalled:
-      case Step::kLimit:
-        return RunOutcome::kDrained;
-      case Step::kNone:
-        break;
-    }
-    if (idle()) return RunOutcome::kDrained;
-    // Everything up to the boundary ran; fence the clock there so the
-    // caller samples against a well-defined instant.
-    if (now_ < deadline) now_ = deadline;
-    return RunOutcome::kDeadline;
-  }
-  return predicate() ? RunOutcome::kFired : RunOutcome::kDrained;
-}
-
 Simulation::WindowResult Simulation::run_window(
     SimTime cap, const std::function<bool()>* condition) {
   WindowResult out;
@@ -359,29 +374,6 @@ Simulation::WindowResult Simulation::run_window(
   }
   out.executed = events_executed_ - before;
   return out;
-}
-
-SimTime Simulation::step_one() {
-  assert(!idle());
-  Poller* first = nullptr;
-  for (Poller* p : parked_) {
-    if (first == nullptr || p->next_ < first->next_) first = p;
-  }
-  if (first != nullptr &&
-      (queue_.empty() || first->next_ < queue_.next_key())) {
-    if (events_executed_ >= event_limit_) {
-      trip_limit("step_one");
-      return -1;
-    }
-    if (!first->predicate_()) {
-      skip_probe(*first);
-      return now_;
-    }
-    unpark(*first);
-    queue_.schedule_keyed(first->next_, [first] { first->probe(); });
-  }
-  if (!step()) return -1;
-  return now_;
 }
 
 }  // namespace pg::sim

@@ -3,12 +3,12 @@
 // Every model component holds a Simulation& and expresses behaviour as
 // events (schedule / schedule_at). A Simulation executes on one thread
 // at a time; determinism comes from the birth-key total order in
-// EventQueue. In the classic configuration there is a single Simulation
-// and run()/run_until() drive it directly. In sharded configurations
-// (sim/parallel.h) each shard owns one Simulation and a ShardGroup
-// coordinates them: the group calls run_window()/step_one() and moves
-// the clock across synchronization fences with fence_now(); events
-// crossing shards enter through schedule_admitted() carrying the
+// EventQueue. Standalone, run()/run_until() drive one Simulation
+// directly. A cluster gives every node its own Simulation as one shard
+// of a ShardGroup (sim/parallel.h), which calls run_window() for
+// parallel rounds and advance() over all shards for merged execution,
+// and moves the clock across synchronization fences with fence_now();
+// events crossing shards enter through schedule_admitted() carrying the
 // sender's birth stamp.
 //
 // Host polling loops (Poller, implemented by sim::PollUntil) do not put
@@ -18,15 +18,18 @@
 // precedes that event, once: a poller whose predicate holds gets its
 // probe pushed into the heap under that exact key; every other poller
 // skips past the event in O(1), credited with the probes, sequence
-// numbers and event counts it would have used. Poll predicates only read
-// state and state only changes inside real events, so the skipped probes
-// could not have seen anything else. Execution order, tags, counts and
-// outputs are identical to probing event by event.
+// numbers and event counts it would have used. Merged execution settles
+// the parked pollers of all shards together, against the smallest heap
+// key of the whole group. Poll predicates only read state and state only
+// changes inside real events, so the skipped probes could not have seen
+// anything else. Execution order, tags, counts and outputs are identical
+// to probing event by event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -105,18 +108,6 @@ class Simulation {
   /// clock: it is not re-checked after skipped probes.
   bool run_until_condition(const std::function<bool()>& predicate);
 
-  /// run_until_condition segmented at a sim-time boundary: only events
-  /// with timestamps <= `deadline` execute. kFired = predicate turned
-  /// true (clock reads the firing event); kDeadline = every event up to
-  /// the deadline ran without firing (clock fenced at the deadline);
-  /// kDrained = queue empty / deadlock / event limit with the predicate
-  /// unmet.
-  /// Drives the telemetry sampler (sys/Cluster): the exact same events
-  /// execute as one unsegmented run_until_condition call would.
-  enum class RunOutcome { kFired, kDeadline, kDrained };
-  RunOutcome run_until_condition_before(
-      const std::function<bool()>& predicate, SimTime deadline);
-
   /// Requests that run()/run_until() return after the current event.
   void run_stop() { stop_requested_ = true; }
 
@@ -190,12 +181,15 @@ class Simulation {
   WindowResult run_window(SimTime cap,
                           const std::function<bool()>* condition);
 
-  /// Executes exactly the next pending event (requires !idle()) and
-  /// returns its timestamp, or -1 if the event limit tripped instead.
-  /// The next event may be a parked poller's probe: a false one is
-  /// skipped and credited alone. The merged-sequential path of
-  /// ShardGroup interleaves shards one event at a time through this.
-  SimTime step_one();
+  /// One step of the merged order of `sims` (all one group's shards in
+  /// shared minting mode, or just one standalone Simulation): settles the
+  /// parked pollers of every sim together up to the smallest heap key
+  /// below `cap`, then executes that event. kNone: no heap event below
+  /// the cap is left (pollers are settled up to the cap); kStalled: no
+  /// heap event, no cap and no parked predicate holds (nothing is
+  /// reported); kLimit: an event limit tripped.
+  enum class Step { kRan, kNone, kStalled, kLimit };
+  static Step advance(std::span<Simulation* const> sims, SimTime cap);
 
   /// Ordering key of the next pending event, a parked probe included.
   /// Requires !idle().
@@ -238,17 +232,34 @@ class Simulation {
   enum class Settle { kOk, kStalled, kLimit };
   Settle settle(SimTime cap);
 
+  /// settle() over the parked pollers of every sim in `sims`, against
+  /// `bound` (the smallest heap key, or the cap). A pushed probe lowers
+  /// `bound` and makes its sim `next`, the one to step.
+  static Settle settle(std::span<Simulation* const> sims,
+                       EventQueue::Key& bound, Simulation*& next);
+
+  // settle() scratch: false pollers due before the bound, with the
+  // probes they are credited and the key they park at afterwards.
+  struct Due {
+    Poller* poller;
+    std::uint64_t probes = 0;
+    EventQueue::Key next{};
+  };
+
   /// Credits every probe of the due pollers (all false, all parked
-  /// before `bound`) that precedes `bound`, as if each had executed in
-  /// key order.
-  Settle credit_probes(const EventQueue::Key& bound);
+  /// before `bound`, possibly on different sims) that precedes `bound`,
+  /// as if each had executed in key order on its own sim.
+  static Settle credit_probes(std::vector<Due>& due,
+                              const EventQueue::Key& bound);
 
   /// Executes one probe of a false poller without the heap.
   void skip_probe(Poller& p);
 
-  /// Settles, then executes the next heap event below `cap`.
-  enum class Step { kRan, kNone, kStalled, kLimit };
-  Step advance(SimTime cap);
+  /// advance() over this Simulation alone.
+  Step advance(SimTime cap) {
+    Simulation* self = this;
+    return advance(std::span<Simulation* const>(&self, 1), cap);
+  }
 
   /// Pops and executes the heap top (requires a pending heap event).
   /// Returns false when the event limit tripped instead.
@@ -258,14 +269,7 @@ class Simulation {
 
   EventQueue queue_;
   std::vector<Poller*> parked_;
-  // settle() scratch: false pollers due before the bound, with the
-  // probes they are credited and the key they park at afterwards.
-  struct Due {
-    Poller* poller;
-    std::uint64_t probes = 0;
-    EventQueue::Key next{};
-  };
-  std::vector<Due> due_;
+  std::vector<Due> due_;  // settle() scratch of the first sim settled
   SimTime now_ = 0;
   EventQueue::Key current_key_{};
   bool stop_requested_ = false;

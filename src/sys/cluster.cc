@@ -33,31 +33,16 @@ Status check_net(const net::NetConfig& net, const char* which) {
   return Status::ok();
 }
 
-/// True when the config can legally run on the sharded engine: every
-/// enabled backend has positive link latency (the latency is the
-/// conservative lookahead) and the node count fits the one-byte shard
-/// tag.
-bool can_shard(const ClusterConfig& cfg) {
-  if (cfg.node.with_extoll && cfg.extoll_net.latency <= 0) return false;
-  if (cfg.node.with_ib && cfg.ib_net.latency <= 0) return false;
-  return cfg.num_nodes <= 255;
-}
-
-/// Test-sweep override: PG_FORCE_THREADS=<n> reruns any cluster that
-/// *can* shard (positive link latencies on every enabled backend) on the
-/// parallel engine with n workers, without touching each call site.
-/// Determinism makes this safe — results are identical by construction —
-/// and it is how CI drives the whole tier-1 suite through the sharded
-/// code paths under TSan. Configs that cannot shard (zero-latency links,
-/// too many nodes) silently keep their configured engine: the knob is
-/// best-effort coverage, not a correctness switch.
+/// Test-sweep override: PG_FORCE_THREADS=<n> reruns every cluster with n
+/// engine workers, without touching each call site. Determinism makes
+/// this safe — results are identical by construction — and it is how CI
+/// drives the whole tier-1 suite through the multi-worker paths under
+/// TSan.
 int forced_threads(const ClusterConfig& cfg) {
   const char* env = std::getenv("PG_FORCE_THREADS");
   if (env == nullptr) return cfg.threads;
   const int forced = std::atoi(env);
-  if (forced <= 1) return cfg.threads;
-  if (!can_shard(cfg)) return cfg.threads;
-  return forced;
+  return forced > 1 ? forced : cfg.threads;
 }
 
 }  // namespace
@@ -86,24 +71,26 @@ Status Cluster::validate(const ClusterConfig& cfg) {
   if (cfg.threads < 1) {
     return invalid_argument("cluster threads must be >= 1");
   }
-  if (cfg.threads > 1) {
-    // Sharding across a link needs the link's flight time as lookahead;
-    // a zero-latency link would leave no conservative horizon at all.
-    if (cfg.node.with_extoll && cfg.extoll_net.latency <= 0) {
-      return invalid_argument(
-          "sharded execution (threads > 1) requires positive extoll link "
-          "latency: the latency is the synchronization lookahead");
-    }
-    if (cfg.node.with_ib && cfg.ib_net.latency <= 0) {
-      return invalid_argument(
-          "sharded execution (threads > 1) requires positive ib link "
-          "latency: the latency is the synchronization lookahead");
-    }
-    if (cfg.num_nodes > 255) {
-      return invalid_argument(
-          "sharded execution supports at most 255 nodes (shard tags are "
-          "one byte of the event id)");
-    }
+  // Every node is an event shard. Sharding across a link needs the
+  // link's flight time as lookahead; a zero-latency link would leave no
+  // conservative horizon at all.
+  if (!cfg.node.with_extoll && !cfg.node.with_ib) {
+    return invalid_argument("cluster needs at least one fabric (extoll or ib)");
+  }
+  if (cfg.node.with_extoll && cfg.extoll_net.latency <= 0) {
+    return invalid_argument(
+        "extoll link latency must be positive: it is the synchronization "
+        "lookahead between node shards");
+  }
+  if (cfg.node.with_ib && cfg.ib_net.latency <= 0) {
+    return invalid_argument(
+        "ib link latency must be positive: it is the synchronization "
+        "lookahead between node shards");
+  }
+  if (cfg.num_nodes > 255) {
+    return invalid_argument(
+        "a cluster supports at most 255 nodes (shard tags are one byte of "
+        "the event id)");
   }
   return Status::ok();
 }
@@ -113,65 +100,44 @@ Cluster::Cluster(const ClusterConfig& cfg) {
     PG_ERROR("sys", "invalid ClusterConfig: %s", s.message().c_str());
     std::abort();
   }
-  const int threads = forced_threads(cfg);
-  // Routed-topology clusters always run on the sharded engine when the
-  // config allows it; `threads` picks the worker count (one worker
-  // steps the shards round-robin). Per-node shards give every thread
-  // count the same event-tag structure, so merged observability output
-  // is byte-identical at any --threads=T — including T=1, which would
-  // otherwise tie-break same-timestamp events by the classic engine's
-  // single global counter and order trace/flow minting differently.
-  // Pair-topology clusters keep the classic single heap at threads=1:
-  // it runs the paper's two-node experiment drivers faster than one
-  // worker stepping two shards (DESIGN.md §13).
-  const bool shard =
-      threads > 1 || (cfg.topology != net::Topology::kPair && can_shard(cfg));
   sample_every_ = cfg.sample_every;
   next_sample_ = sample_every_;
 
+  shard_sims_.reserve(cfg.num_nodes);
+  for (int i = 0; i < cfg.num_nodes; ++i) {
+    auto s = std::make_unique<sim::Simulation>();
+    s->set_shard_tag(static_cast<std::uint8_t>(i));
+    s->set_event_limit(100'000'000);  // storm guard, per shard
+    shard_sims_.push_back(std::move(s));
+  }
+  SimDuration lookahead = 0;
+  if (cfg.node.with_extoll) lookahead = cfg.extoll_net.latency;
+  if (cfg.node.with_ib) {
+    lookahead = lookahead == 0 ? cfg.ib_net.latency
+                               : std::min(lookahead, cfg.ib_net.latency);
+  }
+  sim::ShardGroup::Options opt;
+  opt.workers = std::min(forced_threads(cfg), cfg.num_nodes);
+  opt.lookahead = lookahead;
+  std::vector<sim::Simulation*> shards;
+  shards.reserve(shard_sims_.size());
+  for (auto& s : shard_sims_) shards.push_back(s.get());
+  group_ = std::make_unique<sim::ShardGroup>(std::move(shards), opt);
+  // Shard-aware observability: window threads append deferred sink ops
+  // into per-shard buffers; the coordinator replays them in event-key
+  // order at every fence. Wired unconditionally — with no sinks
+  // attached the inline obs helpers bail before deferring, so the
+  // buffers stay empty and merge() is a no-op.
+  obs_hub_ = std::make_unique<obs::ShardSinkHub>(cfg.num_nodes);
+  obs::ShardSinkHub* hub = obs_hub_.get();
+  group_->set_sink_hooks(sim::ShardGroup::SinkHooks{
+      [hub](int s, sim::Simulation* s_sim) { hub->bind(s, s_sim); },
+      [hub] { hub->unbind(); },
+      [hub] { hub->merge(); }});
   nodes_.reserve(cfg.num_nodes);
-  if (shard) {
-    shard_sims_.reserve(cfg.num_nodes);
-    for (int i = 0; i < cfg.num_nodes; ++i) {
-      auto s = std::make_unique<sim::Simulation>();
-      s->set_shard_tag(static_cast<std::uint8_t>(i));
-      s->set_event_limit(100'000'000);  // storm guard, per shard
-      shard_sims_.push_back(std::move(s));
-    }
-    SimDuration lookahead = 0;
-    if (cfg.node.with_extoll) lookahead = cfg.extoll_net.latency;
-    if (cfg.node.with_ib) {
-      lookahead = lookahead == 0 ? cfg.ib_net.latency
-                                 : std::min(lookahead, cfg.ib_net.latency);
-    }
-    sim::ShardGroup::Options opt;
-    opt.workers = std::min(threads, cfg.num_nodes);
-    opt.lookahead = lookahead;
-    std::vector<sim::Simulation*> shards;
-    shards.reserve(shard_sims_.size());
-    for (auto& s : shard_sims_) shards.push_back(s.get());
-    group_ = std::make_unique<sim::ShardGroup>(std::move(shards), opt);
-    // Shard-aware observability: window threads append deferred sink
-    // ops into per-shard buffers; the coordinator replays them in
-    // event-key order at every fence. Wired unconditionally — with no
-    // sinks attached the inline obs helpers bail before deferring, so
-    // the buffers stay empty and merge() is a no-op.
-    obs_hub_ = std::make_unique<obs::ShardSinkHub>(cfg.num_nodes);
-    obs::ShardSinkHub* hub = obs_hub_.get();
-    group_->set_sink_hooks(sim::ShardGroup::SinkHooks{
-        [hub](int s, sim::Simulation* s_sim) { hub->bind(s, s_sim); },
-        [hub] { hub->unbind(); },
-        [hub] { hub->merge(); }});
-    for (int i = 0; i < cfg.num_nodes; ++i) {
-      nodes_.push_back(std::make_unique<Node>(*shard_sims_[i], cfg.node,
-                                              "node" + std::to_string(i)));
-    }
-  } else {
-    sim_.set_event_limit(100'000'000);  // storm guard for runaway models
-    for (int i = 0; i < cfg.num_nodes; ++i) {
-      nodes_.push_back(std::make_unique<Node>(sim_, cfg.node,
-                                              "node" + std::to_string(i)));
-    }
+  for (int i = 0; i < cfg.num_nodes; ++i) {
+    nodes_.push_back(std::make_unique<Node>(*shard_sims_[i], cfg.node,
+                                            "node" + std::to_string(i)));
   }
 
   // The one route-computation pass: build the fabric graph, compute the
@@ -193,15 +159,14 @@ Cluster::Cluster(const ClusterConfig& cfg) {
     }
   }
   if (cfg.node.with_extoll) {
-    wire_backend(Backend::kExtoll, cfg.extoll_net, shard);
+    wire_backend(Backend::kExtoll, cfg.extoll_net);
   }
   if (cfg.node.with_ib) {
-    wire_backend(Backend::kIb, cfg.ib_net, shard);
+    wire_backend(Backend::kIb, cfg.ib_net);
   }
 }
 
-void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg,
-                           bool shard) {
+void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
   const bool extoll = which == Backend::kExtoll;
   const std::string bname = backend_name(which);
   auto& links = extoll ? extoll_links_ : ib_links_;
@@ -216,26 +181,28 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg,
   // lookahead, and the cross-shard channel layout stay exactly the
   // per-node scheme pdes_test gates.
   auto vertex_sim = [&](int v) -> sim::Simulation& {
-    return shard
-               ? *shard_sims_[static_cast<std::size_t>(
-                     net::switch_shard(plan_, v))]
-               : sim_;
+    return *shard_sims_[static_cast<std::size_t>(net::switch_shard(plan_, v))];
   };
+  // Parallel links between one vertex pair (a two-node ring, an extent-2
+  // torus dimension) get "#k" suffixes from the second one on, so every
+  // direction's label is unique.
+  std::map<std::pair<int, int>, int> pair_links;
   // Port index of each edge endpoint on its owning switch ([0] = side 0
   // endpoint), for the next-hop fill below.
   std::vector<std::array<int, 2>> edge_port(plan_.edges.size(), {-1, -1});
   for (std::size_t e = 0; e < plan_.edges.size(); ++e) {
     const net::LinkPlan& ep = plan_.edges[e];
     auto link = std::make_unique<net::NetworkLink>(vertex_sim(ep.a), net_cfg);
-    if (shard) {
-      link->bind_shards(*group_, net::switch_shard(plan_, ep.a),
-                        vertex_sim(ep.a), net::switch_shard(plan_, ep.b),
-                        vertex_sim(ep.b));
-    }
+    link->bind_shards(*group_, net::switch_shard(plan_, ep.a),
+                      vertex_sim(ep.a), net::switch_shard(plan_, ep.b),
+                      vertex_sim(ep.b));
+    const int twin =
+        pair_links[{std::min(ep.a, ep.b), std::max(ep.a, ep.b)}]++;
+    const std::string suffix = twin == 0 ? "" : "#" + std::to_string(twin);
     link->set_label(0, bname + "." + plan_.vertex_name(ep.a) + "-" +
-                           plan_.vertex_name(ep.b));
+                           plan_.vertex_name(ep.b) + suffix);
     link->set_label(1, bname + "." + plan_.vertex_name(ep.b) + "-" +
-                           plan_.vertex_name(ep.a));
+                           plan_.vertex_name(ep.a) + suffix);
     for (int side = 0; side < 2; ++side) {
       const int v = side == 0 ? ep.a : ep.b;
       if (plan_.is_switch(v)) {
@@ -289,7 +256,7 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg,
 Cluster::~Cluster() {
   // Every public run_* merges at its exit fence, so this only catches
   // ops buffered by direct shard_sims_ stepping in tests.
-  if (obs_hub_) obs_hub_->merge();
+  obs_hub_->merge();
 }
 
 sim::Simulation& Cluster::node_sim(int i) {
@@ -298,46 +265,32 @@ sim::Simulation& Cluster::node_sim(int i) {
              num_nodes());
     std::abort();
   }
-  return group_ ? *shard_sims_[static_cast<std::size_t>(i)] : sim_;
+  return *shard_sims_[static_cast<std::size_t>(i)];
 }
 
 // --- Execution facade ------------------------------------------------
 //
-// Without sampling each call maps 1:1 onto the underlying engine. With
-// sampling the facade segments the run at fixed sim-time boundaries:
-// run to min(goal, next boundary), and at each boundary — a fence, so
-// the merged sinks are current — record one telemetry row. The
-// *_before primitives guarantee segmentation never changes which
-// events execute or in what order, only where the engine pauses.
+// Without sampling each call maps 1:1 onto the group. With sampling the
+// facade segments the run at fixed sim-time boundaries: run to
+// min(goal, next boundary), and at each boundary — a fence, so the
+// merged sinks are current — record one telemetry row. The *_before
+// primitives guarantee segmentation never changes which events execute
+// or in what order, only where the engine pauses.
 
 bool Cluster::sampling_on() const {
   return sample_every_ > 0 && obs::timeseries() != nullptr;
 }
 
 bool Cluster::run_until(const std::function<bool()>& predicate) {
-  if (!sampling_on()) {
-    return group_ ? group_->run_until_global(predicate)
-                  : sim_.run_until_condition(predicate);
-  }
+  if (!sampling_on()) return group_->run_until_global(predicate);
   for (;;) {
-    if (group_) {
-      switch (group_->run_until_global_before(predicate, next_sample_)) {
-        case sim::ShardGroup::Outcome::kFired:
-          return true;
-        case sim::ShardGroup::Outcome::kStopped:
-          return false;
-        case sim::ShardGroup::Outcome::kDeadline:
-          break;
-      }
-    } else {
-      switch (sim_.run_until_condition_before(predicate, next_sample_)) {
-        case sim::Simulation::RunOutcome::kFired:
-          return true;
-        case sim::Simulation::RunOutcome::kDrained:
-          return false;
-        case sim::Simulation::RunOutcome::kDeadline:
-          break;
-      }
+    switch (group_->run_until_global_before(predicate, next_sample_)) {
+      case sim::ShardGroup::Outcome::kFired:
+        return true;
+      case sim::ShardGroup::Outcome::kStopped:
+        return false;
+      case sim::ShardGroup::Outcome::kDeadline:
+        break;
     }
     sample_telemetry();
     next_sample_ += sample_every_;
@@ -345,42 +298,17 @@ bool Cluster::run_until(const std::function<bool()>& predicate) {
 }
 
 bool Cluster::run_until_each(std::vector<sim::ShardCond> conds) {
-  if (!sampling_on()) {
-    if (group_) return group_->run_until_local(std::move(conds));
-    return sim_.run_until_condition([&conds] {
-      for (const sim::ShardCond& c : conds) {
-        if (!c.pred()) return false;
-      }
-      return true;
-    });
-  }
-  const std::function<bool()> all = [&conds] {
-    for (const sim::ShardCond& c : conds) {
-      if (!c.pred()) return false;
-    }
-    return true;
-  };
+  if (!sampling_on()) return group_->run_until_local(std::move(conds));
   for (;;) {
-    if (group_) {
-      // Conditions are monotone (the run_until_local contract), so
-      // re-presenting already-fired ones across segments is harmless.
-      switch (group_->run_until_local_before(conds, next_sample_)) {
-        case sim::ShardGroup::Outcome::kFired:
-          return true;
-        case sim::ShardGroup::Outcome::kStopped:
-          return false;
-        case sim::ShardGroup::Outcome::kDeadline:
-          break;
-      }
-    } else {
-      switch (sim_.run_until_condition_before(all, next_sample_)) {
-        case sim::Simulation::RunOutcome::kFired:
-          return true;
-        case sim::Simulation::RunOutcome::kDrained:
-          return false;
-        case sim::Simulation::RunOutcome::kDeadline:
-          break;
-      }
+    // Conditions are monotone (the run_until_local contract), so
+    // re-presenting already-fired ones across segments is harmless.
+    switch (group_->run_until_local_before(conds, next_sample_)) {
+      case sim::ShardGroup::Outcome::kFired:
+        return true;
+      case sim::ShardGroup::Outcome::kStopped:
+        return false;
+      case sim::ShardGroup::Outcome::kDeadline:
+        break;
     }
     sample_telemetry();
     next_sample_ += sample_every_;
@@ -388,19 +316,15 @@ bool Cluster::run_until_each(std::vector<sim::ShardCond> conds) {
 }
 
 std::uint64_t Cluster::run_for(SimDuration d) {
-  if (!sampling_on()) {
-    if (group_) return group_->run_for(d);
-    return sim_.run_until(sim_.now() + d);
-  }
+  if (!sampling_on()) return group_->run_for(d);
   const SimTime goal = now() + d;
   std::uint64_t executed = 0;
   while (next_sample_ <= goal) {
-    executed += group_ ? group_->run_until_time(next_sample_)
-                       : sim_.run_until(next_sample_);
+    executed += group_->run_until_time(next_sample_);
     sample_telemetry();
     next_sample_ += sample_every_;
   }
-  executed += group_ ? group_->run_until_time(goal) : sim_.run_until(goal);
+  executed += group_->run_until_time(goal);
   return executed;
 }
 

@@ -15,24 +15,23 @@
 // route is single-hop and behaviour is identical to the pre-fabric
 // link wiring.
 //
-// Routed-topology clusters (and any cluster with cfg.threads > 1) run
-// on the parallel discrete-event engine (sim/parallel.h): every node
-// owns its own event shard and the network links are the shard
-// boundaries, with the smaller of the two backends' flight latencies
-// as the conservative lookahead. Execution is deterministic and
-// byte-identical to the single-threaded engine for any thread count;
-// host code drives both modes through the same facade (now / run_until
-// / run_until_each / run_for).
+// Every cluster runs on the parallel discrete-event engine
+// (sim/parallel.h): each node owns its own event shard and the network
+// links are the shard boundaries, with the smaller of the two backends'
+// flight latencies as the conservative lookahead. cfg.threads only sets
+// the worker count; execution is deterministic and byte-identical for
+// any thread count. Host code drives the cluster through one facade
+// (now / run_until / run_until_each / run_for).
 //
-// Observability runs on the parallel engine too: when sharded, the
-// cluster wires an obs::ShardSinkHub into the group's sink hooks, so
-// traced / metered / flow-tracked runs buffer per-shard and merge
-// deterministically at fences — trace, metrics, flow and time-series
-// JSON are byte-identical at any thread count. With
-// cfg.sample_every > 0 and an attached obs::TimeSeries, the facade
-// additionally segments runs at fixed sim-time boundaries and records
-// one telemetry row per boundary (per-link utilization / queue depth,
-// per-backend message rate, flow-stage quantiles).
+// Observability runs on the same engine: the cluster wires an
+// obs::ShardSinkHub into the group's sink hooks, so traced / metered /
+// flow-tracked runs buffer per-shard and merge deterministically at
+// fences — trace, metrics, flow and time-series JSON are byte-identical
+// at any thread count. With cfg.sample_every > 0 and an attached
+// obs::TimeSeries, the facade additionally segments runs at fixed
+// sim-time boundaries and records one telemetry row per boundary
+// (per-link utilization / queue depth, per-backend message rate,
+// flow-stage quantiles).
 #pragma once
 
 #include <memory>
@@ -64,13 +63,10 @@ struct ClusterConfig {
   int num_nodes = 2;
   net::Topology topology = net::Topology::kPair;
   /// Worker threads for the event engine: min(threads, num_nodes)
-  /// workers execute one event shard per node. Routed topologies run
-  /// sharded at every thread count (threads = 1 steps the shards with a
-  /// single worker), so observability output is independent of T; the
-  /// pair topology keeps the classic single-heap engine at threads = 1,
-  /// which runs the two-node experiment drivers faster (DESIGN.md §13).
-  /// threads > 1 requires positive link latency on every enabled backend
-  /// (the latency is the synchronization lookahead).
+  /// workers execute the one event shard per node (threads = 1 steps
+  /// the shards with a single worker). Results and observability output
+  /// are identical at every thread count. Every enabled backend needs
+  /// positive link latency: it is the synchronization lookahead.
   int threads = 1;
   /// Telemetry sample interval in simulated time; 0 = off. With an
   /// attached obs::TimeSeries the cluster records one sample row per
@@ -81,8 +77,8 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  /// Checks a config before construction: at least two nodes, and
-  /// positive link parameters for every enabled backend.
+  /// Checks a config before construction: 2 to 255 nodes, and positive
+  /// link parameters (latency included) for every enabled backend.
   static Status validate(const ClusterConfig& cfg);
 
   /// Aborts (with the validate() message) on an invalid config.
@@ -92,14 +88,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// True when the cluster runs on per-node event shards.
-  bool sharded() const { return group_ != nullptr; }
   sim::ShardGroup* shard_group() { return group_.get(); }
 
-  /// The Simulation driving node `i` (the shared heap when unsharded,
-  /// node i's shard otherwise). Code running inside node i's events
-  /// reads and schedules on this clock; host code between runs uses the
-  /// facade below.
+  /// The Simulation driving node `i`: node i's shard. Code running
+  /// inside node i's events reads and schedules on this clock; host code
+  /// between runs uses the facade below.
   sim::Simulation& node_sim(int i);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -164,23 +157,21 @@ class Cluster {
   /// histogram per backend. Call once, after the run quiesces.
   void publish_link_metrics() const;
 
-  // --- Execution facade: identical semantics in both modes -----------
+  // --- Execution facade -----------------------------------------------
 
-  /// The cluster clock (the group fence time when sharded).
-  SimTime now() const {
-    return group_ ? group_->now() : sim_.now();
-  }
+  /// The cluster clock: the group's last synchronization fence.
+  SimTime now() const { return group_->now(); }
 
   /// Runs until `predicate` holds; returns false if the event queue
   /// drained or the event limit tripped first. The predicate may read
-  /// state anywhere in the cluster; when sharded this runs on the exact
-  /// merged-sequential path.
+  /// state anywhere in the cluster; it runs on the exact merged-sequential
+  /// path.
   bool run_until(const std::function<bool()>& predicate);
 
   /// Runs until every per-node condition has fired (conds index nodes =
   /// shards; monotone, node-local predicates only). Equivalent to
-  /// run_until(AND of all), but executes node windows in parallel when
-  /// sharded — use this for the hot multi-node phase loops.
+  /// run_until(AND of all), but executes node windows in parallel — use
+  /// this for the hot multi-node phase loops.
   bool run_until_each(std::vector<sim::ShardCond> conds);
 
   /// Runs events for `d` of simulated time and advances the clock to
@@ -188,20 +179,16 @@ class Cluster {
   std::uint64_t run_for(SimDuration d);
 
   /// Determinism fingerprint: total events ever scheduled, summed over
-  /// shards when sharded (identical to the single-heap count).
-  std::uint64_t events_scheduled() const {
-    return group_ ? group_->total_scheduled() : sim_.total_scheduled();
-  }
-  std::uint64_t events_executed() const {
-    return group_ ? group_->events_executed() : sim_.events_executed();
-  }
+  /// shards.
+  std::uint64_t events_scheduled() const { return group_->total_scheduled(); }
+  std::uint64_t events_executed() const { return group_->events_executed(); }
 
  private:
   /// Instantiates one backend's overlay of the fabric plan: a
   /// NetworkLink per edge (labelled, shard-bound), NIC connects for
   /// terminal endpoints, switch ports for switch endpoints, and the
   /// next-hop fill into NICs and switches.
-  void wire_backend(Backend which, const net::NetConfig& net_cfg, bool shard);
+  void wire_backend(Backend which, const net::NetConfig& net_cfg);
   Route first_hop(const std::vector<std::unique_ptr<net::NetworkLink>>& links,
                   int from, int to) const;
 
@@ -213,7 +200,6 @@ class Cluster {
   /// rate over the last interval, flow end-to-end and stage quantiles.
   void sample_telemetry();
 
-  sim::Simulation sim_;  // the single heap (unsharded mode)
   std::vector<std::unique_ptr<sim::Simulation>> shard_sims_;
   // Declared before group_ so the hub outlives the workers that hold
   // bindings into it (destroyed after group_ joins them).

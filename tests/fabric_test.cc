@@ -5,9 +5,15 @@
 // switches.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "net/fabric.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 #include "putget/ib_host.h"
+#include "putget/notify.h"
 #include "sim/simulation.h"
 #include "sys/cluster.h"
 #include "sys/testbed.h"
@@ -164,6 +170,56 @@ TEST(Routes, TwoNodeRingKeepsBothDirectionsOnTheFirstLink) {
   EXPECT_EQ(cluster.extoll_route(1, 0).link, cluster.extoll_link());
   EXPECT_EQ(cluster.extoll_route(0, 1).side, 0);
   EXPECT_EQ(cluster.extoll_route(1, 0).side, 1);
+}
+
+TEST(TwinLinks, EachParallelLinkKeepsItsOwnLabelAndUtilization) {
+  // A 4-node torus is a 2x2 grid: both dimensions have extent 2, so
+  // every neighbour pair is joined by two parallel links, and routes use
+  // only the first of each. Label-keyed reports (telemetry samples,
+  // published gauges) used to let the idle twin overwrite the busy one.
+  sys::ClusterConfig cfg = sys::extoll_testbed();
+  cfg.num_nodes = 4;
+  cfg.topology = net::Topology::kTorus2D;
+  sys::Cluster cluster(cfg);
+  auto d = putget::NotifyDomain::create(cluster, putget::RmaBackend::kExtoll);
+  ASSERT_TRUE(d.is_ok()) << d.status().to_string();
+  putget::NotifyDomain& domain = **d;
+  constexpr std::uint64_t kLen = 64 * 1024;
+  constexpr std::uint64_t kOff = 4096;  // clear of the reserved bytes
+  std::vector<mem::Addr> bases;
+  for (int n = 0; n < 4; ++n) {
+    bases.push_back(cluster.node(n).gpu_heap().alloc(kLen, 4096));
+  }
+  ASSERT_TRUE(domain.register_region(bases, kLen).is_ok());
+  for (int dst = 1; dst < 4; ++dst) {
+    ASSERT_TRUE(domain
+                    .post_put(0, dst, bases[0] + kOff, bases[dst] + kOff, 4096,
+                              putget::Completion::kPayloadPoll)
+                    .is_ok());
+  }
+  ASSERT_TRUE(domain.quiet(0).is_ok());
+
+  obs::MetricsRegistry metrics;
+  obs::attach_metrics(&metrics);
+  cluster.publish_link_metrics();
+  obs::attach_metrics(nullptr);
+  const std::vector<sys::Cluster::LinkReport> reports =
+      cluster.link_reports(sys::Backend::kExtoll);
+  ASSERT_EQ(reports.size(), 16u);  // 8 links, two directions each
+  std::set<std::string> labels;
+  int busy = 0;
+  for (const sys::Cluster::LinkReport& r : reports) {
+    EXPECT_TRUE(labels.insert(r.label).second) << "duplicate " << r.label;
+    EXPECT_EQ(metrics.counter("net." + r.label + ".frames").value(), r.frames)
+        << r.label;
+    EXPECT_EQ(metrics.gauge("net." + r.label + ".utilization").value(),
+              r.utilization)
+        << r.label;
+    if (r.frames == 0) continue;
+    ++busy;
+    EXPECT_GT(r.utilization, 0.0) << r.label;
+  }
+  EXPECT_GT(busy, 0);
 }
 
 // --- Duplicate-route registration (regression: used to be silently

@@ -196,10 +196,12 @@ TEST(ShardedCluster, ZeroLatencyLinkRejected) {
   const Status s = sys::Cluster::validate(cfg);
   EXPECT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("lookahead"), std::string::npos);
-  // The same config is fine sequentially (threads=1) — zero-latency
-  // links are only illegal as shard boundaries.
+  // Every cluster is sharded, so one worker needs the lookahead too.
   cfg.threads = 1;
-  EXPECT_TRUE(sys::Cluster::validate(cfg).is_ok());
+  EXPECT_FALSE(sys::Cluster::validate(cfg).is_ok());
+  cfg.topology = net::Topology::kPair;
+  cfg.num_nodes = 2;
+  EXPECT_FALSE(sys::Cluster::validate(cfg).is_ok());
 }
 
 TEST(ShardedCluster, ThreadCountValidation) {
