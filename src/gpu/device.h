@@ -96,16 +96,10 @@ class Gpu : public pcie::Endpoint {
   void launch_stream(std::uint32_t stream, const KernelLaunch& kl,
                      DoneFn done = {});
 
-  /// Number of kernels launched but not yet retired.
-  std::uint32_t active_kernels() const { return active_kernels_; }
-
   const PerfCounters& counters() const { return counters_; }
   PerfCounters counters_snapshot() const { return counters_; }
-  void reset_counters() { counters_ = PerfCounters{}; }
 
   L2Cache& l2() { return l2_; }
-  pcie::GpuP2pReadServer& p2p_server() { return p2p_; }
-  pcie::EndpointId endpoint_id() const { return endpoint_id_; }
   const std::string& name() const { return name_; }
 
   // --- pcie::Endpoint -------------------------------------------------------

@@ -1,5 +1,7 @@
 #include "gpu/warp.h"
 
+#include <cassert>
+
 namespace pg::gpu {
 
 WarpState::WarpState(unsigned active_lanes) {

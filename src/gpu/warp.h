@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -53,12 +52,6 @@ class WarpState {
     for (LaneMask m = mask_; m != 0; m &= m - 1) {
       fn(static_cast<unsigned>(__builtin_ctz(m)));
     }
-  }
-
-  /// Lowest active lane (for warp-uniform reads). Requires mask != 0.
-  unsigned first_active() const {
-    assert(mask_ != 0);
-    return static_cast<unsigned>(__builtin_ctz(mask_));
   }
 
   // --- control flow ---------------------------------------------------------

@@ -9,9 +9,9 @@
 // birth key — instead of touching the (single-threaded) global sinks.
 // The coordinator replays all buffers in global event order at the next
 // synchronization fence, producing byte-identical sink state to the
-// sequential engine. When the pointer is null (unsharded runs, host
-// code between runs, replay itself) the helpers apply directly, exactly
-// as before this layer existed.
+// sequential engine. When the pointer is null (host code between runs,
+// replay itself) the helpers apply directly, exactly as before this
+// layer existed.
 //
 // This header is deliberately tiny — only forward declarations — so the
 // sink headers can include it without pulling in the buffer machinery.

@@ -76,16 +76,16 @@ class FlowTable {
   /// Per-stage latency histogram, in first-stamped order.
   struct StageStats {
     std::string name;
-    Log2Histogram ns;
+    Log2Histogram ns{};
   };
 
   /// The latency breakdown of one experiment unit.
   struct Breakdown {
     std::string label;
-    Log2Histogram e2e_ns;            // flow begin -> flow end
-    std::vector<StageStats> stages;  // chain-edge stages, sum == e2e
-    std::uint64_t completed = 0;     // flows that reached end()
-    std::uint64_t abandoned = 0;     // flows still open at unit end
+    Log2Histogram e2e_ns{};            // flow begin -> flow end
+    std::vector<StageStats> stages{};  // chain-edge stages, sum == e2e
+    std::uint64_t completed = 0;       // flows that reached end()
+    std::uint64_t abandoned = 0;       // flows still open at unit end
   };
 
   FlowTable();

@@ -27,12 +27,6 @@ void TimeSeries::sample(SimTime t, const std::map<std::string, double>& values) 
   units_.back().rows.push_back(std::move(row));
 }
 
-std::size_t TimeSeries::sample_count() const {
-  std::size_t n = 0;
-  for (const Unit& u : units_) n += u.rows.size();
-  return n;
-}
-
 std::string TimeSeries::snapshot_json() const {
   std::string out = "{\"timeseries\":[";
   bool first_u = true;

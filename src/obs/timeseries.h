@@ -40,8 +40,6 @@ class TimeSeries {
   /// name-ordered map, so the row serializes deterministically.
   void sample(SimTime t, const std::map<std::string, double>& values);
 
-  std::size_t sample_count() const;
-
   /// Deterministic JSON: every non-empty unit with its rows in
   /// recording order, values name-sorted.
   std::string snapshot_json() const;
@@ -50,11 +48,11 @@ class TimeSeries {
  private:
   struct Row {
     SimTime t;
-    std::vector<std::pair<std::string, double>> values;
+    std::vector<std::pair<std::string, double>> values{};
   };
   struct Unit {
     std::string label;
-    std::vector<Row> rows;
+    std::vector<Row> rows{};
   };
   std::vector<Unit> units_;
 };

@@ -195,9 +195,4 @@ std::uint64_t Fabric::upstream_bytes(EndpointId id) const {
   return ports_[id].up->bytes_carried();
 }
 
-std::uint64_t Fabric::downstream_bytes(EndpointId id) const {
-  assert(id > 0 && id < ports_.size());
-  return ports_[id].down->bytes_carried();
-}
-
 }  // namespace pg::pcie

@@ -101,7 +101,6 @@ class Fabric {
 
   /// Wire statistics for tests and the ablation benches.
   std::uint64_t upstream_bytes(EndpointId id) const;
-  std::uint64_t downstream_bytes(EndpointId id) const;
   std::uint64_t transactions() const { return transactions_; }
 
  private:

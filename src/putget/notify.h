@@ -250,9 +250,6 @@ class NotifyDomain {
   template <typename Pred>
   bool pump_until(int node, Pred pred);
 
-  bool extoll_cmp_pending(int node) const;
-  bool ib_cqe_pending(int node) const;
-
   sys::Cluster* cluster_;
   RmaBackend backend_;
   NotifyOptions options_;

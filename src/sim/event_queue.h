@@ -23,7 +23,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.h"
@@ -33,12 +32,10 @@ namespace pg::sim {
 
 using EventFn = InlineFn;
 
-/// Identifies a scheduled event so it can be cancelled. The id *is* the
-/// event's birth tag: (scheduling counter << 8) | owner shard tag —
+/// An event's birth tag: (scheduling counter << 8) | owner shard tag —
 /// unique across every queue in a sharded group. Bit 63 marks tags
 /// minted from the group-shared counter (see set_shared_seq).
 using EventId = std::uint64_t;
-constexpr EventId kInvalidEventId = 0;
 constexpr EventId kSharedSeqBit = 1ull << 63;
 
 class EventQueue {
@@ -75,15 +72,14 @@ class EventQueue {
   void set_shared_active(bool on) { shared_active_ = on; }
 
   /// Schedules `fn` at absolute time `when`; `birth_time` is the
-  /// caller's clock (Simulation passes now()). Returns an id for
-  /// cancel().
-  EventId schedule_at(SimTime when, SimTime birth_time, EventFn fn);
+  /// caller's clock (Simulation passes now()).
+  void schedule_at(SimTime when, SimTime birth_time, EventFn fn);
 
   /// Clock-less convenience for direct queue use (tests, benches): all
   /// events share birth_time 0, so ordering falls back to pure
   /// scheduling order — the classic (time, seq) behaviour.
-  EventId schedule_at(SimTime when, EventFn fn) {
-    return schedule_at(when, 0, std::move(fn));
+  void schedule_at(SimTime when, EventFn fn) {
+    schedule_at(when, 0, std::move(fn));
   }
 
   /// Mints a birth tag without enqueueing locally — the caller is about
@@ -98,14 +94,16 @@ class EventQueue {
   /// Enqueues an event admitted from another shard, carrying the
   /// sender's birth stamp (take_birth_tag() + the sender's clock). Does
   /// not consume a local sequence number.
-  EventId schedule_admitted(SimTime when, SimTime birth_time,
-                            EventId birth_tag, EventFn fn);
+  void schedule_admitted(SimTime when, SimTime birth_time, EventId birth_tag,
+                         EventFn fn) {
+    push_entry(when, birth_time, birth_tag, std::move(fn));
+  }
 
   /// Enqueues under a full key whose tag this queue already minted with
   /// take_birth_tag() (a parked poller's probe, see Simulation). Neither
   /// consumes a sequence number nor counts toward total_scheduled().
-  EventId schedule_keyed(const Key& key, EventFn fn) {
-    return push_entry(key.time, key.birth_time, key.birth_tag, std::move(fn));
+  void schedule_keyed(const Key& key, EventFn fn) {
+    push_entry(key.time, key.birth_time, key.birth_tag, std::move(fn));
   }
 
   /// The tag the k-th next mint would produce (k = 0: the very next),
@@ -129,32 +127,23 @@ class EventQueue {
     }
   }
 
-  /// Marks an event as cancelled; it is skipped when its time arrives.
-  /// Returns false if the id was never scheduled or already ran.
-  bool cancel(EventId id);
+  bool empty() const { return heap_.empty(); }
 
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
-
-  /// Timestamp of the next live event. Requires !empty().
+  /// Timestamp of the next event. Requires !empty().
   SimTime next_time() const {
-    auto* self = const_cast<EventQueue*>(this);
-    self->drop_cancelled();
     assert(!heap_.empty());
     return heap_.front().time;
   }
 
-  /// Full ordering key of the next live event (for cross-shard merges).
+  /// Full ordering key of the next event (for cross-shard merges).
   /// Requires !empty().
   Key next_key() const {
-    auto* self = const_cast<EventQueue*>(this);
-    self->drop_cancelled();
     assert(!heap_.empty());
     const Entry& top = heap_.front();
     return Key{top.time, top.birth_time, top.tag};
   }
 
-  /// Pops and returns the next live event. Requires !empty().
+  /// Pops and returns the next event. Requires !empty().
   /// (time, birth_time, id) is the event's full ordering key — the
   /// shard-aware observability sinks stamp deferred records with it so
   /// a post-round merge can reconstruct the global execution order.
@@ -165,17 +154,15 @@ class EventQueue {
     EventFn fn;
   };
   Popped pop() {
-    drop_cancelled();
     assert(!heap_.empty());
     return pop_front();
   }
 
-  /// Pops the next live event only if its timestamp is strictly below
+  /// Pops the next event only if its timestamp is strictly below
   /// `cap`; one heap-top inspection and one pop, fused — the window
   /// execution hot path. Returns false (and leaves the queue untouched)
   /// when the queue is empty or the next event is at or past the cap.
   bool pop_if_before(SimTime cap, Popped* out) {
-    drop_cancelled();
     if (heap_.empty() || heap_.front().time >= cap) return false;
     *out = pop_front();
     return true;
@@ -183,16 +170,15 @@ class EventQueue {
 
   std::uint64_t total_scheduled() const { return scheduled_; }
 
-  /// Number of cancelled-but-not-yet-reclaimed entries (bounded: a
-  /// compaction pass runs whenever tombstones exceed half the live
-  /// count, so cancel-heavy workloads cannot grow the heap unboundedly).
-  std::size_t tombstones() const { return cancelled_.size(); }
+  /// Callback slots ever allocated: the peak number of events in flight
+  /// at once (popped slots are recycled).
+  std::size_t slot_capacity() const { return slots_.size(); }
 
  private:
   struct Entry {
     SimTime time;
     SimTime birth_time;
-    EventId tag;         // birth tag, doubles as the event id
+    EventId tag;         // birth tag
     std::uint32_t slot;  // index into slots_
   };
   struct Later {
@@ -212,43 +198,15 @@ class EventQueue {
     return (next_seq_++ << 8) | owner_tag_;
   }
 
-  EventId push_entry(SimTime when, SimTime birth_time, EventId tag,
-                     EventFn fn);
+  void push_entry(SimTime when, SimTime birth_time, EventId tag, EventFn fn);
 
-  /// Discards cancelled entries sitting at the top of the heap. Inline
-  /// fast path: with no tombstones at all (the common steady state) or a
-  /// heap top already vetted (checked_top_ memo), this is two loads and
-  /// no call — every pop and every top inspection runs through here.
-  void drop_cancelled() {
-    if (heap_.empty() || cancelled_.empty() ||
-        heap_.front().tag == checked_top_) {
-      return;
-    }
-    drop_cancelled_slow();
-  }
-  void drop_cancelled_slow();
-
-  /// pop() / pop_if_before() tail: removes the (already vetted) heap
-  /// top. Callers must run drop_cancelled() first.
+  /// pop() / pop_if_before() tail: removes the heap top. Requires
+  /// !empty().
   Popped pop_front();
-
-  /// Removes every tombstoned entry from the heap and re-heapifies.
-  void compact();
-
-  /// Destroys the callable in `slot` and recycles the slot.
-  void release_slot(std::uint32_t slot);
-
-  /// Drops a foreign-branded tag from the live-admitted set when its
-  /// entry leaves the heap (pop, tombstone reclaim, compaction).
-  void retire_tag(EventId tag);
 
   std::vector<Entry> heap_;
   std::vector<EventFn> slots_;             // parked callables
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
-  std::unordered_set<EventId> cancelled_;  // tombstones, O(1) membership
-  std::unordered_set<EventId> admitted_live_;  // foreign-branded entries
-  std::size_t live_count_ = 0;
-  EventId checked_top_ = kInvalidEventId;  // heap top known live
   std::uint64_t next_seq_ = 1;
   std::uint64_t scheduled_ = 0;
   std::uint64_t* shared_seq_ = nullptr;

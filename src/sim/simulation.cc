@@ -307,39 +307,30 @@ Simulation::Step Simulation::advance(std::span<Simulation* const> sims,
 }
 
 std::uint64_t Simulation::run() {
-  stop_requested_ = false;
   const std::uint64_t before = events_executed_;
-  while (!stop_requested_) {
-    const Step s = advance(kNoCap);
-    if (s == Step::kRan) continue;
-    if (s == Step::kStalled) report_stall("run");
-    break;
+  Step s;
+  while ((s = advance(kNoCap)) == Step::kRan) {
   }
+  if (s == Step::kStalled) report_stall("run");
   return events_executed_ - before;
 }
 
 std::uint64_t Simulation::run_until(SimTime deadline) {
-  stop_requested_ = false;
   const std::uint64_t before = events_executed_;
   const SimTime cap = cap_after(deadline);
-  while (!stop_requested_ && advance(cap) == Step::kRan) {
+  while (advance(cap) == Step::kRan) {
   }
   if (now_ < deadline) now_ = deadline;
   return events_executed_ - before;
 }
 
 bool Simulation::run_until_condition(const std::function<bool()>& predicate) {
-  stop_requested_ = false;
   if (predicate()) return true;
-  while (!stop_requested_) {
-    const Step s = advance(kNoCap);
-    if (s == Step::kRan) {
-      if (predicate()) return true;
-      continue;
-    }
-    if (s == Step::kStalled) report_stall("run_until_condition");
-    break;
+  Step s;
+  while ((s = advance(kNoCap)) == Step::kRan) {
+    if (predicate()) return true;
   }
+  if (s == Step::kStalled) report_stall("run_until_condition");
   return predicate();
 }
 

@@ -78,19 +78,16 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedules `fn` to run `delay` after the current time.
-  EventId schedule(SimDuration delay, EventFn fn) {
-    return queue_.schedule_at(now_ + delay, now_, std::move(fn));
+  void schedule(SimDuration delay, EventFn fn) {
+    queue_.schedule_at(now_ + delay, now_, std::move(fn));
   }
 
   /// Schedules `fn` at an absolute timestamp (must be >= now()).
-  EventId schedule_at(SimTime when, EventFn fn) {
-    return queue_.schedule_at(when < now_ ? now_ : when, now_,
-                              std::move(fn));
+  void schedule_at(SimTime when, EventFn fn) {
+    queue_.schedule_at(when < now_ ? now_ : when, now_, std::move(fn));
   }
 
-  bool cancel(EventId id) { return queue_.cancel(id); }
-
-  /// Runs events until the queue drains or `run_stop()` is called.
+  /// Runs events until the queue drains (or the event limit trips).
   /// Returns the number of events executed (skipped probes included).
   /// When nothing but parked pollers is left and none of their
   /// predicates holds, the run can never progress: it reports the
@@ -107,9 +104,6 @@ class Simulation {
   /// predicates, `predicate` must be side-effect free and not read the
   /// clock: it is not re-checked after skipped probes.
   bool run_until_condition(const std::function<bool()>& predicate);
-
-  /// Requests that run()/run_until() return after the current event.
-  void run_stop() { stop_requested_ = true; }
 
   /// No pending work: the heap is empty and no poller is parked.
   bool idle() const { return queue_.empty() && parked_.empty(); }
@@ -272,7 +266,6 @@ class Simulation {
   std::vector<Due> due_;  // settle() scratch of the first sim settled
   SimTime now_ = 0;
   EventQueue::Key current_key_{};
-  bool stop_requested_ = false;
   std::uint64_t events_executed_ = 0;
   std::uint64_t event_limit_ = std::numeric_limits<std::uint64_t>::max();
   bool event_limit_hit_ = false;

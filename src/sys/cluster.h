@@ -88,8 +88,6 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  sim::ShardGroup* shard_group() { return group_.get(); }
-
   /// The Simulation driving node `i`: node i's shard. Code running
   /// inside node i's events reads and schedules on this clock; host code
   /// between runs uses the facade below.

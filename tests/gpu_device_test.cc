@@ -194,7 +194,7 @@ TEST(GpuDevice, CountersTrackInstructionsPerLane) {
   a.movi(Reg(9), 2);
   a.exit();
   Program p = f.make(a);
-  f.run({.program = &p, .blocks = 1, .threads_per_block = 8});
+  f.run({.program = &p, .blocks = 1, .threads_per_block = 8, .params = {}});
   // 3 instructions x 8 threads.
   EXPECT_EQ(f.gpu->counters().instructions_executed, 24u);
   EXPECT_TRUE(f.gpu->counters().consistent());
@@ -489,7 +489,7 @@ TEST(GpuDevice, LaunchOverheadDelaysExecution) {
   Assembler a("noop");
   a.exit();
   Program p = f.make(a);
-  const SimDuration took = f.run({.program = &p});
+  const SimDuration took = f.run({.program = &p, .params = {}});
   EXPECT_GE(took, f.cfg.launch_overhead);
 }
 

@@ -1,9 +1,9 @@
 // Tests for the conservative parallel discrete-event engine: shard
 // boundary edge cases (zero-latency rejection, same-timestamp cross-
-// shard ordering, shard-local cancels), exact-stop semantics of the
-// local-condition wait, thread-count-independence fingerprints on the
-// real multi-node workloads, and byte-identity of every observability
-// sink's serialized output across thread counts.
+// shard ordering), exact-stop semantics of the local-condition wait,
+// thread-count-independence fingerprints on the real multi-node
+// workloads, and byte-identity of every observability sink's serialized
+// output across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -164,25 +164,6 @@ TEST(ShardGroup, RunUntilTimeExecutesInclusiveDeadline) {
   EXPECT_EQ(t.group.now(), nanoseconds(200));
   t.group.run();
   EXPECT_EQ(count, 3);
-}
-
-TEST(ShardGroup, ShardLocalCancelKeepsTombstonesLocal) {
-  TwoShards t(2);
-  // One counter per shard: the two workers run their shards' events
-  // concurrently.
-  int ran_a = 0;
-  int ran_b = 0;
-  const sim::EventId doomed =
-      t.a.schedule(nanoseconds(100), [&] { ran_a += 10; });
-  t.a.schedule(nanoseconds(200), [&] { ran_a += 1; });
-  t.b.schedule(nanoseconds(150), [&] { ran_b += 100; });
-  EXPECT_TRUE(t.a.cancel(doomed));
-  EXPECT_FALSE(t.a.cancel(doomed)) << "double cancel must be a no-op";
-  // A shard never knows another shard's locally minted ids.
-  EXPECT_FALSE(t.b.cancel(doomed));
-  t.group.run();
-  EXPECT_EQ(ran_a, 1);
-  EXPECT_EQ(ran_b, 100);
 }
 
 // --- Cluster-level edge cases ----------------------------------------------

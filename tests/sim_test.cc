@@ -41,17 +41,6 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(1, [&] { ran += 1; });
-  EventId doomed = q.schedule_at(2, [&] { ran += 10; });
-  q.schedule_at(3, [&] { ran += 100; });
-  EXPECT_TRUE(q.cancel(doomed));
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(ran, 101);
-}
-
 TEST(EventQueue, PropertyNeverRunsOutOfOrder) {
   Rng rng(1234);
   EventQueue q;
@@ -66,62 +55,98 @@ TEST(EventQueue, PropertyNeverRunsOutOfOrder) {
   }
 }
 
-TEST(EventQueue, CancelledIdCannotCancelTwice) {
+TEST(EventQueue, PropertyEveryInsertionPathPopsInKeyOrder) {
+  // One queue fed through all four insertion paths at once: local
+  // minting, group-shared minting (toggled on and off), admissions
+  // carrying other shards' tags, and keyed pushes of tags minted with
+  // take_birth_tag(). Tags are checked against an independent model of
+  // the minting rules; every pop must be the smallest in-flight Key and
+  // run its own callback; the slot pool never outgrows the peak number
+  // of events in flight.
+  using Key = EventQueue::Key;
+  auto tup = [](const Key& k) {
+    return std::tuple(k.time, k.birth_time, k.birth_tag);
+  };
+  auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
+  constexpr std::uint8_t kOwner = 3;
+  constexpr std::array<std::uint8_t, 2> kForeign{1, 7};
+
+  Rng rng(2024);
   EventQueue q;
-  EventId id = q.schedule_at(1, [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(kInvalidEventId));
+  std::uint64_t shared_counter = 1;
+  q.set_owner_tag(kOwner);
+  q.set_shared_seq(&shared_counter);
+
+  std::uint64_t local_seq = 1, shared_seq = 1;
+  std::array<std::uint64_t, 2> foreign_seq{1, 1};
+  bool shared_on = false;
+  auto mint = [&]() -> EventId {
+    return shared_on ? kSharedSeqBit | (shared_seq++ << 8) | kOwner
+                     : (local_seq++ << 8) | kOwner;
+  };
+
+  std::vector<std::pair<Key, int>> in_flight;  // key, callback id
+  std::uint64_t counted = 0;
+  std::size_t peak = 0;
+  int ran = -1;
+  SimTime floor = 0;
+  auto pop_and_check = [&](const std::pair<Key, int>& want) {
+    EventQueue::Popped p = q.pop();
+    EXPECT_EQ(tup(Key{p.time, p.birth_time, p.id}), tup(want.first));
+    p.fn();
+    EXPECT_EQ(ran, want.second);
+    floor = p.time;
+  };
+
+  for (int id = 0; id < 4000; ++id) {
+    if (rng.next_below(8) == 0) {
+      shared_on = !shared_on;
+      q.set_shared_active(shared_on);
+    }
+    EventFn fn = [&ran, id] { ran = id; };
+    Key key{floor + static_cast<SimTime>(rng.next_below(32)),
+            static_cast<SimTime>(rng.next_below(4)), 0};
+    switch (rng.next_below(3)) {
+      case 0:
+        key.birth_tag = mint();
+        ++counted;
+        q.schedule_at(key.time, key.birth_time, std::move(fn));
+        break;
+      case 1: {
+        const std::size_t s = rng.next_below(kForeign.size());
+        key.birth_tag = (rng.next_below(2) != 0 ? kSharedSeqBit : 0) |
+                        (foreign_seq[s]++ << 8) | kForeign[s];
+        q.schedule_admitted(key.time, key.birth_time, key.birth_tag,
+                            std::move(fn));
+        break;
+      }
+      default:
+        key.birth_tag = q.take_birth_tag();
+        ++counted;
+        EXPECT_EQ(key.birth_tag, mint());
+        q.schedule_keyed(key, std::move(fn));
+        break;
+    }
+    in_flight.emplace_back(key, id);
+    peak = std::max(peak, in_flight.size());
+
+    for (std::uint64_t n = rng.next_below(3); n > 0 && !q.empty(); --n) {
+      auto next = std::min_element(in_flight.begin(), in_flight.end(), by_key);
+      pop_and_check(*next);
+      in_flight.erase(next);
+    }
+    ASSERT_LE(q.slot_capacity(), peak);
+  }
+
+  // Drain: the rest pops in exactly std::sort order of Key.
+  std::sort(in_flight.begin(), in_flight.end(), by_key);
+  for (const auto& want : in_flight) {
+    ASSERT_FALSE(q.empty());
+    pop_and_check(want);
+  }
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, TombstonesStayBounded) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1024; ++i) {
-    ids.push_back(q.schedule_at(static_cast<SimTime>(i), [] {}));
-  }
-  // A cancel-heavy workload: compaction must keep tombstones below half
-  // the live count (modulo the small fixed floor below which compaction
-  // does not bother).
-  for (int i = 0; i < 960; ++i) {
-    ASSERT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
-    EXPECT_LE(q.tombstones(),
-              std::max<std::size_t>(q.size() / 2, 16));
-  }
-  EXPECT_EQ(q.size(), 64u);
-  // The survivors still pop in order.
-  SimTime last = -1;
-  std::size_t popped = 0;
-  while (!q.empty()) {
-    auto p = q.pop();
-    EXPECT_GT(p.time, last);
-    last = p.time;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 64u);
-}
-
-TEST(EventQueue, CancelInterleavedWithPops) {
-  Rng rng(99);
-  EventQueue q;
-  std::vector<EventId> live;
-  std::uint64_t executed = 0, cancelled = 0, scheduled = 0;
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 40; ++i) {
-      live.push_back(q.schedule_at(
-          static_cast<SimTime>(rng.next_below(500)), [&] { ++executed; }));
-      ++scheduled;
-    }
-    for (int i = 0; i < 10 && !live.empty(); ++i) {
-      const std::size_t pick = rng.next_below(live.size());
-      if (q.cancel(live[pick])) ++cancelled;
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    }
-    for (int i = 0; i < 20 && !q.empty(); ++i) q.pop().fn();
-  }
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(executed + cancelled, scheduled);
+  EXPECT_EQ(q.total_scheduled(), counted);
+  EXPECT_EQ(q.slot_capacity(), peak);
 }
 
 TEST(InlineFn, SmallCapturesStayCallableThroughMoves) {
