@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "common/bitops.h"
 #include "common/log.h"
@@ -75,6 +76,41 @@ struct Gpu::WarpExec {
   // Posted stores copy what they need instead.
   std::vector<LaneAccess> scratch;
   std::vector<std::uint64_t> sectors;
+
+  // Spin-loop parking. resumed_pc: the spin load whose completion began
+  // the running slice (-1 otherwise). spin_mask / spin_regs: the last
+  // issue of a spin load, with the registers its body writes
+  // (lane-major). While parked, spin_load is the load and spin_sample
+  // the bytes under each loaded lane.
+  int resumed_pc = -1;
+  LaneMask spin_mask = 0;
+  std::vector<std::uint64_t> spin_regs;
+  const Decoded* spin_load = nullptr;
+  std::vector<std::uint64_t> spin_sample;
+  std::unique_ptr<SpinPoller> poller;  // made at the first park
+};
+
+/// A parked spin loop: its probes are the loop load's completions.
+class Gpu::SpinPoller final : public sim::Poller {
+ public:
+  SpinPoller(Gpu& gpu, WarpExec& w, SimDuration period)
+      : Poller(gpu.sim_, [this] { return gpu_.spin_woken(w_); }, period),
+        gpu_(gpu),
+        w_(w) {}
+
+  void wait(SimDuration period) {
+    interval_ = period;
+    park();
+  }
+
+ private:
+  void probe() override { gpu_.wake_spin(w_); }
+  void skipped(std::uint64_t probes) override {
+    gpu_.credit_spin(w_, probes);
+  }
+
+  Gpu& gpu_;
+  WarpExec& w_;
 };
 
 struct Gpu::StreamState {
@@ -301,7 +337,7 @@ void Gpu::flow_poll_detect(mem::Addr addr, unsigned width) {
 }
 
 bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                    SimDuration& dt) {
+                    SimDuration& dt, bool iterated) {
   using LaneAccess = WarpExec::LaneAccess;
   WarpState& ws = w->state;
   std::vector<LaneAccess>& lanes = w->scratch;
@@ -364,47 +400,20 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
       obs::instant(name_.c_str(), "poll", "l2-read", sim_.now() + dt,
                    {{"addr", lanes.front().addr}, {"hit", all_hit}});
     }
+    // A spin loop at its fixed point: the completion this issue would
+    // schedule is one period away and changes nothing, and so is every
+    // one after it until the polled bytes or lines change. Park under
+    // that completion's key instead (tracing and flow scans want every
+    // probe as a real event, so those runs stay explicit).
+    if (in.spin_len != 0 && spin_repeats(*w, in, iterated && all_hit) &&
+        !obs::enabled() && obs::flows() == nullptr) {
+      park_spin(w, in, dt + latency);
+      return true;
+    }
     // Sample at completion: NIC writes landing during the access latency
     // are observed, matching hardware where the L2 serves the request.
     // The warp is parked, so the continuation reads w->scratch in place.
-    sim_.schedule(dt + latency, [this, w, &in] {
-      const std::vector<LaneAccess>& lns = w->scratch;
-      // Coalesced fast path: when every active lane hits one backing
-      // page (the common case: warp-uniform polls and unit-stride
-      // accesses), resolve the page once instead of per lane. Data-only;
-      // every counter was already updated at issue.
-      Addr lo = lns.front().addr;
-      Addr hi = lo;
-      for (const auto& la : lns) {
-        lo = std::min(lo, la.addr);
-        hi = std::max(hi, la.addr);
-      }
-      const std::uint64_t off = lo - AddressMap::kGpuDramBase;
-      const std::uint64_t len = hi + in.width - lo;
-      const mem::SparseMemory& dram = memory_.gpu_dram();
-      if (off / mem::SparseMemory::kPageSize ==
-          (off + len - 1) / mem::SparseMemory::kPageSize) {
-        if (const std::uint8_t* base = dram.span_in_page(off, len)) {
-          for (const auto& la : lns) {
-            std::uint64_t v = 0;
-            std::memcpy(&v, base + (la.addr - lo), in.width);
-            w->state.set_reg(la.lane, in.rd, sign_extend_none(v, in.width));
-          }
-        } else {  // page absent: reads as zero
-          for (const auto& la : lns) w->state.set_reg(la.lane, in.rd, 0);
-        }
-      } else {
-        for (const auto& la : lns) {
-          w->state.set_reg(la.lane, in.rd, load_backed(*w, la.addr, in.width));
-        }
-      }
-      // The sample above reflects every write landed by now, so if a
-      // lifecycle is parked under a polled lane this is the load that
-      // detected it.
-      flow_poll_detect(*w, in.width);
-      w->state.set_pc(w->state.pc() + 1);
-      run_warp(w);
-    });
+    sim_.schedule(dt + latency, [this, w, &in] { complete_l2_load(w, in); });
     return true;
   }
 
@@ -452,6 +461,142 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     });
     return true;
   }
+}
+
+void Gpu::complete_l2_load(const std::shared_ptr<WarpExec>& w,
+                           const Decoded& in) {
+  const std::vector<WarpExec::LaneAccess>& lns = w->scratch;
+  // Coalesced fast path: when every active lane hits one backing page
+  // (the common case: warp-uniform polls and unit-stride accesses),
+  // resolve the page once instead of per lane. Data-only; every counter
+  // was already updated at issue.
+  Addr lo = lns.front().addr;
+  Addr hi = lo;
+  for (const auto& la : lns) {
+    lo = std::min(lo, la.addr);
+    hi = std::max(hi, la.addr);
+  }
+  const std::uint64_t off = lo - AddressMap::kGpuDramBase;
+  const std::uint64_t len = hi + in.width - lo;
+  const mem::SparseMemory& dram = memory_.gpu_dram();
+  if (off / mem::SparseMemory::kPageSize ==
+      (off + len - 1) / mem::SparseMemory::kPageSize) {
+    if (const std::uint8_t* base = dram.span_in_page(off, len)) {
+      for (const auto& la : lns) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, base + (la.addr - lo), in.width);
+        w->state.set_reg(la.lane, in.rd, sign_extend_none(v, in.width));
+      }
+    } else {  // page absent: reads as zero
+      for (const auto& la : lns) w->state.set_reg(la.lane, in.rd, 0);
+    }
+  } else {
+    for (const auto& la : lns) {
+      w->state.set_reg(la.lane, in.rd, load_backed(*w, la.addr, in.width));
+    }
+  }
+  // The sample above reflects every write landed by now, so if a
+  // lifecycle is parked under a polled lane this is the load that
+  // detected it.
+  flow_poll_detect(*w, in.width);
+  if (in.spin_len != 0) w->resumed_pc = w->state.pc();
+  w->state.set_pc(w->state.pc() + 1);
+  run_warp(w);
+}
+
+// ---------------------------------------------------------------------------
+// Spin-loop parking.
+
+bool Gpu::spin_repeats(WarpExec& w, const Decoded& in, bool iterated) {
+  // Only the registers the body writes can differ between two issues of
+  // its load: everything else the body reads is constant. So equal
+  // written registers (and an equal sample) make the next iteration a
+  // copy of the last one. Every spin-load issue records, so when this
+  // slice iterated, the record is this load's previous issue.
+  const WarpState& ws = w.state;
+  const Decoded* body = w.block->launch->code + in.target;
+  bool same = iterated && w.spin_mask == ws.mask();
+  std::vector<std::uint64_t>& regs = w.spin_regs;
+  std::size_t i = 0;
+  ws.for_each_active([&](unsigned lane) {
+    // The closing branch (the last op) writes nothing.
+    for (unsigned k = 0; k + 1 < in.spin_len; ++k) {
+      const std::uint64_t v = ws.reg(lane, body[k].rd);
+      if (i == regs.size()) {
+        regs.push_back(v);
+        same = false;
+      } else if (regs[i] != v) {
+        regs[i] = v;
+        same = false;
+      }
+      ++i;
+    }
+  });
+  regs.resize(i);
+  w.spin_mask = ws.mask();
+  return same;
+}
+
+void Gpu::park_spin(const std::shared_ptr<WarpExec>& w, const Decoded& in,
+                    SimDuration period) {
+  WarpExec& x = *w;
+  x.spin_load = &in;
+  // Nothing ran since the completion that sampled these bytes.
+  x.spin_sample.clear();
+  for (const auto& la : x.scratch) {
+    x.spin_sample.push_back(memory_.load_scalar(la.addr, in.width));
+  }
+  if (!x.poller) x.poller = std::make_unique<SpinPoller>(*this, x, period);
+  x.poller->wait(period);
+  spinning_.push_back(w);
+}
+
+bool Gpu::spin_woken(const WarpExec& w) const {
+  const unsigned width = w.spin_load->width;
+  for (std::size_t i = 0; i < w.scratch.size(); ++i) {
+    if (memory_.load_scalar(w.scratch[i].addr, width) != w.spin_sample[i]) {
+      return true;
+    }
+  }
+  return std::any_of(w.sectors.begin(), w.sectors.end(),
+                     [this](std::uint64_t s) { return !l2_.holds(s * 32); });
+}
+
+void Gpu::wake_spin(WarpExec& w) {
+  const auto it = std::find_if(
+      spinning_.begin(), spinning_.end(),
+      [&w](const std::shared_ptr<WarpExec>& p) { return p.get() == &w; });
+  assert(it != spinning_.end());
+  std::shared_ptr<WarpExec> self = std::move(*it);
+  *it = std::move(spinning_.back());
+  spinning_.pop_back();
+  complete_l2_load(self, *w.spin_load);
+}
+
+void Gpu::credit_spin(const WarpExec& w, std::uint64_t probes) {
+  // Each skipped probe is one completion plus one pass of the body: every
+  // body instruction on every active lane, one uniform branch, and the
+  // next issue of the load, whose sectors all hit.
+  const Decoded& in = *w.spin_load;
+  const std::uint64_t lanes = w.scratch.size();
+  const std::uint64_t sectors = w.sectors.size();
+  counters_.instructions_executed += probes * in.spin_len * lanes;
+  counters_.branches += probes;
+  counters_.memory_accesses += probes * lanes;
+  if (in.width == 8) {
+    counters_.globmem_read64 += probes * lanes;
+  } else {
+    counters_.globmem_read_other += probes * lanes;
+  }
+  counters_.l2_read_requests += probes * sectors;
+  counters_.l2_read_hits += probes * sectors;
+  // LRU: only the last probe's touches decide the lines' stamps.
+  l2_.credit_hits((probes - 1) * sectors);
+  for (std::uint64_t s : w.sectors) {
+    [[maybe_unused]] const bool hit = l2_.access(s * 32, /*is_write=*/false);
+    assert(hit && "a parked spin loop's line left the L2");
+  }
+  if (obs::metrics()) obs::count("gpu.l2_loads", probes);
 }
 
 void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
@@ -642,6 +787,9 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
 #endif
   SimDuration dt = 0;
   unsigned steps = 0;
+  // The spin load whose completion began this slice, while the slice
+  // stays inside that load's loop body.
+  int resumed = std::exchange(w->resumed_pc, -1);
   while (steps < cfg_.max_inline_steps) {
     if (ws.done()) {
       retire_warp(w, dt);
@@ -650,6 +798,12 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
     if (ws.maybe_reconverge()) continue;
     assert(static_cast<std::size_t>(ws.pc()) < code_size);
     const Decoded& in = code[ws.pc()];
+    if (resumed >= 0) {
+      const Decoded& ld = code[resumed];
+      if (ws.pc() < ld.target || ws.pc() >= ld.target + ld.spin_len) {
+        resumed = -1;
+      }
+    }
     counters_.instructions_executed += ws.active_count();
     dt += issue_cost();
     ++steps;
@@ -865,7 +1019,7 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
         return;  // parked until the barrier releases
       }
       case XOp::kLd:
-        if (exec_load(w, in, dt)) return;
+        if (exec_load(w, in, dt, resumed == ws.pc())) return;
         break;
       case XOp::kSt:
         exec_store(w, in, dt);

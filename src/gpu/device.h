@@ -17,6 +17,21 @@
 //     are posted.
 //   - Inter-warp issue contention is not modelled; contention appears at
 //     the L2/fabric/NIC where the paper's experiments actually stress it.
+//   - Spin loops on device memory (the pollOnGPU tail poll, the bufOnGPU
+//     CQE spin) cost one event per probe only until they reach a fixed
+//     point. When a loop's load (marked at predecode, gpu/program.h)
+//     hits in L2 with the mask unchanged and every register its body
+//     writes equal to one iteration earlier, the next completion is
+//     exactly one period away (body issue + l2_hit_cycles), and the warp
+//     parks on a sim::Poller under that completion's birth key instead of
+//     scheduling it. It wakes, as a real event on the probe lattice, at
+//     the first probe where the loaded bytes differ from the parked
+//     sample or a loaded line left the L2; every skipped probe is
+//     credited in closed form (counters, L2 LRU, gpu.l2_loads, events).
+//     System-memory and MMIO polls stay explicit (real PCIe reads that
+//     contend for the link), and so does every warp while a trace
+//     recorder or flow tracker is attached (per-probe instants and flow
+//     scans), which makes each traced run an explicit-probe reference.
 //
 // Coherence: the L2 is tags-only; data is always sampled from the backing
 // store at access-completion time. Inbound DMA writes invalidate matching
@@ -113,9 +128,14 @@ class Gpu : public pcie::Endpoint {
   struct BlockState;
   struct WarpExec;
   struct StreamState;
+  class SpinPoller;
 
   void start_launch(std::shared_ptr<LaunchState> ls);
   void run_warp(std::shared_ptr<WarpExec> w);
+  /// Completion of a device-memory load: samples every lane, then
+  /// resumes the warp.
+  void complete_l2_load(const std::shared_ptr<WarpExec>& w,
+                        const Decoded& in);
   void retire_warp(const std::shared_ptr<WarpExec>& w, SimDuration dt);
 
   SimDuration cycles(std::uint32_t n) const {
@@ -144,9 +164,24 @@ class Gpu : public pcie::Endpoint {
                     std::uint64_t value);
 
   /// Executes LD for the warp; returns true if the warp was suspended
-  /// (continuation scheduled) and the caller must stop the inline slice.
+  /// (continuation scheduled or parked) and the caller must stop the
+  /// inline slice. `iterated`: the slice ran exactly one pass of the
+  /// load's spin loop since the load's previous completion.
   bool exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                 SimDuration& dt);
+                 SimDuration& dt, bool iterated);
+
+  // Spin-loop parking (see the timing model above).
+  /// Records the registers the spin body writes; true when this issue
+  /// repeats the previous one (iterated, same mask, same registers).
+  /// Called at every issue of a spin load.
+  bool spin_repeats(WarpExec& w, const Decoded& in, bool iterated);
+  void park_spin(const std::shared_ptr<WarpExec>& w, const Decoded& in,
+                 SimDuration period);
+  /// Wake predicate: a loaded lane's bytes changed or a loaded line left
+  /// the L2. Side-effect free, never reads the clock.
+  bool spin_woken(const WarpExec& w) const;
+  void wake_spin(WarpExec& w);
+  void credit_spin(const WarpExec& w, std::uint64_t probes);
   void exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
                   SimDuration& dt);
   bool exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
@@ -172,6 +207,9 @@ class Gpu : public pcie::Endpoint {
   };
   std::uint32_t sysmem_reads_in_flight_ = 0;
   std::deque<SysmemReadJob> sysmem_read_queue_;
+  // Parked spinning warps: no event holds them while they wait, so the
+  // GPU does.
+  std::vector<std::shared_ptr<WarpExec>> spinning_;
 };
 
 }  // namespace pg::gpu

@@ -40,6 +40,16 @@ bool L2Cache::access(mem::Addr addr, bool is_write) {
   return false;
 }
 
+bool L2Cache::holds(mem::Addr addr) const {
+  const std::uint64_t line = line_addr(addr);
+  const Line* slot =
+      &lines_[static_cast<std::size_t>(set_of(line)) * cfg_.ways];
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    if (slot[w].valid && slot[w].tag == line) return true;
+  }
+  return false;
+}
+
 void L2Cache::invalidate_range(mem::Addr addr, std::uint64_t len) {
   if (len == 0) return;
   const std::uint64_t first = line_addr(addr);

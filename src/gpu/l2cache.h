@@ -34,6 +34,18 @@ class L2Cache {
   /// Returns true on hit.
   bool access(mem::Addr addr, bool is_write);
 
+  /// True when the line containing `addr` is cached. A pure query: no
+  /// LRU update, no counters.
+  bool holds(mem::Addr addr) const;
+
+  /// Accounts `n` read hits whose lines are re-stamped by a later
+  /// access(): advances the LRU clock and the hit count. A parked spin
+  /// loop's skipped probes are credited this way (gpu/device.h).
+  void credit_hits(std::uint64_t n) {
+    clock_ += n;
+    hits_ += n;
+  }
+
   /// Invalidates every line overlapping [addr, addr+len) — the DMA-write
   /// coherence action.
   void invalidate_range(mem::Addr addr, std::uint64_t len);

@@ -1,5 +1,6 @@
 #include "gpu/program.h"
 
+#include <cstdint>
 #include <cstdio>
 
 namespace pg::gpu {
@@ -184,6 +185,36 @@ XOp predecode_op(const Instr& in) {
   return XOp::kNop;
 }
 
+/// Ops a spin-loop body may hold besides its load and closing branch:
+/// register-only computations that do not read the clock.
+bool spin_body_op(XOp op) {
+  return op <= XOp::kSregWarpId && op != XOp::kSregClock;
+}
+
+/// Marks the load of every spin loop (see Decoded).
+void mark_spin_loops(std::vector<Decoded>& code) {
+  for (std::size_t b = 0; b < code.size(); ++b) {
+    const Decoded& br = code[b];
+    if (br.op != XOp::kBraIfTrue && br.op != XOp::kBraIfFalse) continue;
+    const auto head = static_cast<std::size_t>(br.target);
+    const std::size_t len = b - head + 1;
+    if (head > b || len > UINT8_MAX) continue;
+    std::size_t ld = code.size();
+    bool ok = true;
+    for (std::size_t i = head; i < b && ok; ++i) {
+      if (code[i].op == XOp::kLd) {
+        ok = ld == code.size();
+        ld = i;
+      } else {
+        ok = spin_body_op(code[i].op);
+      }
+    }
+    if (!ok || ld == code.size()) continue;
+    code[ld].spin_len = static_cast<std::uint8_t>(len);
+    code[ld].target = br.target;
+  }
+}
+
 }  // namespace
 
 const std::vector<Decoded>& Program::decoded() const {
@@ -202,6 +233,7 @@ const std::vector<Decoded>& Program::decoded() const {
     if (in.op == Op::kShlI || in.op == Op::kShrI) d.imm &= 63;
     decoded_.push_back(d);
   }
+  mark_spin_loops(decoded_);
   return decoded_;
 }
 

@@ -38,12 +38,21 @@ enum class XOp : std::uint8_t {
 /// One predecoded instruction: secondary decode and immediate casts are
 /// done once at predecode time instead of millions of times in the
 /// interpreter loop. Shift immediates arrive pre-masked to 6 bits.
+///
+/// Spin loops are classified here too: a backward conditional branch
+/// whose body [target, branch] holds exactly one LD and otherwise only
+/// ALU, SETP and non-clock SREG ops (no store, atomic, barrier, membar,
+/// ssy, call/ret/exit or other branch). That LD gets `spin_len`, the
+/// body's instruction count, and `target`, the loop head; the GPU may
+/// park a warp whose iterations of it stop changing anything (see
+/// gpu/device.h).
 struct Decoded {
   XOp op = XOp::kNop;
   std::uint8_t rd = 0;
   std::uint8_t ra = 0;
   std::uint8_t rb = 0;
   std::uint8_t width = 8;
+  std::uint8_t spin_len = 0;  // LD only: its spin loop's length, or 0
   std::int32_t target = -1;
   std::uint64_t imm = 0;
 };

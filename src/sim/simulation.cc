@@ -9,9 +9,7 @@ namespace pg::sim {
 
 Poller::Poller(Simulation& sim, std::function<bool()> predicate,
                SimDuration interval)
-    : sim_(sim), predicate_(std::move(predicate)), interval_(interval) {
-  assert(interval_ > 0 && "a zero poll interval never lets time advance");
-}
+    : sim_(sim), predicate_(std::move(predicate)), interval_(interval) {}
 
 Poller::~Poller() {
   if (parked_) sim_.unpark(*this);
@@ -21,6 +19,7 @@ void Poller::park() { sim_.park(*this); }
 
 void Simulation::park(Poller& p) {
   assert(!p.parked_);
+  assert(p.interval_ > 0 && "a zero poll interval never lets time advance");
   // Exactly what scheduling the next probe would have done: one tag
   // minted and one event counted, now.
   p.next_ = EventQueue::Key{now_ + p.interval_, now_,
@@ -80,6 +79,7 @@ void Simulation::skip_probe(Poller& p) {
   ++p.probes_;
   p.next_ = EventQueue::Key{k.time + p.interval_, k.time,
                             queue_.take_birth_tag()};
+  p.skipped(1);
 }
 
 Simulation::Settle Simulation::settle(SimTime cap) {
@@ -167,6 +167,12 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     if (tj < ti) return !before_batch(i.next_.birth_tag);
     return before_batch(j.next_.birth_tag);
   };
+  // Does j's probe execute before i's at one time? A longer interval
+  // means an earlier birth; the same interval means the same phase.
+  auto goes_first = [&](const Poller& j, const Poller& i) {
+    return j.interval_ > i.interval_ ||
+           (j.interval_ == i.interval_ && j_first(j, i));
+  };
   // Probes of j that precede poller i's probe at time t.
   auto preceding = [&](const Poller& j, SimTime t, const Poller& i) {
     const SimTime tj = j.next_.time;
@@ -174,9 +180,7 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     const SimDuration d = t - tj;
     const auto whole = static_cast<std::uint64_t>(d / j.interval_);
     if (d % j.interval_ != 0) return whole + 1;
-    const bool first = j.interval_ > i.interval_ ||
-                       (j.interval_ == i.interval_ && j_first(j, i));
-    return whole + (first ? 1 : 0);
+    return whole + (goes_first(j, i) ? 1 : 0);
   };
   // Merged-order rank of poller k's probe m. The batch is a prefix of
   // the merged order, so everything preceding a batch probe is in it.
@@ -241,13 +245,22 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     return Settle::kOk;
   }
 
-  // New keys first (tag_ahead reads the counter, rank the old keys),
-  // then the credits, each to the sim that owns the poller.
+  // The batch in the merged order of each poller's last probe: the
+  // order the credits below apply in, so skipped() hooks that share
+  // model state (one GPU's L2 LRU) see execution order.
+  for (Due& d : due) {
+    d.last = d.poller->next_.time +
+             static_cast<SimTime>(d.probes - 1) * d.poller->interval_;
+  }
+  std::sort(due.begin(), due.end(), [&](const Due& a, const Due& b) {
+    if (a.last != b.last) return a.last < b.last;
+    return goes_first(*a.poller, *b.poller);
+  });
+
+  // New keys next (tag_ahead reads the counter, rank the old keys).
   for (std::size_t k = 0; k < n; ++k) {
     Due& d = due[k];
-    const SimTime t_last = d.poller->next_.time +
-                           static_cast<SimTime>(d.probes - 1) * d.poller->interval_;
-    d.next = EventQueue::Key{t_last + d.poller->interval_, t_last,
+    d.next = EventQueue::Key{d.last + d.poller->interval_, d.last,
                              tag_at(k, rank(k, d.probes - 1))};
   }
   for (const Due& d : due) {
@@ -258,6 +271,7 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     s.events_executed_ += d.probes;
     p.next_ = d.next;
     p.probes_ += d.probes;
+    p.skipped(d.probes);
   }
   return Settle::kOk;
 }

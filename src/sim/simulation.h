@@ -11,19 +11,21 @@
 // events crossing shards enter through schedule_admitted() carrying the
 // sender's birth stamp.
 //
-// Host polling loops (Poller, implemented by sim::PollUntil) do not put
-// their probes through the heap. After a false probe a poller *parks*,
-// holding the birth key its next probe would have had. Before every real
-// event the run loops evaluate each parked predicate whose next probe
-// precedes that event, once: a poller whose predicate holds gets its
-// probe pushed into the heap under that exact key; every other poller
-// skips past the event in O(1), credited with the probes, sequence
-// numbers and event counts it would have used. Merged execution settles
-// the parked pollers of all shards together, against the smallest heap
-// key of the whole group. Poll predicates only read state and state only
-// changes inside real events, so the skipped probes could not have seen
-// anything else. Execution order, tags, counts and outputs are identical
-// to probing event by event.
+// Polling loops (Poller: host sim::PollUntil coroutines and GPU warp spin
+// loops, gpu/device.h) do not put their probes through the heap. After a
+// false probe a poller *parks*, holding the birth key its next probe
+// would have had. Before every real event the run loops evaluate each
+// parked predicate whose next probe precedes that event, once: a poller
+// whose predicate holds gets its probe pushed into the heap under that
+// exact key; every other poller skips past the event in closed form,
+// credited with the probes, sequence numbers and event counts it would
+// have used, and its skipped() hook credits the model state each probe
+// would have touched (a GPU's counters and L2 LRU). Merged execution
+// settles the parked pollers of all shards together, against the
+// smallest heap key of the whole group. Poll predicates only read state
+// and state only changes inside real events, so the skipped probes could
+// not have seen anything else. Execution order, tags, counts and outputs
+// are identical to probing event by event.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +45,8 @@ class Simulation;
 /// Contract: `predicate` is side-effect free and never reads the clock.
 /// The subclass implements probe() — one probe as executed from the
 /// heap: count it, then either resume (predicate holds) or park().
+/// skipped() credits the model-side effects of false probes the engine
+/// skipped; `interval_` may change between parks.
 class Poller {
  public:
   Poller(const Poller&) = delete;
@@ -55,12 +59,17 @@ class Poller {
 
   virtual void probe() = 0;
 
+  /// Credits `probes` skipped (false) probes. Each call covers one
+  /// settle batch of this poller; calls within a batch come in the merged
+  /// order of each poller's last skipped probe.
+  virtual void skipped(std::uint64_t probes) { (void)probes; }
+
   /// Waits for the next probe, one interval after now(), off the heap.
   void park();
 
   Simulation& sim_;
   std::function<bool()> predicate_;
-  const SimDuration interval_;
+  SimDuration interval_;
   std::uint64_t probes_ = 0;
 
  private:
@@ -237,6 +246,7 @@ class Simulation {
   struct Due {
     Poller* poller;
     std::uint64_t probes = 0;
+    SimTime last = 0;  // time of the last probe
     EventQueue::Key next{};
   };
 

@@ -3,6 +3,8 @@
 // host arithmetic).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.h"
 #include "gpu/assembler.h"
 #include "gpu/program.h"
@@ -70,6 +72,80 @@ TEST(Program, DisassemblyIsReadable) {
 }
 
 // --- WarpState divergence ----------------------------------------------------
+
+TEST(Program, MarksTheLoadOfEverySpinLoop) {
+  // Each loop starts with its load; returns the spin_len marked anywhere
+  // in the program (0: not a spin loop).
+  const Reg addr(4), v(8), p(9), t(10), w(11);
+  auto spin_len_of = [&](const std::function<void(Assembler&)>& body,
+                         bool forward = false) {
+    Assembler a("loop");
+    a.bind("head");
+    a.ld(v, addr, 0, 8);
+    body(a);
+    if (forward) {
+      a.bra_if(p, "out");
+      a.bind("out");
+    } else {
+      a.bra_if(p, "head");
+    }
+    a.exit();
+    auto prog = a.finish();
+    EXPECT_TRUE(prog.is_ok());
+    unsigned marked = 0;
+    for (const Decoded& d : prog->decoded()) marked += d.spin_len;
+    const Decoded& ld = prog->decoded()[0];
+    EXPECT_EQ(ld.spin_len, marked) << "only the first load may be marked";
+    if (ld.spin_len != 0) EXPECT_EQ(ld.target, 0);
+    return marked;
+  };
+  // The device library's poll: ld / setp / bra.
+  EXPECT_EQ(spin_len_of([&](Assembler& a) { a.setpi(Cmp::kEq, p, v, 0); }),
+            3u);
+  // ALU ops and non-clock special registers may ride along.
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.andi(v, v, 0xFF);
+              a.sreg(w, Sreg::kTidX);
+              a.setp(Cmp::kNe, p, v, w);
+            }),
+            5u);
+  // No clock read, second load, store, atomic, membar or other branch.
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.sreg(t, Sreg::kClock);
+              a.setpi(Cmp::kEq, p, v, 0);
+            }),
+            0u);
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.ld(w, addr, 8, 8);
+              a.setp(Cmp::kEq, p, v, w);
+            }),
+            0u);
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.st(addr, v, 8, 8);
+              a.setpi(Cmp::kEq, p, v, 0);
+            }),
+            0u);
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.atom_add(w, addr, v, 8);
+              a.setpi(Cmp::kEq, p, v, 0);
+            }),
+            0u);
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.membar_sys();
+              a.setpi(Cmp::kEq, p, v, 0);
+            }),
+            0u);
+  EXPECT_EQ(spin_len_of([&](Assembler& a) {
+              a.bra_if(w, "skip");
+              a.bind("skip");
+              a.setpi(Cmp::kEq, p, v, 0);
+            }),
+            0u);
+  // A forward branch closes no loop.
+  EXPECT_EQ(spin_len_of([&](Assembler& a) { a.setpi(Cmp::kEq, p, v, 0); },
+                        /*forward=*/true),
+            0u);
+}
 
 TEST(WarpState, StartsWithRequestedLanes) {
   WarpState w4(4);
