@@ -125,8 +125,8 @@ class NetworkLink {
     const SimTime now = ssim.now();
     const SimTime start = std::max(now, dir.busy_until);
     dir.busy_until = start + cfg_.bandwidth.transfer_time(wire_bytes);
-    dir.bytes += frame.size();
-    ++dir.frames;
+    dir.stats.bytes += frame.size();
+    ++dir.stats.frames;
     // Contention + occupancy accounting (passive; no events scheduled).
     if (start > now) {
       ++dir.stats.stalls;
@@ -138,8 +138,6 @@ class NetworkLink {
     }
     dir.stats.queue_depth.record(dir.pending.size());
     dir.pending.push_back(dir.busy_until);
-    dir.stats.frames = dir.frames;
-    dir.stats.bytes = dir.bytes;
     if (meta.hops > 0) {
       ++dir.stats.forwarded_frames;
       dir.stats.forwarded_bytes += frame.size();
@@ -178,8 +176,12 @@ class NetworkLink {
     }
   }
 
-  std::uint64_t bytes_sent(int side) const { return sides_[side].tx.bytes; }
-  std::uint64_t frames_sent(int side) const { return sides_[side].tx.frames; }
+  std::uint64_t bytes_sent(int side) const {
+    return sides_[side].tx.stats.bytes;
+  }
+  std::uint64_t frames_sent(int side) const {
+    return sides_[side].tx.stats.frames;
+  }
   /// Transmit-direction statistics for `side` (the direction side ->
   /// 1-side). Safe to read once the simulation has quiesced.
   const LinkDirStats& dir_stats(int side) const {
@@ -194,8 +196,6 @@ class NetworkLink {
  private:
   struct Direction {
     SimTime busy_until = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t frames = 0;
     LinkDirStats stats;
     std::deque<SimTime> pending;  // serialization-end times of queued frames
   };

@@ -66,7 +66,8 @@ void FlowTable::stage(FlowId id, const char* track, const char* name,
 
   if (TraceRecorder* r = recorder()) {
     const TraceRecorder::TrackId t = r->track(track);
-    r->span(t, "flow", name, b, end, {{"flow", id}});
+    r->span(t, "flow", name, b, end,
+            TraceRecorder::render_args({{"flow", id}}));
     r->flow_event(t, f.announced ? 't' : 's', id, b);
     f.announced = true;
   }

@@ -201,62 +201,67 @@ FlowTable* flows();
 /// Attaches `table` (nullptr to detach). Not thread-safe by design.
 void attach_flows(FlowTable* table);
 
+/// Returns `op(*f)`, the id of a flow-table call, or, inside a shard
+/// window, a provisional id at once: `op` is deferred, and its replay
+/// aliases the provisional id to the canonical id `op` returns then.
+template <typename Op>
+inline FlowId apply_or_defer_id(FlowTable* f, Op op) {
+  ShardOpBuffer* b = shard_ops();
+  if (b == nullptr) return op(*f);
+  const FlowId prov = b->mint_provisional();
+  b->append([prov, op] {
+    if (FlowTable* t = flows()) t->alias(prov, op(*t));
+  });
+  return prov;
+}
+
 inline FlowId flow_begin(SimTime at) {
   FlowTable* f = flows();
   if (f == nullptr) return 0;
-  if (ShardOpBuffer* b = shard_ops()) return defer_flow_begin(b, at);
-  return f->begin(at);
+  return apply_or_defer_id(f, [at](FlowTable& t) { return t.begin(at); });
 }
 
 inline void flow_stage(FlowId id, const char* track, const char* name,
                        SimTime end) {
   if (id == 0) return;
   if (FlowTable* f = flows()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_flow_stage(b, id, track, name, end);
-      return;
-    }
-    f->stage(id, track, name, end);
+    apply_or_defer<flows>(f, [id, track = std::string(track),
+                              name = std::string(name), end](FlowTable& t) {
+      t.stage(id, track.c_str(), name.c_str(), end);
+    });
   }
 }
 
 inline void flow_end(FlowId id, const char* track, SimTime at) {
   if (id == 0) return;
   if (FlowTable* f = flows()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_flow_end(b, id, track, at);
-      return;
-    }
-    f->end(id, track, at);
+    apply_or_defer<flows>(
+        f, [id, track = std::string(track), at](FlowTable& t) {
+          t.end(id, track.c_str(), at);
+        });
   }
 }
 
 inline void flow_push(std::uint64_t key, FlowId id) {
   if (id == 0) return;
   if (FlowTable* f = flows()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_flow_push(b, key, id);
-      return;
-    }
-    f->push(key, id);
+    apply_or_defer<flows>(f, [key, id](FlowTable& t) { t.push(key, id); });
   }
 }
 
 inline FlowId flow_pop(std::uint64_t key) {
   FlowTable* f = flows();
   if (f == nullptr) return 0;
-  if (ShardOpBuffer* b = shard_ops()) return defer_flow_pop(b, key);
-  return f->pop(key);
+  return apply_or_defer_id(f, [key](FlowTable& t) { return t.pop(key); });
 }
 
 inline void flow_step(FlowId id, const char* track, SimTime at) {
   if (id == 0) return;
   if (FlowTable* f = flows()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_flow_step(b, id, track, at);
-      return;
-    }
-    f->step(id, track, at);
+    apply_or_defer<flows>(
+        f, [id, track = std::string(track), at](FlowTable& t) {
+          t.step(id, track.c_str(), at);
+        });
   }
 }
 
@@ -265,18 +270,15 @@ inline void flow_step(FlowId id, const char* track, SimTime at) {
 inline FlowId flow_pop_or_begin(std::uint64_t key, SimTime at) {
   FlowTable* f = flows();
   if (f == nullptr) return 0;
-  if (ShardOpBuffer* b = shard_ops()) return defer_flow_pop_or_begin(b, key, at);
-  return f->pop_or_begin(key, at);
+  return apply_or_defer_id(
+      f, [key, at](FlowTable& t) { return t.pop_or_begin(key, at); });
 }
 
 /// ensure_parked through the deferral layer.
 inline void flow_ensure_parked(std::uint64_t key, SimTime at) {
   if (FlowTable* f = flows()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_flow_ensure_parked(b, key, at);
-      return;
-    }
-    f->ensure_parked(key, at);
+    apply_or_defer<flows>(
+        f, [key, at](FlowTable& t) { t.ensure_parked(key, at); });
   }
 }
 
@@ -284,11 +286,11 @@ inline void flow_ensure_parked(std::uint64_t key, SimTime at) {
 inline void flow_poll_scan(const char* track, SimTime at,
                            const std::uint64_t* keys, std::size_t n) {
   if (FlowTable* f = flows()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_flow_poll_scan(b, track, at, keys, n);
-      return;
-    }
-    f->poll_scan(track, at, keys, n);
+    apply_or_defer<flows>(
+        f, [track = std::string(track), at,
+            keys = std::vector<std::uint64_t>(keys, keys + n)](FlowTable& t) {
+          t.poll_scan(track.c_str(), at, keys.data(), keys.size());
+        });
   }
 }
 

@@ -155,33 +155,30 @@ void attach_metrics(MetricsRegistry* registry);
 /// folded in at the next fence, in global event order.
 inline void count(const char* name, std::uint64_t delta = 1) {
   if (MetricsRegistry* m = metrics()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_count(b, name, delta);
-      return;
-    }
-    m->counter(name).add(delta);
+    apply_or_defer<metrics>(
+        m, [name = std::string(name), delta](MetricsRegistry& reg) {
+          reg.counter(name).add(delta);
+        });
   }
 }
 
 /// Records `value` into histogram `name` if a registry is attached.
 inline void observe(const char* name, std::uint64_t value) {
   if (MetricsRegistry* m = metrics()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_observe(b, name, value);
-      return;
-    }
-    m->histogram(name).record(value);
+    apply_or_defer<metrics>(
+        m, [name = std::string(name), value](MetricsRegistry& reg) {
+          reg.histogram(name).record(value);
+        });
   }
 }
 
 /// Sets gauge `name` if a registry is attached.
 inline void gauge_set(const char* name, double value) {
   if (MetricsRegistry* m = metrics()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_gauge(b, name, value);
-      return;
-    }
-    m->gauge(name).set(value);
+    apply_or_defer<metrics>(
+        m, [name = std::string(name), value](MetricsRegistry& reg) {
+          reg.gauge(name).set(value);
+        });
   }
 }
 

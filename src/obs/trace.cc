@@ -59,30 +59,14 @@ void TraceRecorder::record(Event e) {
 
 void TraceRecorder::span(TrackId track, const char* category,
                          std::string name, SimTime begin, SimTime end,
-                         std::initializer_list<Arg> args) {
-  if (end < begin) end = begin;
-  record(Event{current_unit_, track, 'X', category, std::move(name), begin,
-               end - begin, render_args(args)});
-}
-
-void TraceRecorder::instant(TrackId track, const char* category,
-                            std::string name, SimTime at,
-                            std::initializer_list<Arg> args) {
-  record(Event{current_unit_, track, 'i', category, std::move(name), at, 0,
-               render_args(args)});
-}
-
-void TraceRecorder::span_rendered(TrackId track, const char* category,
-                                  std::string name, SimTime begin, SimTime end,
-                                  std::string args) {
+                         std::string args) {
   if (end < begin) end = begin;
   record(Event{current_unit_, track, 'X', category, std::move(name), begin,
                end - begin, std::move(args)});
 }
 
-void TraceRecorder::instant_rendered(TrackId track, const char* category,
-                                     std::string name, SimTime at,
-                                     std::string args) {
+void TraceRecorder::instant(TrackId track, const char* category,
+                            std::string name, SimTime at, std::string args) {
   record(Event{current_unit_, track, 'i', category, std::move(name), at, 0,
                std::move(args)});
 }

@@ -69,13 +69,14 @@ class TraceRecorder {
   /// belong to it until the next call. Unit 0 exists implicitly.
   void begin_unit(std::string name);
 
-  /// Records a completed span [begin, end] on `track`.
+  /// Records a completed span [begin, end] on `track`. `args` is a
+  /// rendered argument body (render_args).
   void span(TrackId track, const char* category, std::string name,
-            SimTime begin, SimTime end, std::initializer_list<Arg> args = {});
+            SimTime begin, SimTime end, std::string args = {});
 
   /// Records an instant event at `at` on `track`.
   void instant(TrackId track, const char* category, std::string name,
-               SimTime at, std::initializer_list<Arg> args = {});
+               SimTime at, std::string args = {});
 
   /// Records a Chrome flow event: `phase` is 's' (start), 't' (step) or
   /// 'f' (finish). Events sharing `id` are linked with arrows across
@@ -83,16 +84,8 @@ class TraceRecorder {
   /// uses the enclosing-slice binding point). Category is "flow".
   void flow_event(TrackId track, char phase, std::uint64_t id, SimTime at);
 
-  /// span()/instant() with an already-rendered argument body — the
-  /// shard-sink merge replays deferred ops through these (the args were
-  /// rendered at the original call site; see render_args).
-  void span_rendered(TrackId track, const char* category, std::string name,
-                     SimTime begin, SimTime end, std::string args);
-  void instant_rendered(TrackId track, const char* category, std::string name,
-                        SimTime at, std::string args);
-
-  /// Renders an argument list to the JSON object body span() would
-  /// store ("k":v,...; empty for no args).
+  /// Renders an argument list to the JSON object body span() and
+  /// instant() store ("k":v,...; empty for no args).
   static std::string render_args(std::initializer_list<Arg> args);
 
   std::size_t event_count() const { return events_.size(); }
@@ -138,28 +131,37 @@ void attach_recorder(TraceRecorder* rec);
 ///   if (obs::enabled()) obs::span("pcie", "tlp", "write", t0, t1, ...);
 inline bool enabled() { return recorder() != nullptr; }
 
+/// Rewrites every provisional flow id in a rendered "flow" argument to
+/// its canonical id (shard_sink.cc). Replay only: args are rendered at
+/// the call site, before the merge has minted the canonical ids.
+void resolve_flow_args(std::string* args);
+
 inline void span(const char* track, const char* category, std::string name,
                  SimTime begin, SimTime end,
                  std::initializer_list<Arg> args = {}) {
   if (TraceRecorder* r = recorder()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_span(b, track, category, std::move(name), begin, end,
-                 TraceRecorder::render_args(args));
-      return;
-    }
-    r->span(r->track(track), category, std::move(name), begin, end, args);
+    apply_or_defer<recorder>(
+        r, [track = std::string(track), category, name = std::move(name),
+            begin, end, args = TraceRecorder::render_args(args)](
+               TraceRecorder& rec, bool replay) mutable {
+          if (replay) resolve_flow_args(&args);
+          rec.span(rec.track(track), category, std::move(name), begin, end,
+                   std::move(args));
+        });
   }
 }
 
 inline void instant(const char* track, const char* category, std::string name,
                     SimTime at, std::initializer_list<Arg> args = {}) {
   if (TraceRecorder* r = recorder()) {
-    if (ShardOpBuffer* b = shard_ops()) {
-      defer_instant(b, track, category, std::move(name), at,
-                    TraceRecorder::render_args(args));
-      return;
-    }
-    r->instant(r->track(track), category, std::move(name), at, args);
+    apply_or_defer<recorder>(
+        r, [track = std::string(track), category, name = std::move(name), at,
+            args = TraceRecorder::render_args(args)](TraceRecorder& rec,
+                                                     bool replay) mutable {
+          if (replay) resolve_flow_args(&args);
+          rec.instant(rec.track(track), category, std::move(name), at,
+                      std::move(args));
+        });
   }
 }
 

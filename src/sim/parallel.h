@@ -143,7 +143,6 @@ class ShardGroup {
   /// Runs events with timestamps <= deadline in parallel rounds, then
   /// fences every clock at the deadline.
   std::uint64_t run_until_time(SimTime deadline);
-  std::uint64_t run_for(SimDuration d) { return run_until_time(now_ + d); }
 
   /// Drains every shard (or stops on a deadlock, see deadlocked());
   /// fences all clocks at the last event time.

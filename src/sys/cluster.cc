@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -270,21 +271,21 @@ sim::Simulation& Cluster::node_sim(int i) {
 
 // --- Execution facade ------------------------------------------------
 //
-// Without sampling each call maps 1:1 onto the group. With sampling the
-// facade segments the run at fixed sim-time boundaries: run to
+// Every run is segmented at fixed sim-time boundaries: run to
 // min(goal, next boundary), and at each boundary — a fence, so the
-// merged sinks are current — record one telemetry row. The *_before
-// primitives guarantee segmentation never changes which events execute
-// or in what order, only where the engine pauses.
+// merged sinks are current — record one telemetry row. Without sampling
+// the boundary is "never", so each call runs to its goal in one
+// segment. The *_before primitives guarantee segmentation never changes
+// which events execute or in what order, only where the engine pauses.
 
-bool Cluster::sampling_on() const {
-  return sample_every_ > 0 && obs::timeseries() != nullptr;
+SimTime Cluster::sample_deadline() const {
+  const bool sampling = sample_every_ > 0 && obs::timeseries() != nullptr;
+  return sampling ? next_sample_ : std::numeric_limits<SimTime>::max();
 }
 
 bool Cluster::run_until(const std::function<bool()>& predicate) {
-  if (!sampling_on()) return group_->run_until_global(predicate);
   for (;;) {
-    switch (group_->run_until_global_before(predicate, next_sample_)) {
+    switch (group_->run_until_global_before(predicate, sample_deadline())) {
       case sim::ShardGroup::Outcome::kFired:
         return true;
       case sim::ShardGroup::Outcome::kStopped:
@@ -298,11 +299,10 @@ bool Cluster::run_until(const std::function<bool()>& predicate) {
 }
 
 bool Cluster::run_until_each(std::vector<sim::ShardCond> conds) {
-  if (!sampling_on()) return group_->run_until_local(std::move(conds));
   for (;;) {
     // Conditions are monotone (the run_until_local contract), so
     // re-presenting already-fired ones across segments is harmless.
-    switch (group_->run_until_local_before(conds, next_sample_)) {
+    switch (group_->run_until_local_before(conds, sample_deadline())) {
       case sim::ShardGroup::Outcome::kFired:
         return true;
       case sim::ShardGroup::Outcome::kStopped:
@@ -316,16 +316,14 @@ bool Cluster::run_until_each(std::vector<sim::ShardCond> conds) {
 }
 
 std::uint64_t Cluster::run_for(SimDuration d) {
-  if (!sampling_on()) return group_->run_for(d);
   const SimTime goal = now() + d;
   std::uint64_t executed = 0;
-  while (next_sample_ <= goal) {
+  while (sample_deadline() <= goal) {
     executed += group_->run_until_time(next_sample_);
     sample_telemetry();
     next_sample_ += sample_every_;
   }
-  executed += group_->run_until_time(goal);
-  return executed;
+  return executed + group_->run_until_time(goal);
 }
 
 void Cluster::sample_telemetry() {

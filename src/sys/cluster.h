@@ -190,9 +190,10 @@ class Cluster {
   Route first_hop(const std::vector<std::unique_ptr<net::NetworkLink>>& links,
                   int from, int to) const;
 
-  /// True when the facade must segment runs at sample boundaries: a
-  /// positive interval was configured and a TimeSeries is attached.
-  bool sampling_on() const;
+  /// The sample boundary the facade must pause at next: next_sample_
+  /// when a positive interval was configured and a TimeSeries is
+  /// attached, otherwise never (the largest SimTime).
+  SimTime sample_deadline() const;
   /// Records one telemetry row at the current (fenced) clock: per-link
   /// utilization / queue depth, per-backend delivery counts and message
   /// rate over the last interval, flow end-to-end and stage quantiles.
