@@ -1,12 +1,13 @@
 // Tracked simulator-performance baseline.
 //
-// Measures the host-time cost of the three simulation hot paths (event
-// engine, PTX-lite interpreter, sparse memory), the end-to-end
-// wall-clock of the two heaviest figure sweeps, and the parallel-engine
-// scaling matrix (the halo workload on a ring of PEs, nodes x threads,
-// every cell hard-gated to the threads=1 fingerprint), and writes the
-// numbers to a JSON file (default BENCH_simcore.json) so CI can archive
-// them and regressions show up as a diff, not an anecdote.
+// Measures the host-time cost of the simulation hot paths (event
+// engine, parked-poller settle, PTX-lite interpreter, sparse memory),
+// the end-to-end wall-clock of the two heaviest figure sweeps, and the
+// parallel-engine scaling matrix (the halo workload on a ring of PEs,
+// nodes x threads, every cell hard-gated to the threads=1 fingerprint),
+// and writes the numbers to a JSON file (default BENCH_simcore.json) so
+// CI can archive them and regressions show up as a diff, not an
+// anecdote.
 //
 //   simcore_perf [--json=FILE]
 //
@@ -27,6 +28,7 @@
 #include "pcie/fabric.h"
 #include "putget/extoll_experiments.h"
 #include "shmem/workloads.h"
+#include "sim/coro.h"
 #include "sim/simulation.h"
 #include "sys/testbed.h"
 
@@ -67,6 +69,51 @@ double bench_event_queue_ns(std::uint64_t* events_out) {
       std::chrono::duration<double, std::nano>(Clock::now() - start).count();
   *events_out = kEvents;
   return ns / static_cast<double>(kEvents);
+}
+
+sim::SimTask wait_for_flag(sim::Simulation& sim, const bool& flag) {
+  co_await sim::PollUntil{sim, [&flag] { return flag; }, nanoseconds(60)};
+}
+
+/// Parked-poller settle: host ns per due poller credited. 32 PollUntil
+/// loops with one interval (60 ns, staggered phases) wait on a flag that
+/// a self-rescheduling event chain sets after its last event. The
+/// chain's 500 ns period spans several probes, so every chain event
+/// settles all 32 pollers as one batch; its own dispatch cost is shared
+/// among them.
+double bench_settle_ns_per_due_poller(std::uint64_t* credits_out) {
+  constexpr std::uint64_t kEvents = 100'000;
+  constexpr unsigned kPollers = 32;
+  sim::Simulation sim;
+  bool flag = false;
+  std::vector<sim::SimTask> tasks;
+  for (unsigned p = 0; p < kPollers; ++p) {
+    sim.schedule(nanoseconds(p), [&sim, &flag, &tasks] {
+      tasks.push_back(wait_for_flag(sim, flag));
+    });
+  }
+  std::uint64_t remaining = kEvents;
+  struct Pump {
+    sim::Simulation* sim;
+    std::uint64_t* remaining;
+    bool* flag;
+    void operator()() const {
+      if (--*remaining == 0) {
+        *flag = true;
+        return;
+      }
+      sim->schedule(nanoseconds(500), *this);
+    }
+  };
+  sim.schedule(nanoseconds(kPollers), Pump{&sim, &remaining, &flag});
+  const auto start = Clock::now();
+  sim.run();
+  const double ns =
+      std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+  // Every chain event but the first (at 32 ns, before any probe is due)
+  // settles one batch.
+  *credits_out = (kEvents - 1) * kPollers;
+  return ns / static_cast<double>(*credits_out);
 }
 
 /// Interpreter: a tight dependent ALU loop, the instruction mix the
@@ -342,7 +389,8 @@ int main(int argc, char** argv) {
       json_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--list") == 0) {
       std::printf("simcore-perf\n");
-      for (const char* s : {"event queue", "interpreter", "sparse memory",
+      for (const char* s : {"event queue", "parked-poller settle",
+                            "interpreter", "sparse memory",
                             "fig1 latency sweep", "fig2 msgrate sweep",
                             "pdes scaling matrix",
                             "traced pdes scaling (byte-parity gated)"}) {
@@ -355,8 +403,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::uint64_t events = 0, instrs = 0, bytes = 0;
+  std::uint64_t events = 0, credits = 0, instrs = 0, bytes = 0;
   const double event_ns = bench_event_queue_ns(&events);
+  const double settle_ns = bench_settle_ns_per_due_poller(&credits);
   const double instr_per_s = bench_interpreter_instr_per_s(&instrs);
   const double mem_mb_per_s = bench_memory_mb_per_s(&bytes);
   const double fig1_ms = bench_fig1_wall_ms();
@@ -367,6 +416,8 @@ int main(int argc, char** argv) {
   std::printf("simcore_perf - simulator host-performance baseline\n");
   std::printf("  event queue        %10.1f ns/event   (%llu events)\n",
               event_ns, static_cast<unsigned long long>(events));
+  std::printf("  settle             %10.1f ns/due poller (%llu credits)\n",
+              settle_ns, static_cast<unsigned long long>(credits));
   std::printf("  interpreter        %10.2f Minstr/s   (%llu instrs)\n",
               instr_per_s / 1e6, static_cast<unsigned long long>(instrs));
   std::printf("  sparse memory      %10.1f MB/s       (%llu bytes)\n",
@@ -390,11 +441,13 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\"bench\":\"simcore_perf\",\"metrics\":{"
                  "\"event_queue_ns_per_event\":%.3f,"
+                 "\"settle_ns_per_due_poller\":%.3f,"
                  "\"interpreter_instr_per_s\":%.1f,"
                  "\"sparse_memory_mb_per_s\":%.1f,"
                  "\"fig1_extoll_latency_wall_ms\":%.3f,"
                  "\"fig2_extoll_msgrate_wall_ms\":%.3f},\n",
-                 event_ns, instr_per_s, mem_mb_per_s, fig1_ms, fig2_ms);
+                 event_ns, settle_ns, instr_per_s, mem_mb_per_s, fig1_ms,
+                 fig2_ms);
     std::fprintf(f,
                  " \"pdes\":{\"workload\":\"halo2d-ring/extoll\","
                  "\"tile\":%u,\"iterations\":%u,\"reps\":%d,"

@@ -26,9 +26,12 @@ void Simulation::park(Poller& p) {
                             queue_.take_birth_tag()};
   p.parked_ = true;
   parked_.push_back(&p);
+  lower_floor(p.next_);
 }
 
 void Simulation::unpark(Poller& p) {
+  // The floor may now lie below every remaining key: still a lower
+  // bound, it costs at most one scan.
   p.parked_ = false;
   std::erase(parked_, &p);
 }
@@ -83,8 +86,8 @@ void Simulation::skip_probe(Poller& p) {
 }
 
 Simulation::Settle Simulation::settle(SimTime cap) {
-  if (parked_.empty()) return Settle::kOk;
   EventQueue::Key bound{cap, std::numeric_limits<SimTime>::min(), 0};
+  if (!(parked_floor_ < bound)) return Settle::kOk;
   if (!queue_.empty()) {
     const EventQueue::Key top = queue_.next_key();
     if (top < bound) bound = top;
@@ -103,10 +106,16 @@ Simulation::Settle Simulation::settle(std::span<Simulation* const> sims,
   std::vector<Due>& due = sims.front()->due_;
   due.clear();
   for (Simulation* s : sims) {
+    // No parked probe of s precedes the bound.
+    if (!(s->parked_floor_ < bound)) continue;
+    // The scan recomputes the floor exactly: from the pollers it leaves
+    // parked here, and from the due ones once their batch is settled.
+    s->parked_floor_ = kNoKey;
     std::vector<Poller*>& parked = s->parked_;
     for (std::size_t i = 0; i < parked.size();) {
       Poller* p = parked[i];
       if (!(p->next_ < bound)) {
+        s->lower_floor(p->next_);
         ++i;
         continue;
       }
@@ -125,14 +134,20 @@ Simulation::Settle Simulation::settle(std::span<Simulation* const> sims,
     }
   }
   if (due.empty()) return Settle::kOk;
-  if (bound.time == kNoCap) return Settle::kStalled;
-  // A successful probe may have lowered the bound below some false
-  // pollers' next probe; those wait for the next settle.
-  std::erase_if(due, [&bound](const Due& d) {
-    return !(d.poller->next_ < bound);
-  });
-  if (due.empty()) return Settle::kOk;
-  return credit_probes(due, bound);
+  Settle result = Settle::kStalled;
+  if (bound.time != kNoCap) {
+    // A successful probe may have lowered the bound below some false
+    // pollers' next probe; those wait for the next settle.
+    std::erase_if(due, [&bound](const Due& d) {
+      Poller& p = *d.poller;
+      if (p.next_ < bound) return false;
+      p.sim_.lower_floor(p.next_);
+      return true;
+    });
+    result = due.empty() ? Settle::kOk : credit_probes(due, bound);
+  }
+  for (const Due& d : due) d.poller->sim_.lower_floor(d.poller->next_);
+  return result;
 }
 
 // Closed-form replay of the probes the due pollers would have executed
@@ -141,13 +156,23 @@ Simulation::Settle Simulation::settle(std::span<Simulation* const> sims,
 // every later one the tag its predecessor minted. The probes of all due
 // pollers interleave in key order, and each mints the next sequence
 // number, so a probe's successor tag is tag_ahead(its rank in the merged
-// order). Ranks come from counting, per other poller, the lattice points
-// that precede a probe:
+// order). rank() counts, per other poller, the lattice points that
+// precede a probe:
 //  - an earlier time precedes;
 //  - at the same time a longer interval (earlier birth) precedes;
 //  - at the same time and interval (same phase) the tags decide. Their
 //    relative order is fixed at the first shared lattice point and kept
 //    from then on, because each probe mints in execution order.
+// Only the last probe of each poller needs a rank (its tag is the new
+// parked key), and the batch is sorted by last probe. A poller k then
+// follows every probe of the pollers before it and every probe but the
+// last of the pollers after it, so its rank is counted down from the
+// batch end in O(1): total - (n - k). The exception is a later poller o
+// whose penultimate probe lies at or after k's last (only with mixed
+// intervals): preceding() counts o's probes exactly. A running maximum
+// of the later pollers' penultimate probes finds it, so a batch costs
+// its sort plus O(n) unless intervals differ; rank() is only a Debug
+// cross-check and the rare tie at the bound.
 Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
                                              const EventQueue::Key& bound) {
   const std::size_t n = due.size();
@@ -182,8 +207,9 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     if (d % j.interval_ != 0) return whole + 1;
     return whole + (goes_first(j, i) ? 1 : 0);
   };
-  // Merged-order rank of poller k's probe m. The batch is a prefix of
-  // the merged order, so everything preceding a batch probe is in it.
+  // Merged-order rank of poller k's probe m, in O(n). The batch is a
+  // prefix of the merged order, so everything preceding a batch probe is
+  // in it.
   auto rank = [&](std::size_t k, std::uint64_t m) {
     const Poller& i = *due[k].poller;
     const SimTime t = i.next_.time + static_cast<SimTime>(m) * i.interval_;
@@ -257,11 +283,23 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     return goes_first(*a.poller, *b.poller);
   });
 
-  // New keys next (tag_ahead reads the counter, rank the old keys).
-  for (std::size_t k = 0; k < n; ++k) {
+  // New keys next (tag_ahead reads the counter, preceding() the old
+  // keys), counted down from the batch end.
+  SimTime later_penultimate = std::numeric_limits<SimTime>::min();
+  for (std::size_t k = n; k-- > 0;) {
     Due& d = due[k];
-    d.next = EventQueue::Key{d.last + d.poller->interval_, d.last,
-                             tag_at(k, rank(k, d.probes - 1))};
+    const Poller& p = *d.poller;
+    std::uint64_t r = total - (n - k);
+    if (later_penultimate >= d.last) {
+      for (std::size_t o = k + 1; o < n; ++o) {
+        const Due& e = due[o];
+        if (e.last - e.poller->interval_ < d.last) continue;
+        r -= (e.probes - 1) - preceding(*e.poller, d.last, p);
+      }
+    }
+    assert(r == rank(k, d.probes - 1));
+    later_penultimate = std::max(later_penultimate, d.last - p.interval_);
+    d.next = EventQueue::Key{d.last + p.interval_, d.last, tag_at(k, r)};
   }
   for (const Due& d : due) {
     Poller& p = *d.poller;

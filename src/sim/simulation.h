@@ -25,7 +25,11 @@
 // smallest heap key of the whole group. Poll predicates only read state
 // and state only changes inside real events, so the skipped probes could
 // not have seen anything else. Execution order, tags, counts and outputs
-// are identical to probing event by event.
+// are identical to probing event by event. A settle batch costs its sort
+// plus O(1) per due poller when the intervals agree: each last probe's
+// merged-order rank is counted down from the batch end. Each Simulation
+// keeps a lower bound on its parked keys, so a settle skips the shards
+// none of whose parked probes precedes the bound.
 #pragma once
 
 #include <cstdint>
@@ -225,8 +229,17 @@ class Simulation {
     return deadline == kNoCap ? kNoCap : deadline + 1;
   }
 
+  /// An upper bound on every key: the floor of a sim with nothing parked.
+  static constexpr EventQueue::Key kNoKey{
+      std::numeric_limits<SimTime>::max(), std::numeric_limits<SimTime>::max(),
+      std::numeric_limits<EventId>::max()};
+
   void park(Poller& p);
   void unpark(Poller& p);
+
+  void lower_floor(const EventQueue::Key& k) {
+    if (k < parked_floor_) parked_floor_ = k;
+  }
 
   /// Brings the parked pollers up to the next heap event below `cap`
   /// (or to `cap` itself): pushes the probes whose predicate holds and
@@ -237,7 +250,8 @@ class Simulation {
 
   /// settle() over the parked pollers of every sim in `sims`, against
   /// `bound` (the smallest heap key, or the cap). A pushed probe lowers
-  /// `bound` and makes its sim `next`, the one to step.
+  /// `bound` and makes its sim `next`, the one to step. Sims whose
+  /// parked floor is not below `bound` are not scanned.
   static Settle settle(std::span<Simulation* const> sims,
                        EventQueue::Key& bound, Simulation*& next);
 
@@ -252,7 +266,8 @@ class Simulation {
 
   /// Credits every probe of the due pollers (all false, all parked
   /// before `bound`, possibly on different sims) that precedes `bound`,
-  /// as if each had executed in key order on its own sim.
+  /// as if each had executed in key order on its own sim. Allocates
+  /// nothing: `due` is reused scratch and is sorted in place.
   static Settle credit_probes(std::vector<Due>& due,
                               const EventQueue::Key& bound);
 
@@ -274,6 +289,10 @@ class Simulation {
   EventQueue queue_;
   std::vector<Poller*> parked_;
   std::vector<Due> due_;  // settle() scratch of the first sim settled
+  // Lower bound on the parked pollers' next keys: park() lowers it, a
+  // settle that scans this sim sets it exactly, and unpark() may leave
+  // it stale (still a bound, it costs one scan).
+  EventQueue::Key parked_floor_ = kNoKey;
   SimTime now_ = 0;
   EventQueue::Key current_key_{};
   std::uint64_t events_executed_ = 0;

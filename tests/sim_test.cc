@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -342,6 +343,9 @@ struct ExplicitPoll {
 
   std::coroutine_handle<> handle_{};
   std::uint64_t probes_ = 0;
+  // The twin of destroying a parked PollUntil: there is no event
+  // cancellation, so the pending probe still runs, as an empty event.
+  bool stopped = false;
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
@@ -356,7 +360,9 @@ struct ExplicitPoll {
       sim.schedule(probe_cost, [h = handle_]() mutable { h.resume(); });
       return;
     }
-    sim.schedule(interval, [this] { step(); });
+    sim.schedule(interval, [this] {
+      if (!stopped) step();
+    });
   }
 };
 
@@ -623,6 +629,53 @@ TEST(ParkedPoll, RandomScenariosMatchExplicitProbes) {
   }
 }
 
+// 8-40 loops with intervals from 20 ns to 400 ns, all parked at once for
+// most of the run, so every settle credits a wide batch in which a short
+// interval's penultimate probe often lies after a long interval's last
+// one. Half the first waits' writes land on a lattice point of their
+// loop (a tie with its probe at that time).
+PollScenario wide_scenario(Rng& rng) {
+  PollScenario sc;
+  const int loops = 8 + static_cast<int>(rng.next_below(33));
+  const SimDuration intervals[] = {nanoseconds(20),  nanoseconds(40),
+                                   nanoseconds(60),  nanoseconds(100),
+                                   nanoseconds(140), nanoseconds(200),
+                                   nanoseconds(260), nanoseconds(400)};
+  for (int l = 0; l < loops; ++l) {
+    PollerSpec p;
+    p.start = nanoseconds(10) * static_cast<SimTime>(rng.next_below(40));
+    p.interval = intervals[rng.next_below(8)];
+    p.cost = rng.next_below(2) != 0 ? p.interval : 0;
+    const int waits = 1 + static_cast<int>(rng.next_below(2));
+    for (int w = 0; w < waits; ++w) {
+      const int f = sc.num_flags++;
+      p.flags.push_back(f);
+      SimTime at =
+          nanoseconds(20) * static_cast<SimTime>(1 + rng.next_below(400));
+      if (w == 0 && rng.next_below(2) != 0) {
+        at = p.start +
+             p.interval * static_cast<SimTime>(1 + rng.next_below(20));
+      }
+      const SimDuration delay = std::min<SimDuration>(
+          at, nanoseconds(10) * static_cast<SimTime>(rng.next_below(50)));
+      sc.writes.push_back({at, delay, f});
+    }
+    sc.pollers.push_back(p);
+  }
+  sc.writes_first = rng.next_below(2) != 0;
+  return sc;
+}
+
+TEST(ParkedPoll, WideBatchesMatchExplicitProbes) {
+  Rng rng(20261019);
+  for (int round = 0; round < 12; ++round) {
+    const PollScenario sc = wide_scenario(rng);
+    SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                 std::to_string(sc.pollers.size()) + " loops");
+    expect_parked_matches_explicit(sc);
+  }
+}
+
 // Sharded pair: each shard runs host loops polling flags that the other
 // shard's events set through cross-shard posts.
 template <class Poll>
@@ -750,6 +803,83 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     flag = true;
     group.run();
     EXPECT_TRUE(task.done()) << "driver " << driver;
+  }
+}
+
+void stop(std::optional<PollUntil>& p) { p.reset(); }
+void stop(std::optional<ExplicitPoll>& p) { p->stopped = true; }
+
+// Each way the parked floor (the lower bound a settle tests a sim's
+// parked keys against) can go stale or must be lowered, in one run:
+//  - D (20 ns) holds the lowest parked key, 280 ns, when it is destroyed
+//    at 265 ns; the floor stays at its key.
+//  - The flag-1 write at 415 ns lets B's 430 ns probe succeed. The settle
+//    up to the 445 ns deadline finds A (440 ns) due first, then B, whose
+//    pushed probe lowers the bound below A: A leaves the batch
+//    uncredited and must keep the floor at its key.
+//  - B's resume re-parks it at a later key (490 ns); A's 440 ns probe is
+//    still due before the deadline.
+// Each boundary logs the clock, total_scheduled and next_key(); the
+// executed counts are kept apart (see the test).
+template <class Poll>
+std::pair<PollTrace, std::vector<std::uint64_t>> run_stale_floor() {
+  Simulation sim;
+  PollTrace tr;
+  std::vector<std::uint64_t> executed;
+  std::vector<char> flags(5, 0);
+  int done = 0;
+  std::vector<SimTask> tasks;
+  std::optional<Poll> doomed;
+  doomed.emplace(sim, [] { return false; }, nanoseconds(20));
+  doomed->await_suspend(std::noop_coroutine());
+  const auto start = [&](SimTime at, std::vector<int> order, SimDuration iv) {
+    sim.schedule_at(at, [&, order, iv] {
+      tasks.push_back(poll_flags<Poll>(sim, flags, order, iv, 0, tr, done));
+    });
+  };
+  start(nanoseconds(20), {0, 2}, nanoseconds(60));  // A: 20 + 60m
+  start(nanoseconds(30), {3}, nanoseconds(90));     // C: 30 + 90m
+  start(nanoseconds(70), {1, 4}, nanoseconds(60));  // B: 10 + 60m
+  sim.schedule_at(nanoseconds(265), [&] { stop(doomed); });
+  const std::pair<SimTime, int> writes[] = {{nanoseconds(415), 1},
+                                            {nanoseconds(1040), 0},
+                                            {nanoseconds(1200), 4},
+                                            {nanoseconds(1500), 2},
+                                            {nanoseconds(2010), 3}};
+  for (const auto& [at, f] : writes) {
+    sim.schedule_at(at, [&, f] {
+      flags[static_cast<std::size_t>(f)] = 1;
+      tr.keys.push_back(tuple_of(sim.current_key()));
+    });
+  }
+  for (SimTime deadline : {300, 445, 600, 1100, 1600}) {
+    sim.run_until(nanoseconds(deadline));
+    tr.keys.push_back({sim.now(), 0, sim.total_scheduled()});
+    tr.keys.push_back(tuple_of(sim.next_key()));
+    executed.push_back(sim.events_executed());
+  }
+  sim.run();
+  EXPECT_EQ(done, 3);
+  EXPECT_FALSE(sim.event_limit_hit());
+  tr.snapshot(sim);
+  executed.push_back(tr.executed);
+  return {tr, executed};
+}
+
+TEST(ParkedPoll, StaleFloorStillCreditsEveryPoller) {
+  const auto [ref, ref_executed] = run_stale_floor<ExplicitPoll>();
+  const auto [got, got_executed] = run_stale_floor<PollUntil>();
+  EXPECT_EQ(got.probes, ref.probes);
+  EXPECT_EQ(got.resumed, ref.resumed);
+  EXPECT_EQ(got.keys, ref.keys);
+  EXPECT_EQ(got.scheduled, ref.scheduled);
+  EXPECT_EQ(got.end, ref.end);
+  // D's orphaned probe at 280 ns runs as an empty event in the
+  // reference; the parked engine drops it with the poller. Every
+  // boundary (from 300 ns on) and the final count include it.
+  ASSERT_EQ(got_executed.size(), ref_executed.size());
+  for (std::size_t i = 0; i < got_executed.size(); ++i) {
+    EXPECT_EQ(got_executed[i] + 1, ref_executed[i]) << "boundary " << i;
   }
 }
 
@@ -951,6 +1081,26 @@ TEST(ParkedPoll, MergedDriverRandomScenariosMatchExplicitProbes) {
     }
     sc.writes_first = rng.next_below(2) != 0;
     SCOPED_TRACE("round " + std::to_string(round));
+    expect_group_matches_explicit(g);
+  }
+}
+
+TEST(ParkedPoll, MergedDriverWideBatchesMatchExplicitProbes) {
+  // wide_scenario's loops spread over both shards: each merged settle
+  // credits one wide batch whose pollers mint from either shard.
+  Rng rng(20261020);
+  for (int round = 0; round < 6; ++round) {
+    GroupScenario g;
+    g.sc = wide_scenario(rng);
+    for (std::size_t i = 0; i < g.sc.pollers.size(); ++i) {
+      g.shards.push_back(i < 2 ? static_cast<int>(i)
+                               : static_cast<int>(rng.next_below(2)));
+    }
+    for (std::size_t w = 0; w < g.sc.writes.size(); ++w) {
+      g.relays.push_back(static_cast<int>(rng.next_below(2)));
+    }
+    SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                 std::to_string(g.sc.pollers.size()) + " loops");
     expect_group_matches_explicit(g);
   }
 }
