@@ -266,19 +266,11 @@ void Switch::forward(int in_port, std::vector<std::uint8_t> bytes,
     // Undeliverable at a switch means a route-fill bug; drop loudly in
     // the counter rather than guessing an output port. Still claim the
     // flow so the channel does not leak into the next frame's pop.
-    claim_forwarded_flow(in.link, in.side, meta);
+    claim_forwarded_flow(in, meta);
     ++frames_dropped_;
     return;
   }
-  const obs::FlowId flow = claim_forwarded_flow(in.link, in.side, meta);
-  // Close the hop that just landed on this switch (hops counts completed
-  // traversals, so the 0-based index of the incoming link is hops - 1).
-  stage_wire_hop(flow, meta.hops - 1u,
-                 in.link->endpoint_sim(in.side).now());
-  ++frames_forwarded_;
-  bytes_forwarded_ += bytes.size();
-  const Port& out = ports_[next_hop_[dst]];
-  out.link->send(out.side, std::move(bytes), flow, meta);
+  relay(in, ports_[next_hop_[dst]], std::move(bytes), meta, totals_);
 }
 
 }  // namespace pg::net

@@ -26,12 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "net/link.h"
+#include "net/terminal.h"
 #include "net/topology.h"
 
 namespace pg::net {
@@ -111,22 +111,6 @@ Status check_reachable(const FabricPlan& plan, const RouteTables& routes);
 /// assignment must not depend on thread count.
 int switch_shard(const FabricPlan& plan, int vertex);
 
-/// Aggregated frame-conservation totals for one backend's overlay.
-/// Every frame is originated exactly once (a NIC's first-hop send),
-/// forwarded hops-1 times, and delivered exactly once, so
-///   sum over links of frames_sent == originated + forwarded
-///   delivered == originated
-/// and the same for bytes — the reconciliation the multihop sweep
-/// hard-checks against the per-link snapshots.
-struct FabricTotals {
-  std::uint64_t frames_originated = 0;
-  std::uint64_t bytes_originated = 0;
-  std::uint64_t frames_forwarded = 0;
-  std::uint64_t bytes_forwarded = 0;
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t bytes_delivered = 0;
-};
-
 /// One switch vertex of a backend overlay: ports onto the incident
 /// links, a next-hop table over destination terminals, per-port FIFO
 /// arbitration. Input arbitration is arrival order (link deliveries are
@@ -153,51 +137,19 @@ class Switch {
 
   const std::string& label() const { return label_; }
   int vertex() const { return vertex_; }
-  std::uint64_t frames_forwarded() const { return frames_forwarded_; }
-  std::uint64_t bytes_forwarded() const { return bytes_forwarded_; }
+  /// Forwarded frames and bytes (a switch originates and delivers none).
+  const FabricTotals& totals() const { return totals_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
 
  private:
-  struct Port {
-    NetworkLink* link = nullptr;
-    int side = 0;
-  };
-
   void forward(int in_port, std::vector<std::uint8_t> bytes, FrameMeta meta);
 
   std::string label_;
   int vertex_ = 0;
   std::vector<Port> ports_;
   std::vector<std::int32_t> next_hop_;  // dst terminal -> port index, -1 none
-  std::uint64_t frames_forwarded_ = 0;
-  std::uint64_t bytes_forwarded_ = 0;
+  FabricTotals totals_;
   std::uint64_t frames_dropped_ = 0;
 };
-
-/// Pops the FlowId a forwarded frame carries on the ingress flow
-/// channel, if any, so the forwarder can re-attach it to the egress
-/// send. `in_side` is the side the forwarder is attached to (the sender
-/// pushed under the opposite side's key).
-inline obs::FlowId claim_forwarded_flow(NetworkLink* in_link, int in_side,
-                                        const FrameMeta& meta) {
-  if (!meta.flow_attached) return 0;
-  return obs::flow_pop(
-      obs::flow_key(in_link, static_cast<std::uint64_t>(1 - in_side)));
-}
-
-/// Stamps the flow stage for one completed link traversal of a routed
-/// path. Multi-hop routes label every hop "wire.h<k>" — k is the
-/// 0-based link index, the same value the per-link trace span records
-/// as "hop" — so the stage breakdown shows *which* hop the wire time
-/// went to instead of one span covering the whole path. Relays stamp
-/// their incoming hop at arrival; the terminal stamps the final hop.
-/// (The classic single-hop delivery keeps the plain "wire" name; see
-/// the terminal call sites.)
-inline void stage_wire_hop(obs::FlowId flow, unsigned hop_index, SimTime at) {
-  if (flow == 0) return;
-  char name[20];
-  std::snprintf(name, sizeof(name), "wire.h%u", hop_index);
-  obs::flow_stage(flow, "net", name, at);
-}
 
 }  // namespace pg::net

@@ -61,7 +61,11 @@ ExtollNic::ExtollNic(sim::Simulation& sim, pcie::Fabric& fabric,
       fabric_(fabric),
       memory_(memory),
       cfg_(cfg),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      terminal_(name_, [this](std::vector<std::uint8_t> bytes,
+                              const net::Arrival& at) {
+        on_frame(std::move(bytes), at);
+      }) {
   endpoint_id_ = fabric_.attach(name_, this, cfg_.pcie_link);
   fabric_.claim_range(endpoint_id_, AddressMap::kExtollBarBase,
                       AddressMap::kExtollBarSize);
@@ -81,38 +85,6 @@ ExtollNic::ExtollNic(sim::Simulation& sim, pcie::Fabric& fabric,
 }
 
 ExtollNic::~ExtollNic() = default;
-
-void ExtollNic::connect(net::NetworkLink* link, int side) {
-  if (link_ == nullptr) {
-    link_ = link;
-    link_side_ = side;
-  }
-  link->attach(side, [this, link, side](std::vector<std::uint8_t> bytes,
-                                        net::FrameMeta meta) {
-    on_frame(link, side, std::move(bytes), meta);
-  });
-}
-
-Status ExtollNic::add_route(int dst_node, net::NetworkLink* link, int side) {
-  for (const auto& [node, route] : routes_) {
-    if (node == dst_node) {
-      return invalid_argument(
-          name_ + ": duplicate route for node " + std::to_string(dst_node) +
-          " (the route pass must resolve each destination to one next hop)");
-    }
-  }
-  routes_.push_back({dst_node, Route{link, side}});
-  return Status::ok();
-}
-
-ExtollNic::Route ExtollNic::route_for(std::int32_t dst_node) const {
-  if (dst_node >= 0) {
-    for (const auto& [node, route] : routes_) {
-      if (node == dst_node) return route;
-    }
-  }
-  return Route{link_, link_side_};
-}
 
 SimDuration ExtollNic::core_cycles(std::uint32_t n) const {
   const double period_ps = 1e12 / cfg_.core_clock_hz;
@@ -249,67 +221,35 @@ void ExtollNic::execute_put(const WorkRequest& wr, Addr src_addr) {
   // the 64-bit core datapath, hand it to the link. The pull of segment
   // k+1 overlaps the push of segment k (the hardware streams), so a
   // single large put approaches min(pull rate, core rate, link rate)
-  // instead of their serial sum. Segment reads complete in issue order
-  // (FIFO fabric), so wire order is preserved.
-  struct Job {
-    WorkRequest wr;
-    Addr src;
-    Route route;
-    obs::FlowId flow = 0;
-    std::uint64_t issued = 0;  // bytes whose DMA pull has been started
-    std::function<void()> step;
-  };
-  // Every segment frame carries the routing metadata (each is a
-  // separate frame on the wire, so each must steer at relays).
-  auto job = std::make_shared<Job>();
-  job->wr = wr;
-  job->src = src_addr;
-  job->route = route_for(wr.dst_node);
-  job->flow = ports_[wr.port].flow;
-  job->step = [this, job] {
-    const std::uint64_t offset = job->issued;
-    const std::uint64_t remaining = job->wr.size - offset;
-    const std::uint32_t seg = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.segment_bytes, remaining));
-    job->issued += seg;
-    const bool last = job->issued == job->wr.size;
-    dma_->read(
-        job->src + offset, seg,
-        [this, job, seg, offset, last](std::vector<std::uint8_t> data) {
-          // Overlap: pull the next segment while this one drains
-          // through the datapath.
-          if (!last) {
-            job->step();
-          }
-          const SimTime start = std::max(sim_.now(), datapath_busy_until_);
-          datapath_busy_until_ = start + core_rate().transfer_time(seg);
-          sim_.schedule_at(
-              datapath_busy_until_,
-              [this, job, offset, last, data = std::move(data)]() mutable {
-                Frame f;
-                f.kind = Frame::Kind::kPutSegment;
-                f.port = job->wr.port;
-                f.total_size = job->wr.size;
-                f.offset = offset;
-                f.src_nla = job->wr.src_nla;
-                f.dst_nla = job->wr.dst_nla;
-                f.notify_completer = job->wr.notify_completer;
-                f.last = last;
-                f.payload = std::move(data);
-                // The last segment carries the lifecycle across the
-                // wire; requester_finished (same instant) closes the
-                // nic_fetch stage, so wire begins exactly here.
-                originate(job->route, f, job->wr.dst_node,
-                          last ? job->flow : 0);
-                if (last) {
-                  requester_finished(job->wr);
-                  job->step = nullptr;  // break the cycle
-                }
-              });
-        },
-        offset == 0 ? job->flow : 0);
-  };
-  job->step();
+  // instead of their serial sum. Every segment frame carries the routing
+  // metadata (each is a separate frame on the wire, so each must steer
+  // at relays).
+  const obs::FlowId flow = ports_[wr.port].flow;
+  Frame f;
+  f.kind = Frame::Kind::kPutSegment;
+  f.port = wr.port;
+  f.total_size = wr.size;
+  f.src_nla = wr.src_nla;
+  f.dst_nla = wr.dst_nla;
+  f.notify_completer = wr.notify_completer;
+  dma_->stream(
+      src_addr, wr.size, cfg_.segment_bytes, flow,
+      [this, wr, flow, f](std::uint64_t offset, bool last,
+                          std::vector<std::uint8_t> data) mutable {
+        const SimTime start = std::max(sim_.now(), datapath_busy_until_);
+        datapath_busy_until_ = start + core_rate().transfer_time(data.size());
+        f.offset = offset;
+        f.last = last;
+        f.payload = std::move(data);
+        sim_.schedule_at(datapath_busy_until_, [this, wr, flow, last,
+                                                bytes = f.encode()]() mutable {
+          // The last segment carries the lifecycle across the wire;
+          // requester_finished (same instant) closes the nic_fetch
+          // stage, so wire begins exactly here.
+          terminal_.send(wr.dst_node, std::move(bytes), last ? flow : 0);
+          if (last) requester_finished(wr);
+        });
+      });
 }
 
 void ExtollNic::execute_get(const WorkRequest& wr) {
@@ -321,20 +261,8 @@ void ExtollNic::execute_get(const WorkRequest& wr) {
   f.dst_nla = wr.dst_nla;  // our local destination
   f.notify_completer = wr.notify_completer;
   f.last = true;
-  originate(route_for(wr.dst_node), f, wr.dst_node, ports_[wr.port].flow);
+  terminal_.send(wr.dst_node, f.encode(), ports_[wr.port].flow);
   requester_finished(wr);
-}
-
-void ExtollNic::originate(const Route& route, const Frame& f,
-                          std::int32_t dst_node, obs::FlowId flow) {
-  assert(route.link && "EXTOLL NIC not connected");
-  net::FrameMeta meta;
-  if (dst_node >= 0) meta.dst_node = static_cast<std::int16_t>(dst_node);
-  if (node_id_ >= 0) meta.src_node = static_cast<std::int16_t>(node_id_);
-  std::vector<std::uint8_t> bytes = f.encode();
-  ++totals_.frames_originated;
-  totals_.bytes_originated += bytes.size();
-  route.link->send(route.side, std::move(bytes), flow, meta);
 }
 
 void ExtollNic::requester_finished(const WorkRequest& wr) {
@@ -366,53 +294,22 @@ void ExtollNic::requester_finished(const WorkRequest& wr) {
 // ---------------------------------------------------------------------------
 // Completer / responder.
 
-void ExtollNic::on_frame(net::NetworkLink* link, int side,
-                         std::vector<std::uint8_t> bytes,
-                         net::FrameMeta meta) {
-  if (meta.dst_node >= 0 && node_id_ >= 0 && meta.dst_node != node_id_) {
-    // NIC-as-router relay: the frame is for another terminal. Forward
-    // it un-decoded (cut-through; the per-hop cost is the egress link's
-    // serialization + flight latency), closing the incoming wire hop
-    // and re-attaching any lifecycle the frame carries so every link
-    // of the routed path gets its own labelled stage.
-    const obs::FlowId flow = net::claim_forwarded_flow(link, side, meta);
-    net::stage_wire_hop(flow, meta.hops - 1u, sim_.now());
-    const Route out = route_for(meta.dst_node);
-    assert(out.link && "relay without an egress link");
-    ++totals_.frames_forwarded;
-    totals_.bytes_forwarded += bytes.size();
-    out.link->send(out.side, std::move(bytes), flow, meta);
-    return;
-  }
-  ++totals_.frames_delivered;
-  totals_.bytes_delivered += bytes.size();
+void ExtollNic::on_frame(std::vector<std::uint8_t> bytes,
+                         const net::Arrival& at) {
   auto frame = Frame::decode(bytes);
   if (!frame.is_ok()) {
     ++protocol_violations_;
     PG_ERROR("extoll", "%s: undecodable frame", name_.c_str());
     return;
   }
-  // The last data-bearing frame of a message carries its lifecycle:
-  // the sender queued it under (link, sender side), and delivery is
-  // FIFO per direction, so this pop pairs with exactly that send.
-  obs::FlowId flow = 0;
-  if (frame->last) {
-    flow = obs::flow_pop(
-        obs::flow_key(link, static_cast<std::uint64_t>(1 - side)));
-    // Single-hop deliveries keep the classic "wire" stage; routed
-    // multi-hop paths label the final hop like the relays did theirs.
-    if (meta.hops > 1) {
-      net::stage_wire_hop(flow, meta.hops - 1u, sim_.now());
-    } else {
-      obs::flow_stage(flow, "net", "wire", sim_.now());
-    }
-  }
+  // The last data-bearing frame of a message carries its lifecycle.
+  const obs::FlowId flow = frame->last ? terminal_.claim_flow(at) : 0;
   switch (frame->kind) {
     case Frame::Kind::kPutSegment:
       handle_put_segment(*frame, flow);
       break;
     case Frame::Kind::kGetRequest:
-      handle_get_request(*frame, link, side, meta, flow);
+      handle_get_request(*frame, at, flow);
       break;
     case Frame::Kind::kGetResponse:
       handle_get_response(*frame, flow);
@@ -469,8 +366,7 @@ void ExtollNic::handle_put_segment(const Frame& f, obs::FlowId flow) {
   });
 }
 
-void ExtollNic::handle_get_request(const Frame& f, net::NetworkLink* link,
-                                   int side, net::FrameMeta meta,
+void ExtollNic::handle_get_request(const Frame& f, const net::Arrival& at,
                                    obs::FlowId flow) {
   auto src =
       atu_.translate(f.src_nla, f.total_size, mem::Access::kRead);
@@ -484,69 +380,33 @@ void ExtollNic::handle_get_request(const Frame& f, net::NetworkLink* link,
   // home when the request names one (on direct-attached pairs the route
   // resolves to the arrival link, the legacy behaviour), otherwise over
   // the arrival link.
-  struct Job {
-    Frame req;
-    Addr src;
-    Route route;
-    std::int32_t reply_to = -1;
-    obs::FlowId flow = 0;
-    std::uint64_t sent = 0;
-    std::function<void()> step;
-  };
-  auto job = std::make_shared<Job>();
-  job->req = f;
-  job->src = *src;
-  job->route = Route{link, side};
-  if (meta.src_node >= 0 && node_id_ >= 0) {
-    job->route = route_for(meta.src_node);
-    job->reply_to = meta.src_node;
-  }
-  job->flow = flow;
-  job->step = [this, job] {
-    const std::uint64_t offset = job->sent;
-    const std::uint64_t remaining = job->req.total_size - offset;
-    const std::uint32_t seg = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.segment_bytes, remaining));
-    job->sent += seg;
-    const bool last = job->sent == job->req.total_size;
-    dma_->read(
-        job->src + offset, seg,
-        [this, job, seg, offset, last](std::vector<std::uint8_t> data) {
-          if (!last) {
-            job->step();  // overlap the next pull with this push
+  const bool routed = at.meta.src_node >= 0 && terminal_.node_id() >= 0;
+  const int reply_to = routed ? at.meta.src_node : -1;
+  const net::Port hop = routed ? net::Port{} : at.port;
+  Frame resp = f;  // same port, size, NLAs and notify flag
+  resp.kind = Frame::Kind::kGetResponse;
+  dma_->stream(
+      *src, f.total_size, cfg_.segment_bytes, flow,
+      [this, resp, hop, reply_to, flow](std::uint64_t offset, bool last,
+                                        std::vector<std::uint8_t> data) mutable {
+        const SimTime start = std::max(sim_.now(), responder_busy_until_);
+        responder_busy_until_ = start + core_cycles(cfg_.responder_cycles) +
+                                core_rate().transfer_time(data.size());
+        resp.offset = offset;
+        resp.last = last;
+        resp.payload = std::move(data);
+        sim_.schedule_at(responder_busy_until_, [this, hop, reply_to, flow,
+                                                 last, bytes = resp.encode()]()
+                                                    mutable {
+          if (last) {
+            // The responder's pull + push is the remote half of the
+            // get's fetch work; the response's wire leg accumulates into
+            // the same "wire" stage.
+            obs::flow_stage(flow, name_.c_str(), "nic_fetch", sim_.now());
           }
-          const SimTime start = std::max(sim_.now(), responder_busy_until_);
-          responder_busy_until_ = start +
-                                  core_cycles(cfg_.responder_cycles) +
-                                  core_rate().transfer_time(seg);
-          sim_.schedule_at(
-              responder_busy_until_,
-              [this, job, offset, last, data = std::move(data)]() mutable {
-                Frame resp;
-                resp.kind = Frame::Kind::kGetResponse;
-                resp.port = job->req.port;
-                resp.total_size = job->req.total_size;
-                resp.offset = offset;
-                resp.src_nla = job->req.src_nla;
-                resp.dst_nla = job->req.dst_nla;
-                resp.notify_completer = job->req.notify_completer;
-                resp.last = last;
-                resp.payload = std::move(data);
-                if (last) {
-                  // The responder's pull + push is the remote half of
-                  // the get's fetch work; the response's wire leg
-                  // accumulates into the same "wire" stage.
-                  obs::flow_stage(job->flow, name_.c_str(), "nic_fetch",
-                                  sim_.now());
-                }
-                originate(job->route, resp, job->reply_to,
-                          last ? job->flow : 0);
-                if (last) job->step = nullptr;
-              });
-        },
-        offset == 0 ? job->flow : 0);
-  };
-  job->step();
+          terminal_.send(reply_to, std::move(bytes), last ? flow : 0, hop);
+        });
+      });
 }
 
 void ExtollNic::handle_get_response(const Frame& f, obs::FlowId flow) {

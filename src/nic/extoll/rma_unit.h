@@ -29,8 +29,7 @@
 #include "common/status.h"
 #include "mem/allocator.h"
 #include "mem/memory_domain.h"
-#include "net/fabric.h"
-#include "net/link.h"
+#include "net/terminal.h"
 #include "obs/flow.h"
 #include "nic/extoll/atu.h"
 #include "nic/extoll/rma_types.h"
@@ -76,27 +75,12 @@ class ExtollNic : public pcie::Endpoint {
             ExtollConfig cfg, std::string name);
   ~ExtollNic() override;
 
-  /// Wires this NIC to `side` of the link. The first link connected
-  /// becomes the default peer (where WRs with dst_node = -1 go), which
-  /// preserves the classic two-node behaviour; further links extend the
-  /// NIC into a multi-node fabric and are reached via add_route.
-  void connect(net::NetworkLink* link, int side);
-
-  /// Declares that frames for `dst_node` leave through (`link`, `side`)
-  /// — a next-hop binding, not a path: multi-hop destinations point at
-  /// the first link of the route and intermediate NICs relay. A second
-  /// registration for the same node is a hard error (it would silently
-  /// shadow the first under the old first-wins fill); redundant
-  /// topologies like the two-node ring stay legal because the central
-  /// route pass in sys/Cluster resolves them to ONE next hop per
-  /// destination before calling this.
-  Status add_route(int dst_node, net::NetworkLink* link, int side);
-
-  /// This NIC's terminal id in the fabric (stamped into outgoing frame
-  /// metadata so relays can steer and get responses can route home).
-  /// Unset (-1) preserves the direct-attached testbed behaviour.
-  void set_node_id(int id) { node_id_ = id; }
-  int node_id() const { return node_id_; }
+  /// The NIC's fabric side: sys::Cluster wires links, the node id and
+  /// the next-hop bindings through it (WRs with dst_node = -1 go to the
+  /// first link connected, the classic two-node peer), and it relays
+  /// frames addressed to other terminals.
+  net::Terminal& terminal() { return terminal_; }
+  const net::Terminal& terminal() const { return terminal_; }
 
   // --- driver-level API (state only; callers charge CPU time) --------------
 
@@ -130,12 +114,6 @@ class ExtollNic : public pcie::Endpoint {
   std::uint64_t translation_faults() const { return translation_faults_; }
   std::uint64_t puts_completed() const { return puts_completed_; }
   std::uint64_t gets_completed() const { return gets_completed_; }
-
-  /// Frame-conservation totals (originated = first-hop sends, forwarded
-  /// = relayed frames for other terminals, delivered = frames consumed
-  /// here). Byte counts are encoded frame bytes, matching the link
-  /// counters, so fabric-wide reconciliation is exact.
-  const net::FabricTotals& fabric_totals() const { return totals_; }
 
   // --- pcie::Endpoint -------------------------------------------------------
   void inbound_write(mem::Addr addr,
@@ -190,31 +168,19 @@ class ExtollNic : public pcie::Endpoint {
     return Bandwidth{cfg_.core_clock_hz * cfg_.datapath_bytes};
   }
 
-  struct Route {
-    net::NetworkLink* link = nullptr;
-    int side = 0;
-  };
-  /// Resolves a WR's destination node to an egress link; dst_node < 0 or
-  /// an unknown id falls back to the default (first-connected) link.
-  Route route_for(std::int32_t dst_node) const;
-
   void pump_requester();
   void execute_put(const WorkRequest& wr, mem::Addr src_addr);
   void execute_get(const WorkRequest& wr);
   void requester_finished(const WorkRequest& wr);
-  void on_frame(net::NetworkLink* link, int side,
-                std::vector<std::uint8_t> bytes, net::FrameMeta meta);
-  /// First-hop transmit: stamps routing metadata, counts origination,
-  /// and hands the encoded frame to the route's link.
-  void originate(const Route& route, const Frame& f, std::int32_t dst_node,
-                 obs::FlowId flow);
+  /// Decodes a frame the terminal delivered to this NIC.
+  void on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at);
   void handle_put_segment(const Frame& f, obs::FlowId flow);
   /// Get responses route back to the requesting terminal when the
   /// request carried one (meta.src_node >= 0); direct-attached requests
   /// keep the legacy reply-on-arrival-link path, which routed adjacent
   /// traffic also reduces to.
-  void handle_get_request(const Frame& f, net::NetworkLink* link, int side,
-                          net::FrameMeta meta, obs::FlowId flow);
+  void handle_get_request(const Frame& f, const net::Arrival& at,
+                          obs::FlowId flow);
   void handle_get_response(const Frame& f, obs::FlowId flow);
 
   /// DMA-writes a notification into `queue` (posted; ordered behind the
@@ -233,11 +199,7 @@ class ExtollNic : public pcie::Endpoint {
   pcie::EndpointId endpoint_id_ = 0;
   std::unique_ptr<pcie::DmaEngine> dma_;
   Atu atu_;
-  net::NetworkLink* link_ = nullptr;  // default peer (first connect)
-  int link_side_ = 0;
-  int node_id_ = -1;
-  std::vector<std::pair<int, Route>> routes_;  // insertion-ordered next hops
-  net::FabricTotals totals_;
+  net::Terminal terminal_;
 
   std::vector<PortState> ports_;
   std::deque<WorkRequest> requester_fifo_;

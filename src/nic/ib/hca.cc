@@ -79,7 +79,11 @@ Hca::Hca(sim::Simulation& sim, pcie::Fabric& fabric, mem::MemoryDomain& memory,
       fabric_(fabric),
       memory_(memory),
       cfg_(cfg),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      terminal_(name_, [this](std::vector<std::uint8_t> bytes,
+                              const net::Arrival& at) {
+        on_frame(std::move(bytes), at);
+      }) {
   endpoint_id_ = fabric_.attach(name_, this, cfg_.pcie_link);
   fabric_.claim_range(endpoint_id_, AddressMap::kIbUarBase,
                       AddressMap::kIbUarSize);
@@ -91,51 +95,9 @@ Hca::Hca(sim::Simulation& sim, pcie::Fabric& fabric, mem::MemoryDomain& memory,
 
 Hca::~Hca() = default;
 
-void Hca::connect(net::NetworkLink* link, int side) {
-  if (link_ == nullptr) {
-    link_ = link;
-    link_side_ = side;
-  }
-  link->attach(side, [this, link, side](std::vector<std::uint8_t> bytes,
-                                        net::FrameMeta meta) {
-    on_frame(link, side, std::move(bytes), meta);
-  });
-}
-
-Status Hca::add_route(int dst_node, net::NetworkLink* link, int side) {
-  for (const auto& [node, route] : routes_) {
-    if (node == dst_node) {
-      return invalid_argument(
-          name_ + ": duplicate route for node " + std::to_string(dst_node) +
-          " (the route pass must resolve each destination to one next hop)");
-    }
-  }
-  routes_.push_back({dst_node, NodeRoute{link, side}});
-  return Status::ok();
-}
-
-Hca::NodeRoute Hca::route_for(int dst_node) const {
-  if (dst_node >= 0) {
-    for (const auto& [node, route] : routes_) {
-      if (node == dst_node) return route;
-    }
-  }
-  return NodeRoute{link_, link_side_};
-}
-
 void Hca::link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
                     obs::FlowId flow) {
-  net::NetworkLink* link = qp.route_link ? qp.route_link : link_;
-  const int side = qp.route_link ? qp.route_side : link_side_;
-  assert(link && "HCA not connected");
-  net::FrameMeta meta;
-  if (qp.remote_node >= 0) {
-    meta.dst_node = static_cast<std::int16_t>(qp.remote_node);
-  }
-  if (node_id_ >= 0) meta.src_node = static_cast<std::int16_t>(node_id_);
-  ++totals_.frames_originated;
-  totals_.bytes_originated += bytes.size();
-  link->send(side, std::move(bytes), flow, meta);
+  terminal_.send(qp.remote_node, std::move(bytes), flow, qp.route);
 }
 
 SimTime Hca::occupy_engine(SimDuration service) {
@@ -208,15 +170,14 @@ Status Hca::connect_qp(std::uint32_t qpn, std::uint32_t remote_qpn,
   if (qpn >= qps_.size() || !qps_[qpn].used) {
     return not_found("connect_qp: unknown QP");
   }
-  if (link != nullptr && qps_[qpn].route_link != nullptr) {
+  if (link != nullptr && qps_[qpn].route.link != nullptr) {
     return invalid_argument(
         name_ + ": QP " + std::to_string(qpn) +
         " is already routed; re-routing a connected QP would silently "
         "repoint its egress");
   }
   qps_[qpn].remote_qpn = remote_qpn;
-  qps_[qpn].route_link = link;
-  qps_[qpn].route_side = side;
+  qps_[qpn].route = net::Port{link, side};
   qps_[qpn].remote_node = remote_node;
   return Status::ok();
 }
@@ -396,99 +357,38 @@ void Hca::stream_message(std::uint32_t qpn, Frame::Kind kind,
                          const SendWqe& wqe, Addr src, std::uint32_t psn,
                          obs::FlowId flow, std::function<void()> done) {
   Qp& qp = qps_[qpn];
+  Frame f;
+  f.kind = kind;
+  f.last = true;
+  f.dst_qpn = qp.remote_qpn;
+  f.total = wqe.byte_len;
+  f.imm = wqe.imm;
+  f.psn = psn;
+  f.raddr = wqe.raddr;
+  f.rkey = wqe.rkey;
   // Zero-length messages (e.g. write-with-immediate used purely for
   // synchronization) are a single header-only frame.
   if (wqe.byte_len == 0) {
-    Frame f;
-    f.kind = kind;
-    f.last = true;
-    f.dst_qpn = qp.remote_qpn;
-    f.total = 0;
-    f.imm = wqe.imm;
-    f.psn = psn;
-    f.raddr = wqe.raddr;
-    f.rkey = wqe.rkey;
     link_send(qp, f.encode(), flow);
     done();
     return;
   }
-  struct Job {
-    std::uint32_t qpn;
-    Frame::Kind kind;
-    SendWqe wqe;
-    Addr src;
-    std::uint32_t psn;
-    std::uint32_t dst_qpn;
-    std::uint64_t sent = 0;
-    obs::FlowId flow = 0;
-    std::function<void()> done;
-    std::function<void()> step;
-  };
-  auto job = std::make_shared<Job>();
-  job->qpn = qpn;
-  job->kind = kind;
-  job->wqe = wqe;
-  job->src = src;
-  job->psn = psn;
-  job->dst_qpn = qp.remote_qpn;
-  job->flow = flow;
-  job->done = std::move(done);
-  job->step = [this, job] {
-    const std::uint64_t offset = job->sent;
-    const std::uint64_t remaining = job->wqe.byte_len - offset;
-    const std::uint32_t seg = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.segment_bytes, remaining));
-    job->sent += seg;
-    const bool last = job->sent == job->wqe.byte_len;
-    dma_->read(job->src + offset, seg,
-               [this, job, offset, last](std::vector<std::uint8_t> data) {
-                 // Pull the next segment while this one goes to the wire.
-                 if (!last) job->step();
-                 Frame f;
-                 f.kind = job->kind;
-                 f.dst_qpn = job->dst_qpn;
-                 f.total = job->wqe.byte_len;
-                 f.imm = job->wqe.imm;
-                 f.psn = job->psn;
+  dma_->stream(src, wqe.byte_len, cfg_.segment_bytes, flow,
+               [this, qpn, f, flow, done = std::move(done)](
+                   std::uint64_t offset, bool last,
+                   std::vector<std::uint8_t> data) mutable {
                  f.offset = offset;
-                 f.raddr = job->wqe.raddr;
-                 f.rkey = job->wqe.rkey;
                  f.last = last;
                  f.payload = std::move(data);
-                 link_send(qps_[job->qpn], f.encode(),
-                           last ? job->flow : 0);
-                 if (last) {
-                   auto done = std::move(job->done);
-                   job->step = nullptr;
-                   done();
-                 }
-               },
-               offset == 0 ? job->flow : 0);
-  };
-  job->step();
+                 link_send(qps_[qpn], f.encode(), last ? flow : 0);
+                 if (last) done();
+               });
 }
 
 // ---------------------------------------------------------------------------
 // Receive side.
 
-void Hca::on_frame(net::NetworkLink* link, int side,
-                   std::vector<std::uint8_t> bytes, net::FrameMeta meta) {
-  if (meta.dst_node >= 0 && node_id_ >= 0 && meta.dst_node != node_id_) {
-    // HCA-as-router relay: forward un-decoded to the next hop toward
-    // the destination terminal, closing the incoming wire hop and
-    // re-attaching any lifecycle the frame carries so every link of
-    // the routed path gets its own labelled stage.
-    const obs::FlowId flow = net::claim_forwarded_flow(link, side, meta);
-    net::stage_wire_hop(flow, meta.hops - 1u, sim_.now());
-    const NodeRoute out = route_for(meta.dst_node);
-    assert(out.link && "relay without an egress link");
-    ++totals_.frames_forwarded;
-    totals_.bytes_forwarded += bytes.size();
-    out.link->send(out.side, std::move(bytes), flow, meta);
-    return;
-  }
-  ++totals_.frames_delivered;
-  totals_.bytes_delivered += bytes.size();
+void Hca::on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at) {
   auto frame = Frame::decode(bytes);
   if (!frame.is_ok()) {
     PG_ERROR("ib", "%s: undecodable frame", name_.c_str());
@@ -499,21 +399,12 @@ void Hca::on_frame(net::NetworkLink* link, int side,
             frame->dst_qpn);
     return;
   }
-  // The sender queued the message lifecycle on its side of this link when
-  // it sent the last data-bearing frame; pick it up here and close the
-  // wire stage. ACK/NAK frames never carry a lifecycle.
+  // The last data-bearing frame of a message carries its lifecycle;
+  // ACK/NAK frames never do.
   obs::FlowId flow = 0;
   if (frame->last && frame->kind != Frame::Kind::kAck &&
       frame->kind != Frame::Kind::kNak) {
-    flow = obs::flow_pop(
-        obs::flow_key(link, static_cast<std::uint64_t>(1 - side)));
-    // Single-hop deliveries keep the classic "wire" stage; routed
-    // multi-hop paths label the final hop like the relays did theirs.
-    if (meta.hops > 1) {
-      net::stage_wire_hop(flow, meta.hops - 1u, sim_.now());
-    } else {
-      obs::flow_stage(flow, "net", "wire", sim_.now());
-    }
+    flow = terminal_.claim_flow(at);
   }
   switch (frame->kind) {
     case Frame::Kind::kWrite:
@@ -665,48 +556,26 @@ void Hca::handle_read_request(const Frame& f, obs::FlowId flow) {
     return;
   }
   // Stream response segments back.
-  struct Job {
-    Frame req;
-    std::uint32_t origin_qpn;
-    std::uint64_t sent = 0;
-    obs::FlowId flow = 0;
-    std::function<void()> step;
-  };
-  auto job = std::make_shared<Job>();
-  job->req = f;
-  job->origin_qpn = qp.remote_qpn;
-  job->flow = flow;
-  job->step = [this, job] {
-    const std::uint64_t offset = job->sent;
-    const std::uint64_t remaining = job->req.total - offset;
-    const std::uint32_t seg = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.segment_bytes, remaining));
-    job->sent += seg;
-    const bool last = job->sent == job->req.total;
-    dma_->read(job->req.raddr + offset, seg,
-               [this, job, offset, last](std::vector<std::uint8_t> data) {
-                 if (!last) job->step();
-                 Frame resp;
-                 resp.kind = Frame::Kind::kReadResp;
-                 resp.dst_qpn = job->origin_qpn;
-                 resp.total = job->req.total;
-                 resp.psn = job->req.psn;
-                 resp.offset = offset;
-                 resp.last = last;
-                 resp.payload = std::move(data);
-                 if (last) {
-                   // Responder-side source fetch accumulates into the
-                   // lifecycle's nic_fetch stage.
-                   obs::flow_stage(job->flow, name_.c_str(), "nic_fetch",
-                                   sim_.now());
-                 }
-                 link_send(qps_[job->req.dst_qpn], resp.encode(),
-                           last ? job->flow : 0);
-                 if (last) job->step = nullptr;
-               },
-               offset == 0 ? job->flow : 0);
-  };
-  job->step();
+  Frame resp;
+  resp.kind = Frame::Kind::kReadResp;
+  resp.dst_qpn = qp.remote_qpn;
+  resp.total = f.total;
+  resp.psn = f.psn;
+  dma_->stream(
+      f.raddr, f.total, cfg_.segment_bytes, flow,
+      [this, qpn = f.dst_qpn, resp, flow](std::uint64_t offset, bool last,
+                                          std::vector<std::uint8_t> data)
+          mutable {
+        resp.offset = offset;
+        resp.last = last;
+        resp.payload = std::move(data);
+        if (last) {
+          // Responder-side source fetch accumulates into the lifecycle's
+          // nic_fetch stage.
+          obs::flow_stage(flow, name_.c_str(), "nic_fetch", sim_.now());
+        }
+        link_send(qps_[qpn], resp.encode(), last ? flow : 0);
+      });
 }
 
 void Hca::handle_read_response(const Frame& f, obs::FlowId flow) {

@@ -28,8 +28,7 @@
 #include "common/status.h"
 #include "mem/memory_domain.h"
 #include "mem/registration.h"
-#include "net/fabric.h"
-#include "net/link.h"
+#include "net/terminal.h"
 #include "nic/ib/wqe.h"
 #include "obs/flow.h"
 #include "pcie/dma.h"
@@ -83,23 +82,12 @@ class Hca : public pcie::Endpoint {
       HcaConfig cfg, std::string name);
   ~Hca() override;
 
-  /// Wires this HCA to `side` of the link. The first link connected
-  /// becomes the default egress for QPs without an explicit route,
-  /// preserving the classic two-node behaviour; additional links extend
-  /// the HCA into a multi-node fabric (routes are per-QP, set at
-  /// connect_qp time).
-  void connect(net::NetworkLink* link, int side);
-
-  /// Declares that frames for `dst_node` leave through (`link`, `side`)
-  /// — the next-hop binding relays use when a routed frame arrives for
-  /// another terminal. A second registration for the same node is a
-  /// hard error.
-  Status add_route(int dst_node, net::NetworkLink* link, int side);
-
-  /// This HCA's terminal id in the fabric; stamped into outgoing frame
-  /// metadata. Unset (-1) preserves the direct-attached behaviour.
-  void set_node_id(int id) { node_id_ = id; }
-  int node_id() const { return node_id_; }
+  /// The HCA's fabric side: sys::Cluster wires links, the node id and
+  /// the next-hop bindings through it (QPs without a route of their own
+  /// send through the first link connected, the classic two-node peer),
+  /// and it relays frames addressed to other terminals.
+  net::Terminal& terminal() { return terminal_; }
+  const net::Terminal& terminal() const { return terminal_; }
 
   // --- verbs-level resource API (state only; callers charge CPU time) ------
 
@@ -134,11 +122,6 @@ class Hca : public pcie::Endpoint {
   std::uint64_t stamp_errors() const { return stamp_errors_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
-
-  /// Frame-conservation totals (originated = first-hop sends incl.
-  /// ACKs, forwarded = relayed frames for other terminals, delivered =
-  /// frames consumed here); byte counts match the link counters.
-  const net::FabricTotals& fabric_totals() const { return totals_; }
 
   // --- pcie::Endpoint (doorbell pages) --------------------------------------
   void inbound_write(mem::Addr addr,
@@ -193,9 +176,8 @@ class Hca : public pcie::Endpoint {
     bool used = false;
     QpInfo info;
     std::uint32_t remote_qpn = 0;
-    // Egress route for this QP's frames; nullptr = the HCA default link.
-    net::NetworkLink* route_link = nullptr;
-    int route_side = 0;
+    // Egress port for this QP's frames; a null link = the terminal's.
+    net::Port route;
     int remote_node = -1;  // peer terminal id (routed fabrics only)
     // Send queue: producer count from doorbells, consumer count in HCA.
     std::uint32_t sq_tail = 0;
@@ -228,14 +210,8 @@ class Hca : public pcie::Endpoint {
   void stream_message(std::uint32_t qpn, Frame::Kind kind, const SendWqe& wqe,
                       mem::Addr src, std::uint32_t psn, obs::FlowId flow,
                       std::function<void()> done);
-  void on_frame(net::NetworkLink* link, int side,
-                std::vector<std::uint8_t> bytes, net::FrameMeta meta);
-  /// Next hop for relayed frames; falls back to the default link.
-  struct NodeRoute {
-    net::NetworkLink* link = nullptr;
-    int side = 0;
-  };
-  NodeRoute route_for(int dst_node) const;
+  /// Decodes a frame the terminal delivered to this HCA.
+  void on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at);
   void handle_write_segment(const Frame& f, bool with_imm, obs::FlowId flow);
   void handle_send_segment(const Frame& f, obs::FlowId flow);
   void deliver_send_payload(const Frame& f, obs::FlowId flow);
@@ -245,8 +221,9 @@ class Hca : public pcie::Endpoint {
   void send_ack(std::uint32_t origin_qpn, std::uint32_t psn);
   void send_nak(std::uint32_t origin_qpn, std::uint32_t psn, WcStatus status);
   void fetch_recv_wqe(Qp& qp, std::function<void(Result<RecvWqe>)> cb);
-  /// Sends a frame through the QP's route, or the default link when the
-  /// QP has none. `flow`, when nonzero, rides with the frame for wire
+  /// Sends a frame through the QP's route, or the terminal's next hop
+  /// toward the peer when the QP has none (the default port for unrouted
+  /// peers). `flow`, when nonzero, rides with the frame for wire
   /// correlation at the receiver (only last frames of a message carry it).
   void link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
                  obs::FlowId flow = 0);
@@ -267,11 +244,7 @@ class Hca : public pcie::Endpoint {
   pcie::EndpointId endpoint_id_ = 0;
   std::unique_ptr<pcie::DmaEngine> dma_;
   mem::RegistrationTable mr_table_;
-  net::NetworkLink* link_ = nullptr;
-  int link_side_ = 0;
-  int node_id_ = -1;
-  std::vector<std::pair<int, NodeRoute>> routes_;  // insertion-ordered
-  net::FabricTotals totals_;
+  net::Terminal terminal_;
 
   std::vector<Qp> qps_;
   std::vector<Cq> cqs_;

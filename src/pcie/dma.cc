@@ -14,7 +14,7 @@ void DmaEngine::read(mem::Addr addr, std::uint64_t len,
                      std::function<void(std::vector<std::uint8_t>)> on_done,
                      obs::FlowId flow) {
   assert(len > 0);
-  auto* job = new ReadJob;
+  ReadJob* job = reads_.acquire();
   job->engine = this;
   job->base = addr;
   job->length = len;
@@ -73,12 +73,45 @@ void DmaEngine::pump_reads(ReadJob* job) {
                        obs::flow_step(job->flow, "pcie.dma", self->sim_.now());
                      }
                      job->on_done(std::move(job->buffer));
-                     delete job;
+                     self->reads_.release(job);
                      return;
                    }
                    self->pump_reads(job);
                  });
   }
+}
+
+void DmaEngine::stream(mem::Addr addr, std::uint64_t len,
+                       std::uint32_t segment, obs::FlowId flow,
+                       SegmentFn on_segment) {
+  assert(len > 0 && segment > 0);
+  Stream* s = streams_.acquire();
+  s->engine = this;
+  s->base = addr;
+  s->length = len;
+  s->segment = segment;
+  s->on_segment = std::move(on_segment);
+  pull_next(s, flow);
+}
+
+void DmaEngine::pull_next(Stream* s, obs::FlowId flow) {
+  const std::uint64_t offset = s->pulled;
+  s->pulled += std::min<std::uint64_t>(s->segment, s->length - offset);
+  // One read in flight per stream, so the stream itself knows which
+  // segment landed and the callback captures one pointer (stored inline).
+  read(s->base + offset, s->pulled - offset,
+       [s](std::vector<std::uint8_t> data) {
+         s->engine->segment_landed(s, std::move(data));
+       },
+       flow);
+}
+
+void DmaEngine::segment_landed(Stream* s, std::vector<std::uint8_t> data) {
+  const std::uint64_t offset = s->pulled - data.size();
+  const bool last = s->pulled == s->length;
+  if (!last) pull_next(s, 0);
+  s->on_segment(offset, last, std::move(data));
+  if (last) streams_.release(s);
 }
 
 void DmaEngine::write(mem::Addr addr, std::vector<std::uint8_t> data,

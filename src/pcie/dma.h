@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "mem/address_map.h"
@@ -27,9 +28,19 @@ struct DmaConfig {
 
 class DmaEngine {
  public:
+  /// One streamed segment: its offset within the stream, whether it is
+  /// the stream's last, and its bytes.
+  using SegmentFn =
+      std::function<void(std::uint64_t offset, bool last,
+                         std::vector<std::uint8_t> data)>;
+
   DmaEngine(sim::Simulation& sim, Fabric& fabric, EndpointId self,
             DmaConfig cfg)
       : sim_(sim), fabric_(fabric), self_(self), cfg_(cfg) {}
+
+  // In-flight jobs and their fabric callbacks hold the engine's address.
+  DmaEngine(const DmaEngine&) = delete;
+  DmaEngine& operator=(const DmaEngine&) = delete;
 
   /// Gathers [addr, addr+len) and hands the assembled buffer to `on_done`
   /// once the final completion arrives. A nonzero `flow` annotates the
@@ -37,6 +48,15 @@ class DmaEngine {
   void read(mem::Addr addr, std::uint64_t len,
             std::function<void(std::vector<std::uint8_t>)> on_done,
             obs::FlowId flow = 0);
+
+  /// Streams [addr, addr+len) out of memory in `segment`-byte reads, one
+  /// in flight: when segment k lands, the read of segment k+1 is issued
+  /// before segment k is handed to `on_segment`, so whatever the caller
+  /// does with k (push it through a datapath, onto the wire) overlaps
+  /// the pull of k+1. Segments arrive in order. A nonzero `flow`
+  /// annotates the first read only.
+  void stream(mem::Addr addr, std::uint64_t len, std::uint32_t segment,
+              obs::FlowId flow, SegmentFn on_segment);
 
   /// Scatters `data` to [addr, addr+size); `on_done` runs when the last
   /// byte has landed (posted writes, so this is target-arrival time).
@@ -48,10 +68,34 @@ class DmaEngine {
   std::uint64_t writes_issued() const { return writes_issued_; }
 
  private:
+  /// Owns every T it hands out, so in-flight jobs abandoned at teardown
+  /// are freed with the engine; released slots are reset and reused.
+  template <typename T>
+  class Slots {
+   public:
+    T* acquire() {
+      if (free_.empty()) {
+        all_.push_back(std::make_unique<T>());
+        return all_.back().get();
+      }
+      T* t = free_.back();
+      free_.pop_back();
+      return t;
+    }
+    void release(T* t) {
+      *t = T{};
+      free_.push_back(t);
+    }
+
+   private:
+    std::vector<std::unique_ptr<T>> all_;
+    std::vector<T*> free_;
+  };
+
   struct ReadJob {
-    DmaEngine* engine;               // owner; lets chunk callbacks stay small
-    mem::Addr base;
-    std::uint64_t length;
+    DmaEngine* engine = nullptr;     // lets chunk callbacks stay small
+    mem::Addr base = 0;
+    std::uint64_t length = 0;
     std::vector<std::uint8_t> buffer;
     std::uint64_t next_offset = 0;   // next segment to request
     std::uint64_t outstanding = 0;   // requests in flight
@@ -61,14 +105,25 @@ class DmaEngine {
     std::function<void(std::vector<std::uint8_t>)> on_done;
   };
 
-  /// The job is owned by its in-flight chunk callbacks collectively: the
-  /// callback that completes the final byte runs on_done and frees it.
+  struct Stream {
+    DmaEngine* engine = nullptr;
+    mem::Addr base = 0;
+    std::uint64_t length = 0;
+    std::uint32_t segment = 0;
+    std::uint64_t pulled = 0;  // bytes whose read has been issued
+    SegmentFn on_segment;
+  };
+
   void pump_reads(ReadJob* job);
+  void pull_next(Stream* s, obs::FlowId flow);
+  void segment_landed(Stream* s, std::vector<std::uint8_t> data);
 
   sim::Simulation& sim_;
   Fabric& fabric_;
   EndpointId self_;
   DmaConfig cfg_;
+  Slots<ReadJob> reads_;
+  Slots<Stream> streams_;
   std::uint64_t reads_issued_ = 0;
   std::uint64_t writes_issued_ = 0;
 };

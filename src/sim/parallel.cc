@@ -159,6 +159,8 @@ void ShardGroup::post(int src, int dst, SimTime when, SimTime birth_time,
         when, birth_time, birth_tag, std::move(fn));
     return;
   }
+  SimTime& cap = slots_[static_cast<std::size_t>(src)].cap;
+  cap = std::min(cap, when + opt_.lookahead);
   channels_[static_cast<std::size_t>(src) * num_shards() + dst]->push(
       Admission{when, birth_time, birth_tag, dst, std::move(fn)});
   posted_.fetch_add(1, std::memory_order_release);

@@ -95,6 +95,9 @@ class ShardGroup {
   /// to shard `dst`. During a round this is the only legal cross-shard
   /// interaction and must be called from the thread executing `src`;
   /// between rounds (host code, merged execution) it admits directly.
+  /// In a round it also lowers `src`'s window cap to `when` + lookahead:
+  /// the event can wake a drained shard whose reply lands no earlier,
+  /// and `src` must not have run past it.
   void post(int src, int dst, SimTime when, SimTime birth_time,
             EventId birth_tag, EventFn fn);
 
@@ -185,7 +188,9 @@ class ShardGroup {
   /// shard i may execute strictly below min_{j != i}(next_j) + lookahead
   /// — anything another shard could still send it arrives no earlier —
   /// which for the frontier shard (argmin) is the *second* minimum plus
-  /// lookahead, usually far past the uniform bound.
+  /// lookahead, usually far past the uniform bound. What the frontier
+  /// shard posts itself is bounded by post(), which lowers the poster's
+  /// cap.
   struct Frontier {
     SimTime min1 = kNever;
     SimTime min2 = kNever;
@@ -194,7 +199,8 @@ class ShardGroup {
   Frontier frontier() const;
 
   /// Shard i's conservative execution bound under `f` (kNever when every
-  /// other shard is drained: nothing can ever reach i this round).
+  /// other shard is drained: nothing can reach i this round unless i
+  /// posts, and post() then lowers i's cap).
   SimTime horizon_for(const Frontier& f, int i) const {
     const SimTime b = i == f.argmin ? f.min2 : f.min1;
     return b == kNever ? kNever : b + opt_.lookahead;

@@ -387,7 +387,7 @@ bool Simulation::run_until_condition(const std::function<bool()>& predicate) {
 }
 
 Simulation::WindowResult Simulation::run_window(
-    SimTime cap, const std::function<bool()>* condition) {
+    const SimTime& cap, const std::function<bool()>* condition) {
   WindowResult out;
   const std::uint64_t before = events_executed_;
   EventQueue::Popped popped;

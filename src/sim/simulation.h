@@ -185,7 +185,7 @@ class Simulation {
     std::uint64_t executed = 0;
     bool fired = false;
   };
-  WindowResult run_window(SimTime cap,
+  WindowResult run_window(const SimTime& cap,
                           const std::function<bool()>* condition);
 
   /// One step of the merged order of `sims` (all one group's shards in

@@ -168,10 +168,8 @@ Cluster::Cluster(const ClusterConfig& cfg) {
 }
 
 void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
-  const bool extoll = which == Backend::kExtoll;
   const std::string bname = backend_name(which);
-  auto& links = extoll ? extoll_links_ : ib_links_;
-  auto& switches = extoll ? extoll_switches_ : ib_switches_;
+  auto& [links, switches] = overlay(which);
   const int n = plan_.num_terminals;
   for (int v = n; v < plan_.num_vertices(); ++v) {
     switches.push_back(std::make_unique<net::Switch>(
@@ -208,10 +206,8 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
       const int v = side == 0 ? ep.a : ep.b;
       if (plan_.is_switch(v)) {
         edge_port[e][side] = switches[v - n]->add_port(link.get(), side);
-      } else if (extoll) {
-        nodes_[v]->extoll().connect(link.get(), side);
       } else {
-        nodes_[v]->hca().connect(link.get(), side);
+        nodes_[v]->terminal(which).connect(link.get(), side);
       }
     }
     links.push_back(std::move(link));
@@ -219,20 +215,13 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
   // Next-hop fill. Unreachable destinations (the pair topology's
   // disjoint islands) simply stay unrouted.
   for (int t = 0; t < n; ++t) {
-    if (extoll) {
-      nodes_[t]->extoll().set_node_id(t);
-    } else {
-      nodes_[t]->hca().set_node_id(t);
-    }
+    net::Terminal& terminal = nodes_[t]->terminal(which);
+    terminal.set_node_id(t);
     for (int d = 0; d < n; ++d) {
       if (d == t) continue;
-      const int e = routes_.next_edge(t, d);
-      if (e < 0) continue;
-      net::NetworkLink* l = links[static_cast<std::size_t>(e)].get();
-      const int side = plan_.edges[static_cast<std::size_t>(e)].a == t ? 0 : 1;
-      const Status s = extoll ? nodes_[t]->extoll().add_route(d, l, side)
-                              : nodes_[t]->hca().add_route(d, l, side);
-      if (!s.is_ok()) {
+      const Route hop = first_hop(which, t, d);
+      if (hop.link == nullptr) continue;
+      if (Status s = terminal.add_route(d, hop.link, hop.side); !s.is_ok()) {
         PG_ERROR("sys", "route fill: %s", s.message().c_str());
         std::abort();
       }
@@ -333,8 +322,7 @@ void Cluster::sample_telemetry() {
   const double interval_us =
       static_cast<double>(sample_every_) / static_cast<double>(kMicrosecond);
   for (Backend b : {Backend::kExtoll, Backend::kIb}) {
-    const auto& links = b == Backend::kExtoll ? extoll_links_ : ib_links_;
-    if (links.empty()) continue;
+    if (overlay(b).links.empty()) continue;
     const std::string bname = backend_name(b);
     std::uint64_t frames = 0;
     for (const LinkReport& r : link_reports(b)) {
@@ -349,7 +337,7 @@ void Cluster::sample_telemetry() {
         static_cast<double>(t.frames_delivered);
     v["net." + bname + ".delivered_bytes"] =
         static_cast<double>(t.bytes_delivered);
-    const std::size_t bi = b == Backend::kExtoll ? 0 : 1;
+    const auto bi = static_cast<std::size_t>(b);
     v["net." + bname + ".msg_rate_per_us"] =
         interval_us > 0.0
             ? static_cast<double>(t.frames_delivered - prev_delivered_[bi]) /
@@ -381,9 +369,8 @@ Node& Cluster::node(int i) {
   return *nodes_[static_cast<std::size_t>(i)];
 }
 
-Cluster::Route Cluster::first_hop(
-    const std::vector<std::unique_ptr<net::NetworkLink>>& links, int from,
-    int to) const {
+Cluster::Route Cluster::first_hop(Backend b, int from, int to) const {
+  const auto& links = overlay(b).links;
   if (links.empty() || from == to) return Route{};
   if (from < 0 || from >= plan_.num_terminals || to < 0 ||
       to >= plan_.num_terminals) {
@@ -397,15 +384,15 @@ Cluster::Route Cluster::first_hop(
 }
 
 Cluster::Route Cluster::extoll_route(int from, int to) const {
-  return first_hop(extoll_links_, from, to);
+  return first_hop(Backend::kExtoll, from, to);
 }
 
 Cluster::Route Cluster::ib_route(int from, int to) const {
-  return first_hop(ib_links_, from, to);
+  return first_hop(Backend::kIb, from, to);
 }
 
 std::vector<Cluster::LinkReport> Cluster::link_reports(Backend b) const {
-  const auto& links = b == Backend::kExtoll ? extoll_links_ : ib_links_;
+  const auto& links = overlay(b).links;
   const double elapsed = static_cast<double>(now());
   std::vector<LinkReport> out;
   out.reserve(links.size() * 2);
@@ -433,24 +420,10 @@ std::vector<Cluster::LinkReport> Cluster::link_reports(Backend b) const {
 
 net::FabricTotals Cluster::fabric_totals(Backend b) const {
   net::FabricTotals t;
-  const auto& links = b == Backend::kExtoll ? extoll_links_ : ib_links_;
-  if (links.empty()) return t;
-  for (const auto& node : nodes_) {
-    const net::FabricTotals& n = b == Backend::kExtoll
-                                     ? node->extoll().fabric_totals()
-                                     : node->hca().fabric_totals();
-    t.frames_originated += n.frames_originated;
-    t.bytes_originated += n.bytes_originated;
-    t.frames_forwarded += n.frames_forwarded;
-    t.bytes_forwarded += n.bytes_forwarded;
-    t.frames_delivered += n.frames_delivered;
-    t.bytes_delivered += n.bytes_delivered;
-  }
-  for (const auto& sw :
-       b == Backend::kExtoll ? extoll_switches_ : ib_switches_) {
-    t.frames_forwarded += sw->frames_forwarded();
-    t.bytes_forwarded += sw->bytes_forwarded();
-  }
+  const Overlay& o = overlay(b);
+  if (o.links.empty()) return t;
+  for (const auto& node : nodes_) t += node->terminal(b).totals();
+  for (const auto& sw : o.switches) t += sw->totals();
   return t;
 }
 
@@ -458,7 +431,7 @@ void Cluster::publish_link_metrics() const {
   obs::MetricsRegistry* m = obs::metrics();
   if (m == nullptr) return;
   for (Backend b : {Backend::kExtoll, Backend::kIb}) {
-    const auto& links = b == Backend::kExtoll ? extoll_links_ : ib_links_;
+    const auto& links = overlay(b).links;
     if (links.empty()) continue;
     const std::string bname = backend_name(b);
     obs::Log2Histogram& depth = m->histogram("net." + bname + ".queue_depth");

@@ -7,13 +7,13 @@
 //
 // The cluster owns the ONE route-computation pass: it builds the
 // fabric plan (net/fabric.h), computes next-hop tables per vertex, and
-// pushes next-hop bindings into the NICs (add_route / set_node_id) and
-// the fat tree's switch objects. NICs relay frames for other terminals
-// through their next-hop tables, so non-adjacent nodes communicate
-// over multi-hop paths with per-hop serialization + flight latency and
-// genuine shared-link contention; on direct-attached topologies every
-// route is single-hop and behaviour is identical to the pre-fabric
-// link wiring.
+// pushes next-hop bindings into each NIC's net::Terminal (add_route /
+// set_node_id) and the fat tree's switch objects. Terminals relay frames
+// for other terminals through their next-hop tables, so non-adjacent
+// nodes communicate over multi-hop paths with per-hop serialization +
+// flight latency and genuine shared-link contention; on direct-attached
+// topologies every route is single-hop and behaviour is identical to
+// the pre-fabric link wiring.
 //
 // Every cluster runs on the parallel discrete-event engine
 // (sim/parallel.h): each node owns its own event shard and the network
@@ -50,11 +50,6 @@ class ShardSinkHub;
 }
 
 namespace pg::sys {
-
-/// The two put/get fabrics every node can carry.
-enum class Backend { kExtoll, kIb };
-
-const char* backend_name(Backend b);
 
 struct ClusterConfig {
   NodeConfig node;
@@ -100,21 +95,14 @@ class Cluster {
 
   /// First link of each backend — the only link in the classic two-node
   /// pair, which is what the two-node experiment drivers use.
-  net::NetworkLink* extoll_link() {
-    return extoll_links_.empty() ? nullptr : extoll_links_.front().get();
-  }
-  net::NetworkLink* ib_link() {
-    return ib_links_.empty() ? nullptr : ib_links_.front().get();
-  }
+  net::NetworkLink* extoll_link() { return first_link(Backend::kExtoll); }
+  net::NetworkLink* ib_link() { return first_link(Backend::kIb); }
 
   /// First-hop egress from node `from` toward node `to`: the link the
   /// frame leaves `from` on (the full path may relay through further
   /// nodes or switches); {nullptr, 0} when `to` is unreachable (the
   /// pair topology's disjoint pairs) or from == to.
-  struct Route {
-    net::NetworkLink* link = nullptr;
-    int side = 0;
-  };
+  using Route = net::Port;
   Route extoll_route(int from, int to) const;
   Route ib_route(int from, int to) const;
 
@@ -183,12 +171,25 @@ class Cluster {
 
  private:
   /// Instantiates one backend's overlay of the fabric plan: a
-  /// NetworkLink per edge (labelled, shard-bound), NIC connects for
-  /// terminal endpoints, switch ports for switch endpoints, and the
-  /// next-hop fill into NICs and switches.
+  /// NetworkLink per edge (labelled, shard-bound), terminal connects for
+  /// node endpoints, switch ports for switch endpoints, and the next-hop
+  /// fill into terminals and switches.
   void wire_backend(Backend which, const net::NetConfig& net_cfg);
-  Route first_hop(const std::vector<std::unique_ptr<net::NetworkLink>>& links,
-                  int from, int to) const;
+  Route first_hop(Backend b, int from, int to) const;
+
+  /// One backend's links (in plan edge order) and switch objects.
+  struct Overlay {
+    std::vector<std::unique_ptr<net::NetworkLink>> links;
+    std::vector<std::unique_ptr<net::Switch>> switches;
+  };
+  Overlay& overlay(Backend b) { return overlays_[static_cast<int>(b)]; }
+  const Overlay& overlay(Backend b) const {
+    return overlays_[static_cast<int>(b)];
+  }
+  net::NetworkLink* first_link(Backend b) {
+    const auto& links = overlay(b).links;
+    return links.empty() ? nullptr : links.front().get();
+  }
 
   /// The sample boundary the facade must pause at next: next_sample_
   /// when a positive interval was configured and a TimeSeries is
@@ -207,10 +208,7 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   net::FabricPlan plan_;
   net::RouteTables routes_;
-  std::vector<std::unique_ptr<net::NetworkLink>> extoll_links_;
-  std::vector<std::unique_ptr<net::NetworkLink>> ib_links_;
-  std::vector<std::unique_ptr<net::Switch>> extoll_switches_;
-  std::vector<std::unique_ptr<net::Switch>> ib_switches_;
+  Overlay overlays_[2];  // index = Backend
   SimDuration sample_every_ = 0;
   SimTime next_sample_ = 0;
   // Delivered-frame totals at the previous sample, per backend

@@ -17,6 +17,11 @@
 
 namespace pg::sys {
 
+/// The two put/get fabrics every node can carry.
+enum class Backend { kExtoll, kIb };
+
+const char* backend_name(Backend b);
+
 struct NodeConfig {
   pcie::FabricConfig fabric;
   host::CpuConfig cpu;
@@ -42,6 +47,10 @@ class Node {
   gpu::Gpu& gpu() { return *gpu_; }
   extoll::ExtollNic& extoll() { return *extoll_; }
   ib::Hca& hca() { return *hca_; }
+  /// The fabric side of `b`'s NIC (links, node id, next hops, relay).
+  net::Terminal& terminal(Backend b) {
+    return b == Backend::kExtoll ? extoll_->terminal() : hca_->terminal();
+  }
   bool has_extoll() const { return extoll_ != nullptr; }
   bool has_ib() const { return hca_ != nullptr; }
 

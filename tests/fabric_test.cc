@@ -5,6 +5,7 @@
 // switches.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -234,7 +235,8 @@ TEST(DuplicateRoutes, ExtollAddRouteRejectsSecondBinding) {
   // is a hard error, even for the same next hop.
   const sys::Cluster::Route r = cluster.extoll_route(0, 1);
   ASSERT_NE(r.link, nullptr);
-  const Status s = cluster.node(0).extoll().add_route(1, r.link, r.side);
+  const Status s =
+      cluster.node(0).extoll().terminal().add_route(1, r.link, r.side);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("duplicate route"), std::string::npos);
 }
@@ -246,8 +248,9 @@ TEST(DuplicateRoutes, IbAddRouteRejectsSecondBinding) {
   sys::Cluster cluster(cfg);
   const sys::Cluster::Route r = cluster.ib_route(0, 1);
   ASSERT_NE(r.link, nullptr);
-  EXPECT_EQ(cluster.node(0).hca().add_route(1, r.link, r.side).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      cluster.node(0).hca().terminal().add_route(1, r.link, r.side).code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(DuplicateRoutes, RoutedConnectQpRejectsReRouting) {
@@ -282,6 +285,140 @@ TEST(DuplicateRoutes, SwitchNextHopRejectsConflictingPort) {
   EXPECT_TRUE(sw.set_next_hop(0, p0).is_ok());  // idempotent re-bind
   EXPECT_EQ(sw.set_next_hop(0, p1).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(sw.set_next_hop(1, 7).code(), StatusCode::kInvalidArgument);
+}
+
+// --- Frame conservation and teardown ----------------------------------------
+
+constexpr mem::Access kRw = mem::Access::kReadWrite;
+
+/// Node 0 puts `bytes` to and gets `bytes` from every other node: EXTOLL
+/// WRs on one port each, IB RDMA writes and reads on one routed QP pair
+/// each (the endpoints go to `eps`, which must outlive the run).
+/// Leaves the transfers running.
+void start_transfers(
+    sys::Cluster& cluster, sys::Backend backend, std::uint32_t bytes,
+    std::vector<std::unique_ptr<putget::IbHostEndpoint>>& eps) {
+  sys::Node& n0 = cluster.node(0);
+  const mem::Addr local = n0.host_heap().alloc(bytes);
+  for (int d = 1; d < cluster.num_nodes(); ++d) {
+    sys::Node& nd = cluster.node(d);
+    const mem::Addr remote = nd.host_heap().alloc(bytes);
+    if (backend == sys::Backend::kExtoll) {
+      auto lnla = n0.extoll().register_memory(local, bytes, kRw);
+      auto rnla = nd.extoll().register_memory(remote, bytes, kRw);
+      ASSERT_TRUE(lnla.is_ok() && rnla.is_ok());
+      for (extoll::RmaCmd cmd : {extoll::RmaCmd::kPut, extoll::RmaCmd::kGet}) {
+        extoll::WorkRequest wr;
+        wr.cmd = cmd;
+        wr.port = static_cast<std::uint8_t>(2 * d + (cmd == extoll::RmaCmd::kGet));
+        wr.size = bytes;
+        wr.dst_node = d;
+        wr.src_nla = cmd == extoll::RmaCmd::kPut ? *lnla : *rnla;
+        wr.dst_nla = cmd == extoll::RmaCmd::kPut ? *rnla : *lnla;
+        ASSERT_TRUE(n0.extoll().open_port(wr.port).is_ok());
+        n0.extoll().post_work_request(wr);
+      }
+      continue;
+    }
+    for (ib::WqeOpcode op :
+         {ib::WqeOpcode::kRdmaWrite, ib::WqeOpcode::kRdmaRead}) {
+      putget::IbHostEndpoint::Options opts;
+      auto ea = putget::IbHostEndpoint::create(n0, opts);
+      auto eb = putget::IbHostEndpoint::create(nd, opts);
+      ASSERT_TRUE(ea.is_ok() && eb.is_ok());
+      const sys::Cluster::Route ra = cluster.ib_route(0, d);
+      const sys::Cluster::Route rb = cluster.ib_route(d, 0);
+      ASSERT_TRUE(
+          n0.hca()
+              .connect_qp(ea->qp().qpn, eb->qp().qpn, ra.link, ra.side, d)
+              .is_ok());
+      ASSERT_TRUE(
+          nd.hca()
+              .connect_qp(eb->qp().qpn, ea->qp().qpn, rb.link, rb.side, 0)
+              .is_ok());
+      auto lmr = ea->reg_mr(local, bytes, kRw);
+      auto rmr = eb->reg_mr(remote, bytes, kRw);
+      ASSERT_TRUE(lmr.is_ok() && rmr.is_ok());
+      ib::SendWqe wqe;
+      wqe.opcode = op;
+      wqe.signaled = true;
+      wqe.byte_len = bytes;
+      wqe.laddr = local;
+      wqe.lkey = lmr->lkey;
+      wqe.raddr = remote;
+      wqe.rkey = rmr->rkey;
+      eps.push_back(std::make_unique<putget::IbHostEndpoint>(std::move(*ea)));
+      eps.push_back(std::make_unique<putget::IbHostEndpoint>(std::move(*eb)));
+      // The post finishes long before the transfer does.
+      sim::spawn(eps[eps.size() - 2]->post_send(n0.cpu(), wqe));
+    }
+  }
+}
+
+// Every frame is originated once, forwarded once per relay and delivered
+// once: after the fabric drains, the per-link frame and byte sums equal
+// originated + forwarded, and delivered equals originated. The ring
+// relays through NICs, the fat tree through switches.
+TEST(FrameConservation, LinkSumsMatchOriginatedPlusForwarded) {
+  for (sys::Backend backend : {sys::Backend::kExtoll, sys::Backend::kIb}) {
+    for (net::Topology topo : {net::Topology::kRing, net::Topology::kFatTree}) {
+      sys::ClusterConfig cfg = backend == sys::Backend::kExtoll
+                                   ? sys::extoll_testbed()
+                                   : sys::ib_testbed();
+      cfg.num_nodes = 6;
+      cfg.topology = topo;
+      sys::Cluster cluster(cfg);
+      std::vector<std::unique_ptr<putget::IbHostEndpoint>> eps;
+      const std::string what = std::string(sys::backend_name(backend)) + " " +
+                               net::topology_name(topo);
+      start_transfers(cluster, backend, 96 * KiB, eps);
+      cluster.run_for(microseconds(2000));
+      std::uint64_t completed = 0;
+      for (int n = 0; n < cluster.num_nodes(); ++n) {
+        sys::Node& node = cluster.node(n);
+        completed += backend == sys::Backend::kExtoll
+                         ? node.extoll().puts_completed() +
+                               node.extoll().gets_completed()
+                         : node.hca().messages_delivered();
+      }
+      EXPECT_EQ(completed, 10u) << what;  // a put and a get per peer
+
+      const net::FabricTotals t = cluster.fabric_totals(backend);
+      std::uint64_t frames = 0;
+      std::uint64_t bytes = 0;
+      for (const sys::Cluster::LinkReport& r : cluster.link_reports(backend)) {
+        frames += r.frames;
+        bytes += r.bytes;
+      }
+      EXPECT_GT(t.frames_forwarded, 0u) << what;
+      EXPECT_EQ(frames, t.frames_originated + t.frames_forwarded) << what;
+      EXPECT_EQ(bytes, t.bytes_originated + t.bytes_forwarded) << what;
+      EXPECT_EQ(t.frames_delivered, t.frames_originated) << what;
+      EXPECT_EQ(t.bytes_delivered, t.bytes_originated) << what;
+    }
+  }
+}
+
+// Destroying a cluster in the middle of 1 MiB puts, gets, RDMA writes
+// and RDMA reads must free every streaming job with it (the ASan build
+// checks for leaks): the DMA engine owns its in-flight reads and segment
+// streams, and no stream keeps itself alive.
+TEST(Teardown, AbandonedTransfersAreFreedWithTheCluster) {
+  for (sys::Backend backend : {sys::Backend::kExtoll, sys::Backend::kIb}) {
+    sys::Cluster cluster(backend == sys::Backend::kExtoll ? sys::extoll_testbed()
+                                                          : sys::ib_testbed());
+    std::vector<std::unique_ptr<putget::IbHostEndpoint>> eps;
+    start_transfers(cluster, backend, 1 * MiB, eps);
+    cluster.run_for(microseconds(20));
+    if (backend == sys::Backend::kExtoll) {
+      EXPECT_EQ(cluster.node(1).extoll().puts_completed(), 0u);
+      EXPECT_EQ(cluster.node(0).extoll().gets_completed(), 0u);
+    } else {
+      EXPECT_EQ(cluster.node(0).hca().messages_delivered() +
+                    cluster.node(1).hca().messages_delivered(),
+                0u);
+    }
+  }
 }
 
 // --- First-hop lookups on the cluster ---------------------------------------

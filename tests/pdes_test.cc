@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,36 @@ TEST(ShardGroup, CrossShardPostDeliversUnderLookahead) {
   // The send consumed a scheduling slot on the sender, like the single
   // heap would have.
   EXPECT_EQ(t.group.total_scheduled(), 2u);
+}
+
+// A shard running alone must still stop where a reply to its own post
+// could land: b is drained when the round starts, but a's post at 50 ns
+// wakes it and b answers at 250 ns, before a's local event at 1 us.
+TEST(ShardGroup, LoneShardStopsBeforeRepliesToItsOwnPosts) {
+  for (int driver : {0, 1}) {
+    TwoShards t(2);
+    std::vector<SimTime> on_a;
+    const auto post = [&t](sim::Simulation& from, int src, int dst,
+                           std::function<void()> fn) {
+      const sim::Simulation::Birth birth = from.take_birth();
+      t.group.post(src, dst, from.now() + nanoseconds(100), birth.time,
+                   birth.tag, std::move(fn));
+    };
+    t.a.schedule(nanoseconds(50), [&] {
+      post(t.a, 0, 1, [&] {
+        post(t.b, 1, 0, [&] { on_a.push_back(t.a.now()); });
+      });
+    });
+    t.a.schedule(nanoseconds(1000), [&] { on_a.push_back(t.a.now()); });
+    if (driver == 0) {
+      t.group.run();
+    } else {
+      t.group.run_until_time(nanoseconds(2000));
+    }
+    EXPECT_EQ(on_a, (std::vector<SimTime>{nanoseconds(250),
+                                           nanoseconds(1000)}))
+        << "driver " << driver;
+  }
 }
 
 TEST(ShardGroup, SameTimestampCrossShardOrderIsBirthOrder) {

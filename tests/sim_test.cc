@@ -435,6 +435,23 @@ struct PollScenario {
 
 enum class Drive { kRun, kCondition, kSegments };
 
+// The most `segment`-long run_until steps a correct drive of `sc` needs,
+// with room to spare: a poller is done one probe interval plus cost per
+// flag after the later of its start and the last write. Segmented drives
+// stop there, so an engine fault that leaves a poller parked and never
+// settled fails the test instead of hanging it.
+std::uint64_t max_segments(const PollScenario& sc, SimDuration segment) {
+  SimTime last_write = 0;
+  for (const WriteSpec& w : sc.writes) last_write = std::max(last_write, w.at);
+  SimTime end = last_write;
+  for (const PollerSpec& p : sc.pollers) {
+    end = std::max(end, std::max(p.start, last_write) +
+                            static_cast<SimDuration>(p.flags.size()) *
+                                (p.interval + p.cost + nanoseconds(20)));
+  }
+  return 2 * static_cast<std::uint64_t>(end / segment) + 16;
+}
+
 void snapshot_boundary(const Simulation& sim, PollTrace& tr) {
   tr.keys.push_back({sim.now(), static_cast<SimTime>(sim.events_executed()),
                      sim.total_scheduled()});
@@ -484,7 +501,12 @@ PollTrace run_poll_scenario(const PollScenario& sc, Drive drive,
       // run_until ends mid-park at every boundary; snapshot each one,
       // including the key of the next pending event (a parked probe's
       // tag is visible only there).
-      while (!sim.idle()) {
+      for (std::uint64_t n = 0; !sim.idle(); ++n) {
+        if (n == max_segments(sc, segment)) {
+          ADD_FAILURE() << "segmented drive still busy after " << n
+                        << " segments";
+          break;
+        }
         sim.run_until(sim.now() + segment);
         snapshot_boundary(sim, tr);
       }
@@ -993,7 +1015,13 @@ GroupTrace run_group_scenario(const GroupScenario& g, SimDuration segment,
     EXPECT_EQ(group.run_until_global(all_done),
               limit == std::numeric_limits<std::uint64_t>::max());
   } else {
+    const std::uint64_t max_n = max_segments(sc, segment);
     for (SimTime deadline = segment;; deadline += segment) {
+      if (static_cast<std::uint64_t>(deadline / segment) > max_n) {
+        ADD_FAILURE() << "segmented drive still busy after " << max_n
+                      << " segments";
+        break;
+      }
       const auto out = group.run_until_global_before(all_done, deadline);
       tr.boundaries.push_back({group.now(),
                                static_cast<SimTime>(a.events_executed()),
