@@ -71,7 +71,7 @@ double bench_event_queue_ns(std::uint64_t* events_out) {
   return ns / static_cast<double>(kEvents);
 }
 
-sim::SimTask wait_for_flag(sim::Simulation& sim, const bool& flag) {
+sim::CoTask wait_for_flag(sim::Simulation& sim, const bool& flag) {
   co_await sim::PollUntil{sim, [&flag] { return flag; }, nanoseconds(60)};
 }
 
@@ -86,11 +86,9 @@ double bench_settle_ns_per_due_poller(std::uint64_t* credits_out) {
   constexpr unsigned kPollers = 32;
   sim::Simulation sim;
   bool flag = false;
-  std::vector<sim::SimTask> tasks;
   for (unsigned p = 0; p < kPollers; ++p) {
-    sim.schedule(nanoseconds(p), [&sim, &flag, &tasks] {
-      tasks.push_back(wait_for_flag(sim, flag));
-    });
+    sim.schedule(nanoseconds(p),
+                 [&sim, &flag] { sim.spawn(wait_for_flag(sim, flag)); });
   }
   std::uint64_t remaining = kEvents;
   struct Pump {

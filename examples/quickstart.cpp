@@ -68,9 +68,9 @@ int main() {
   put.dst_nla = *dst_nla;
 
   sim::Trigger put_sent, put_landed;
-  auto t1 = sim::spawn(port0->post(n0.cpu(), put));
-  auto t2 = sim::spawn(port0->wait_requester(n0.cpu()), &put_sent);
-  auto t3 = sim::spawn(port1->wait_completer(n1.cpu()), &put_landed);
+  n0.cpu().sim().spawn(port0->post(n0.cpu(), put));
+  n0.cpu().sim().spawn(port0->wait_requester(n0.cpu()), &put_sent);
+  n1.cpu().sim().spawn(port1->wait_completer(n1.cpu()), &put_landed);
   cluster.run_until([&] { return put_sent.fired() && put_landed.fired(); });
   std::printf("put: %u bytes delivered at t=%.2f us\n", kSize,
               to_us(cluster.now()));
@@ -85,8 +85,8 @@ int main() {
   get.dst_nla = *back_nla;      // local destination
 
   sim::Trigger got;
-  auto t4 = sim::spawn(port0->post(n0.cpu(), get));
-  auto t5 = sim::spawn(port0->wait_completer(n0.cpu()), &got);
+  n0.cpu().sim().spawn(port0->post(n0.cpu(), get));
+  n0.cpu().sim().spawn(port0->wait_completer(n0.cpu()), &got);
   cluster.run_until([&] { return got.fired(); });
   std::printf("get: %u bytes pulled back at t=%.2f us\n", kSize,
               to_us(cluster.now()));

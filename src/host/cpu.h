@@ -1,7 +1,8 @@
 // The host CPU model.
 //
-// Host-side control code runs as coroutines whose awaits charge the CPU
-// cost model. The paper's point of comparison is that all these costs are
+// Host-side control code runs as coroutines (sim::CoTask) whose awaits
+// charge the CPU cost model; every wait parks (poll_until, scan_until).
+// The paper's point of comparison is that all these costs are
 // small on a CPU: descriptors are built in cached memory in ~100 ns, an
 // MMIO doorbell write costs one write-combined store, and polling host
 // memory hits the cache. The same operations issued from a GPU thread
@@ -74,6 +75,13 @@ class HostCpu {
   [[nodiscard]] sim::PollUntil poll_until(std::function<bool()> predicate) {
     return {sim_, std::move(predicate), cfg_.cached_poll_interval,
             cfg_.cached_poll_interval};
+  }
+
+  /// poll_until for service loops that charge their work themselves: the
+  /// successful probe costs nothing and continues inline (the events of
+  /// a loop that re-probes with delay(cached_poll_interval)).
+  [[nodiscard]] sim::PollUntil scan_until(std::function<bool()> predicate) {
+    return {sim_, std::move(predicate), cfg_.cached_poll_interval};
   }
 
   // --- zero-time state access (own DRAM; cost charged via touch_dram) ------

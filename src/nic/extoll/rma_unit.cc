@@ -306,64 +306,71 @@ void ExtollNic::on_frame(std::vector<std::uint8_t> bytes,
   const obs::FlowId flow = frame->last ? terminal_.claim_flow(at) : 0;
   switch (frame->kind) {
     case Frame::Kind::kPutSegment:
-      handle_put_segment(*frame, flow);
+      complete_segment(std::move(*frame), flow, puts_completed_,
+                       "extoll.puts_completed", "put-complete");
       break;
     case Frame::Kind::kGetRequest:
       handle_get_request(*frame, at, flow);
       break;
     case Frame::Kind::kGetResponse:
-      handle_get_response(*frame, flow);
+      complete_segment(std::move(*frame), flow, gets_completed_,
+                       "extoll.gets_completed", "get-complete");
       break;
   }
 }
 
-void ExtollNic::handle_put_segment(const Frame& f, obs::FlowId flow) {
+void ExtollNic::complete_segment(Frame f, obs::FlowId flow,
+                                 std::uint64_t& completed, const char* metric,
+                                 const char* label) {
   auto dst = atu_.translate(f.dst_nla + f.offset, f.payload.size(),
                             mem::Access::kWrite);
   if (!dst.is_ok()) {
     ++translation_faults_;
-    PG_WARN("extoll", "%s: put destination translation fault",
-            name_.c_str());
+    PG_WARN("extoll", "%s: %s destination translation fault", name_.c_str(),
+            f.kind == Frame::Kind::kPutSegment ? "put" : "get");
     return;
   }
-  const std::uint32_t seg = static_cast<std::uint32_t>(f.payload.size());
+  const std::uint32_t len = static_cast<std::uint32_t>(f.payload.size());
   const SimTime start = std::max(sim_.now(), completer_busy_until_);
   completer_busy_until_ = start + core_cycles(cfg_.completer_cycles) +
-                          core_rate().transfer_time(seg);
-  // Move the payload out of the frame before the DMA write so the
-  // completion callback carries only frame metadata, not another copy of
-  // the data.
-  sim_.schedule_at(completer_busy_until_, [this, f, flow, seg,
-                                           dst = *dst]() mutable {
-    std::vector<std::uint8_t> payload = std::move(f.payload);
-    const std::uint32_t len = seg;
-    dma_->write(dst, std::move(payload), [this, f = std::move(f), flow, dst,
-                                          len] {
-      if (!f.last) return;
-      ++puts_completed_;
+                          core_rate().transfer_time(len);
+  // Runs once the segment landed; the last one completes the transfer.
+  // It carries frame metadata only, not another copy of the data.
+  std::function<void()> landed = [] {};
+  if (f.last) {
+    landed = [this, &completed, metric, label, flow, port = f.port,
+              size = f.total_size, notify = f.notify_completer,
+              nla = f.dst_nla, tail = *dst + len - 1] {
+      ++completed;
       obs::flow_stage(flow, name_.c_str(), "remote_dma", sim_.now());
-      if (obs::metrics()) obs::count("extoll.puts_completed");
+      if (obs::metrics()) obs::count(metric);
       if (obs::enabled()) {
-        obs::instant(name_.c_str(), "rma", "put-complete", sim_.now(),
-                     {{"port", f.port}, {"size", f.total_size}});
+        obs::instant(name_.c_str(), "rma", label, sim_.now(),
+                     {{"port", port}, {"size", size}});
       }
-      PortState& port = ports_[f.port];
-      if (f.notify_completer && port.opened) {
+      PortState& ps = ports_[port];
+      if (notify && ps.opened) {
         Notification n;
         n.unit = NotifyUnit::kCompleter;
-        n.port = f.port;
-        n.size = f.total_size;
-        n.seq = ++port.cmp_seq;
-        n.nla = f.dst_nla;
-        write_notification(port, port.cmp_queue, n, flow);
+        n.port = port;
+        n.size = size;
+        n.seq = ++ps.cmp_seq;
+        n.nla = nla;
+        write_notification(ps, ps.cmp_queue, n, flow);
       } else if (flow != 0) {
         // No notification: the consumer detects arrival by polling the
         // payload's final bytes, so park the lifecycle under the last
         // written address for the poll loop to claim.
-        obs::flow_push(obs::flow_key(&fabric_, dst + len - 1), flow);
+        obs::flow_push(obs::flow_key(&fabric_, tail), flow);
       }
-    }, flow);
-  });
+    };
+  }
+  sim_.schedule_at(completer_busy_until_,
+                   [this, dst = *dst, payload = std::move(f.payload), flow,
+                    landed = std::move(landed)]() mutable {
+                     dma_->write(dst, std::move(payload), std::move(landed),
+                                 flow);
+                   });
 }
 
 void ExtollNic::handle_get_request(const Frame& f, const net::Arrival& at,
@@ -407,49 +414,6 @@ void ExtollNic::handle_get_request(const Frame& f, const net::Arrival& at,
           terminal_.send(reply_to, std::move(bytes), last ? flow : 0, hop);
         });
       });
-}
-
-void ExtollNic::handle_get_response(const Frame& f, obs::FlowId flow) {
-  auto dst = atu_.translate(f.dst_nla + f.offset, f.payload.size(),
-                            mem::Access::kWrite);
-  if (!dst.is_ok()) {
-    ++translation_faults_;
-    PG_WARN("extoll", "%s: get destination translation fault",
-            name_.c_str());
-    return;
-  }
-  const std::uint32_t seg = static_cast<std::uint32_t>(f.payload.size());
-  const SimTime start = std::max(sim_.now(), completer_busy_until_);
-  completer_busy_until_ = start + core_cycles(cfg_.completer_cycles) +
-                          core_rate().transfer_time(seg);
-  sim_.schedule_at(completer_busy_until_, [this, f, flow, seg,
-                                           dst = *dst]() mutable {
-    std::vector<std::uint8_t> payload = std::move(f.payload);
-    const std::uint32_t len = seg;
-    dma_->write(dst, std::move(payload), [this, f = std::move(f), flow, dst,
-                                          len] {
-      if (!f.last) return;
-      ++gets_completed_;
-      obs::flow_stage(flow, name_.c_str(), "remote_dma", sim_.now());
-      if (obs::metrics()) obs::count("extoll.gets_completed");
-      if (obs::enabled()) {
-        obs::instant(name_.c_str(), "rma", "get-complete", sim_.now(),
-                     {{"port", f.port}, {"size", f.total_size}});
-      }
-      PortState& port = ports_[f.port];
-      if (f.notify_completer && port.opened) {
-        Notification n;
-        n.unit = NotifyUnit::kCompleter;
-        n.port = f.port;
-        n.size = f.total_size;
-        n.seq = ++port.cmp_seq;
-        n.nla = f.dst_nla;
-        write_notification(port, port.cmp_queue, n, flow);
-      } else if (flow != 0) {
-        obs::flow_push(obs::flow_key(&fabric_, dst + len - 1), flow);
-      }
-    }, flow);
-  });
 }
 
 // ---------------------------------------------------------------------------

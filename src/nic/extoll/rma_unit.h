@@ -174,14 +174,17 @@ class ExtollNic : public pcie::Endpoint {
   void requester_finished(const WorkRequest& wr);
   /// Decodes a frame the terminal delivered to this NIC.
   void on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at);
-  void handle_put_segment(const Frame& f, obs::FlowId flow);
+  /// Completer side of a put segment or get response: translate, occupy
+  /// the completer, DMA-write; the last segment counts `completed` and
+  /// `metric`, traces `label`, then notifies or parks the flow.
+  void complete_segment(Frame f, obs::FlowId flow, std::uint64_t& completed,
+                        const char* metric, const char* label);
   /// Get responses route back to the requesting terminal when the
   /// request carried one (meta.src_node >= 0); direct-attached requests
   /// keep the legacy reply-on-arrival-link path, which routed adjacent
   /// traffic also reduces to.
   void handle_get_request(const Frame& f, const net::Arrival& at,
                           obs::FlowId flow);
-  void handle_get_response(const Frame& f, obs::FlowId flow);
 
   /// DMA-writes a notification into `queue` (posted; ordered behind the
   /// payload because callers invoke it from the payload's delivery

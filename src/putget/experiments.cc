@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/log.h"
@@ -23,9 +22,8 @@ using mem::Addr;
 // into the caller's schedule, so these generic coroutines replay the
 // exact event sequences of the former per-backend protocols.
 
-sim::SimTask pingpong_initiator(Transport& t, host::HostCpu& cpu,
-                                std::uint32_t iterations, SimTime* t_end,
-                                sim::Trigger& done) {
+sim::CoTask pingpong_initiator(Transport& t, host::HostCpu& cpu,
+                               std::uint32_t iterations, SimTime* t_end) {
   for (std::uint32_t i = 0; i < iterations; ++i) {
     co_await t.prepost_rx(0, 0, i);
     co_await t.post(0, 0, i);
@@ -33,27 +31,22 @@ sim::SimTask pingpong_initiator(Transport& t, host::HostCpu& cpu,
     co_await t.wait_rx(0, 0);
   }
   if (t_end) *t_end = cpu.sim().now();
-  done.fire();
 }
 
-sim::SimTask pingpong_responder(Transport& t, host::HostCpu& cpu,
-                                std::uint32_t iterations,
-                                sim::Trigger& done) {
+sim::CoTask pingpong_responder(Transport& t, std::uint32_t iterations) {
   for (std::uint32_t i = 0; i < iterations; ++i) {
     co_await t.prepost_rx(0, 1, i);
     co_await t.wait_rx(0, 1);
     co_await t.post(0, 1, i);
     co_await t.wait_tx(0, 1);
   }
-  (void)cpu;
-  done.fire();
 }
 
 /// Host-assisted server: waits for the GPU's go flag, performs the
 /// transfer, waits for the pong, acknowledges the GPU.
-sim::SimTask assisted_pingpong_server(Transport& t, host::HostCpu& cpu,
-                                      std::uint32_t iterations, Addr go_flag,
-                                      Addr ack_flag, sim::Trigger& done) {
+sim::CoTask assisted_pingpong_server(Transport& t, host::HostCpu& cpu,
+                                     std::uint32_t iterations, Addr go_flag,
+                                     Addr ack_flag) {
   for (std::uint32_t i = 0; i < iterations; ++i) {
     const std::uint64_t tag = i + 1;
     co_await cpu.poll_until(
@@ -64,16 +57,14 @@ sim::SimTask assisted_pingpong_server(Transport& t, host::HostCpu& cpu,
     co_await t.wait_rx(0, 0);  // the pong
     co_await cpu.mmio_write_u64(ack_flag, tag);
   }
-  done.fire();
 }
 
 /// Windowed streaming sender. Window 1 degenerates to post/wait
 /// lock-step (EXTOLL's one-WR-per-port rule); IB streams 16 deep.
-sim::SimTask windowed_sender(Transport& t, host::HostCpu& cpu,
-                             std::uint32_t c, std::uint32_t count,
-                             std::uint32_t window, SimTime* t_start,
-                             std::uint32_t* finished, SimTime* t_end,
-                             sim::Trigger* done) {
+sim::CoTask windowed_sender(Transport& t, host::HostCpu& cpu,
+                            std::uint32_t c, std::uint32_t count,
+                            std::uint32_t window, SimTime* t_start,
+                            std::uint32_t* finished, SimTime* t_end) {
   if (t_start) *t_start = cpu.sim().now();
   std::uint32_t outstanding = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -90,14 +81,13 @@ sim::SimTask windowed_sender(Transport& t, host::HostCpu& cpu,
   }
   if (finished) ++*finished;
   if (t_end) *t_end = cpu.sim().now();
-  if (done) done->fire();
 }
 
 /// Host-assisted streaming sender: one flag cycle per message.
-sim::SimTask assisted_stream_server(Transport& t, host::HostCpu& cpu,
-                                    std::uint32_t count, Addr go_flag,
-                                    Addr ack_flag, SimTime* t_start,
-                                    SimTime* t_end, sim::Trigger& done) {
+sim::CoTask assisted_stream_server(Transport& t, host::HostCpu& cpu,
+                                   std::uint32_t count, Addr go_flag,
+                                   Addr ack_flag, SimTime* t_start,
+                                   SimTime* t_end) {
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t tag = i + 1;
     co_await cpu.poll_until(
@@ -108,33 +98,39 @@ sim::SimTask assisted_stream_server(Transport& t, host::HostCpu& cpu,
     co_await cpu.mmio_write_u64(ack_flag, tag);
   }
   if (t_end) *t_end = cpu.sim().now();
-  done.fire();
 }
 
 /// Host-side receiver draining `count` inbound completions.
-sim::SimTask stream_drain(Transport& t, host::HostCpu& cpu,
-                          std::uint32_t count, SimTime* t_end,
-                          sim::Trigger& done) {
+sim::CoTask stream_drain(Transport& t, host::HostCpu& cpu,
+                         std::uint32_t count, SimTime* t_end) {
   for (std::uint32_t i = 0; i < count; ++i) {
     co_await t.wait_rx(0, 1);
   }
   *t_end = cpu.sim().now();
-  done.fire();
 }
 
 /// One CPU thread serves every rate connection round-robin. Send
 /// completions are consumed lazily on the next visit to a connection,
 /// so posts on different connections pipeline; the single thread is
 /// still the serializer the paper blames for the assisted plateau.
-sim::SimTask rate_server(Transport& t, host::HostCpu& cpu,
-                         std::uint32_t pairs, std::vector<Addr> go_flags,
-                         std::vector<Addr> ack_flags, std::uint64_t total,
-                         SimTime* t_end, sim::Trigger& done) {
+sim::CoTask rate_server(Transport& t, host::HostCpu& cpu,
+                        std::uint32_t pairs, std::vector<Addr> go_flags,
+                        std::vector<Addr> ack_flags, std::uint64_t total,
+                        SimTime* t_end) {
   std::vector<std::uint64_t> served(pairs, 0);
   std::vector<std::uint32_t> outstanding(pairs, 0);
   std::uint64_t handled = 0;
   while (handled < total) {
-    bool progressed = false;
+    // A pass that does no work makes no await, so one probe of "a visit
+    // would do work" stands for it.
+    co_await cpu.scan_until([&] {
+      for (std::uint32_t j = 0; j < pairs; ++j) {
+        if (outstanding[j] > 0 && t.tx_pending(j)) return true;
+        if (outstanding[j] > 0 && t.rate_gated()) continue;
+        if (cpu.load_u64(go_flags[j]) > served[j]) return true;
+      }
+      return false;
+    });
     for (std::uint32_t j = 0; j < pairs; ++j) {
       if (outstanding[j] > 0) {
         if (t.tx_pending(j)) {
@@ -142,24 +138,18 @@ sim::SimTask rate_server(Transport& t, host::HostCpu& cpu,
           t.consume_tx(j);
           --outstanding[j];
           ++handled;
-          progressed = true;
         } else if (t.rate_gated()) {
-          continue;  // one outstanding WR per connection
+          continue;
         }
       }
       if (cpu.load_u64(go_flags[j]) <= served[j]) continue;
-      progressed = true;
       co_await t.rate_post(j, served[j]);
       ++served[j];
       ++outstanding[j];
       co_await cpu.mmio_write_u64(ack_flags[j], served[j]);
     }
-    if (!progressed) {
-      co_await cpu.delay(cpu.config().cached_poll_interval);
-    }
   }
   *t_end = cpu.sim().now();
-  done.fire();
 }
 
 // Host-assisted GPU control block ------------------------------------------
@@ -247,8 +237,9 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
     sim::Trigger done0, done1;
     const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
-    auto t0 = pingpong_initiator(t, n0.cpu(), iterations, &t_end, done0);
-    auto t1 = pingpong_responder(t, n1.cpu(), iterations, done1);
+    n0.cpu().sim().spawn(pingpong_initiator(t, n0.cpu(), iterations, &t_end),
+                         &done0);
+    n1.cpu().sim().spawn(pingpong_responder(t, iterations), &done1);
     if (!run_to(cluster, [&] { return done0.fired() && done1.fired(); })) {
       PG_ERROR("exp", "%s host pingpong did not converge", t.name());
       return result;
@@ -261,9 +252,10 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
     launch_with_trigger(n0.gpu(),
                         {.program = &ctl.prog, .params = {ctl.table}},
                         kernel_done);
-    auto t0 = assisted_pingpong_server(t, n0.cpu(), iterations, ctl.go_flag,
-                                       ctl.ack_flag, server_done);
-    auto t1 = pingpong_responder(t, n1.cpu(), iterations, responder_done);
+    n0.cpu().sim().spawn(assisted_pingpong_server(t, n0.cpu(), iterations,
+                                                  ctl.go_flag, ctl.ack_flag),
+                         &server_done);
+    n1.cpu().sim().spawn(pingpong_responder(t, iterations), &responder_done);
     if (!run_to(cluster, [&] {
           return kernel_done.fired() && server_done.fired() &&
                  responder_done.fired();
@@ -332,15 +324,15 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
     SimTime host_t_start = 0;
     SimTime host_t_end_send = 0;
     SimTime host_t_end_recv = 0;
-    std::optional<sim::SimTask> receiver;
     if (t.has_stream_drain()) {
-      receiver = stream_drain(t, n1.cpu(), messages, &host_t_end_recv,
-                              recv_done);
+      n1.cpu().sim().spawn(
+          stream_drain(t, n1.cpu(), messages, &host_t_end_recv), &recv_done);
     }
     if (mode == TransferMode::kHostControlled) {
-      auto send = windowed_sender(t, n0.cpu(), 0, messages, t.host_window(),
-                                  &host_t_start, nullptr, &host_t_end_send,
-                                  &send_done);
+      n0.cpu().sim().spawn(
+          windowed_sender(t, n0.cpu(), 0, messages, t.host_window(),
+                          &host_t_start, nullptr, &host_t_end_send),
+          &send_done);
       if (!run_to(cluster, [&] {
             return send_done.fired() &&
                    (!t.has_stream_drain() || recv_done.fired());
@@ -354,9 +346,11 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
       launch_with_trigger(n0.gpu(),
                           {.program = &ctl.prog, .params = {ctl.table}},
                           kernel_done);
-      auto serve = assisted_stream_server(t, n0.cpu(), messages, ctl.go_flag,
-                                          ctl.ack_flag, &host_t_start,
-                                          &host_t_end_send, send_done);
+      n0.cpu().sim().spawn(
+          assisted_stream_server(t, n0.cpu(), messages, ctl.go_flag,
+                                 ctl.ack_flag, &host_t_start,
+                                 &host_t_end_send),
+          &send_done);
       if (!run_to(cluster, [&] {
             return kernel_done.fired() && send_done.fired() &&
                    (!t.has_stream_drain() || recv_done.fired());
@@ -490,8 +484,9 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
                         kernel_done);
     const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
-    auto serve = rate_server(t, n0.cpu(), pairs, go, ack, result.messages,
-                             &t_end, server_done);
+    n0.cpu().sim().spawn(
+        rate_server(t, n0.cpu(), pairs, go, ack, result.messages, &t_end),
+        &server_done);
     if (!run_to(cluster,
                 [&] { return kernel_done.fired() && server_done.fired(); })) {
       return result;
@@ -512,12 +507,10 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
     std::uint32_t finished = 0;
     const SimTime t_start = cluster.now();
     SimTime t_end = t_start;
-    std::vector<sim::SimTask> tasks;
-    tasks.reserve(pairs);
     for (std::uint32_t i = 0; i < pairs; ++i) {
-      tasks.push_back(windowed_sender(t, n0.cpu(), i, msgs_per_pair,
-                                      t.host_window(), nullptr, &finished,
-                                      &t_end, nullptr));
+      n0.cpu().sim().spawn(windowed_sender(t, n0.cpu(), i, msgs_per_pair,
+                                           t.host_window(), nullptr,
+                                           &finished, &t_end));
     }
     if (!run_to(cluster, [&] { return finished == pairs; })) return result;
     const double span_s = to_sec(t_end - t_start);

@@ -84,8 +84,8 @@ class ExtollHostPort {
   NotificationReader& completer_notifications() { return cmp_reader_; }
 
   // Host primitives. Each is a lazy CoTask: awaiting one runs its body
-  // inline on the caller's schedule (no extra events); sim::spawn runs
-  // one fire-and-forget.
+  // inline on the caller's schedule (no extra events); Simulation::spawn
+  // runs one fire-and-forget.
 
   /// Builds the WR and writes its three words to the BAR page.
   /// The third write kicks the transfer.

@@ -98,8 +98,8 @@ class IbHostEndpoint {
   }
 
   // Host primitives. Each is a lazy CoTask: awaiting one runs its body
-  // inline on the caller's schedule (no extra events); sim::spawn runs
-  // one fire-and-forget.
+  // inline on the caller's schedule (no extra events); Simulation::spawn
+  // runs one fire-and-forget.
 
   /// ibv_post_send from the host: stamps+writes the WQE into the ring and
   /// rings the SQ doorbell.

@@ -173,7 +173,6 @@ Status NotifyDomain::register_region(const std::vector<mem::Addr>& bases,
   if (backend_ == RmaBackend::kIb) {
     // Fill each endpoint's receive window so write-with-immediate puts
     // can land from the first post.
-    std::vector<sim::SimTask> tasks;
     std::vector<sim::Trigger> posted(pairs_.size() * 2 * options_.rx_window);
     std::size_t k = 0;
     for (Pair& pr : pairs_) {
@@ -185,16 +184,17 @@ Status NotifyDomain::register_region(const std::vector<mem::Addr>& bases,
         rwqe.len = 8;
         rwqe.lkey = ns.mr.lkey;
         for (std::uint32_t r = 0; r < options_.rx_window; ++r) {
-          tasks.push_back(sim::spawn(ps.ep->post_recv(cpu(ps.node), rwqe),
-                                     &posted[k++]));
+          host::HostCpu& hc = cpu(ps.node);
+          hc.sim().spawn(ps.ep->post_recv(hc, rwqe), &posted[k++]);
         }
       }
     }
-    const bool ok = cluster_->run_until([&posted] {
-      for (const sim::Trigger& t : posted) {
-        if (!t.fired()) return false;
-      }
-      return true;
+    // Triggers stay fired, so a cursor past the fired prefix makes the
+    // wait linear in the triggers, not in triggers x events.
+    std::size_t fired = 0;
+    const bool ok = cluster_->run_until([&posted, &fired] {
+      while (fired < posted.size() && posted[fired].fired()) ++fired;
+      return fired == posted.size();
     });
     if (!ok) return internal_error("receive prepost did not complete");
   }
@@ -271,7 +271,7 @@ Result<OpHandle> NotifyDomain::post_put(int from, int to, mem::Addr src,
     sim::Trigger* prev = fs.port_chain[pi];
     fs.port_chain[pi] = &op.local_done;
     fs.dirty_targets.insert(to);
-    (void)run_extoll_put(id, prev, pi, wr);
+    cpu(from).sim().spawn(run_extoll_op(id, prev, pi, wr));
   } else {
     const int pair_idx = fs.pair_by_peer[static_cast<std::size_t>(to)];
     if (pair_idx < 0) return not_found("no IB link between the two nodes");
@@ -305,7 +305,7 @@ Result<OpHandle> NotifyDomain::post_put(int from, int to, mem::Addr src,
     sim::Trigger* prev = ps.post_chain;
     ps.post_chain = &op.posted;
     fs.dirty_targets.insert(to);
-    (void)run_ib_post(id, prev, pair_idx, side, wqe);
+    cpu(from).sim().spawn(run_ib_post(id, prev, pair_idx, side, wqe));
   }
   return OpHandle{id};
 }
@@ -350,7 +350,8 @@ Result<OpHandle> NotifyDomain::post_get(int from, int to, mem::Addr local_dst,
     wr.dst_nla = fs.nla_base + (local_dst - fs.base);
     sim::Trigger* prev = fs.get_chain;
     fs.get_chain = &op.local_done;
-    (void)run_extoll_get(id, prev, wr);
+    cpu(from).sim().spawn(
+        run_extoll_op(id, prev, options_.put_ports, wr));
   } else {
     const int pair_idx = fs.pair_by_peer[static_cast<std::size_t>(to)];
     if (pair_idx < 0) return not_found("no IB link between the two nodes");
@@ -373,7 +374,7 @@ Result<OpHandle> NotifyDomain::post_get(int from, int to, mem::Addr local_dst,
     wqe.wr_id = static_cast<std::uint64_t>(id);
     sim::Trigger* prev = ps.post_chain;
     ps.post_chain = &op.posted;
-    (void)run_ib_post(id, prev, pair_idx, side, wqe);
+    cpu(from).sim().spawn(run_ib_post(id, prev, pair_idx, side, wqe));
   }
   return OpHandle{id};
 }
@@ -382,10 +383,10 @@ Result<OpHandle> NotifyDomain::post_get(int from, int to, mem::Addr local_dst,
 // Protocol coroutines
 // ===========================================================================
 
-sim::SimTask NotifyDomain::run_extoll_put(std::int32_t op_id,
-                                          sim::Trigger* prev,
-                                          std::uint32_t port_idx,
-                                          extoll::WorkRequest wr) {
+sim::CoTask NotifyDomain::run_extoll_op(std::int32_t op_id,
+                                        sim::Trigger* prev,
+                                        std::uint32_t port_idx,
+                                        extoll::WorkRequest wr) {
   Op& op = ops_[static_cast<std::size_t>(op_id)];
   host::HostCpu& hc = cpu(op.from);
   // One WR in flight per port: wait out the previous op on this port.
@@ -394,31 +395,20 @@ sim::SimTask NotifyDomain::run_extoll_put(std::int32_t op_id,
       *nodes_[static_cast<std::size_t>(op.from)].ports[port_idx];
   co_await port.post(hc, wr);
   op.posted.fire();
-  // Local completion: the requester notification (the message lifecycle
-  // rides on to the target).
-  co_await port.wait_requester(hc);
+  // Local completion. A put's is the requester notification (the message
+  // lifecycle rides on to the target); a get's is the completer
+  // notification at the origin, written once the response data landed.
+  if (op.is_get) {
+    co_await port.wait_completer(hc);
+  } else {
+    co_await port.wait_requester(hc);
+  }
   op.local_done.fire();
 }
 
-sim::SimTask NotifyDomain::run_extoll_get(std::int32_t op_id,
-                                          sim::Trigger* prev,
-                                          extoll::WorkRequest wr) {
-  Op& op = ops_[static_cast<std::size_t>(op_id)];
-  host::HostCpu& hc = cpu(op.from);
-  if (prev != nullptr) co_await prev->wait(hc.sim());
-  ExtollHostPort& port = *nodes_[static_cast<std::size_t>(op.from)]
-                              .ports[options_.put_ports];
-  co_await port.post(hc, wr);
-  op.posted.fire();
-  // Gets complete with the completer notification at the origin, written
-  // once the response data has landed locally.
-  co_await port.wait_completer(hc);
-  op.local_done.fire();
-}
-
-sim::SimTask NotifyDomain::run_ib_post(std::int32_t op_id, sim::Trigger* prev,
-                                       int pair_idx, int side,
-                                       ib::SendWqe wqe) {
+sim::CoTask NotifyDomain::run_ib_post(std::int32_t op_id, sim::Trigger* prev,
+                                      int pair_idx, int side,
+                                      ib::SendWqe wqe) {
   Op& op = ops_[static_cast<std::size_t>(op_id)];
   host::HostCpu& hc = cpu(op.from);
   // Keep doorbell values monotone per endpoint: wait until the previous
@@ -426,7 +416,7 @@ sim::SimTask NotifyDomain::run_ib_post(std::int32_t op_id, sim::Trigger* prev,
   if (prev != nullptr) co_await prev->wait(hc.sim());
   PairSide& ps = pairs_[static_cast<std::size_t>(pair_idx)].side[side];
   sim::Trigger rung;
-  (void)sim::spawn(ps.ep->post_send(hc, wqe), &rung);
+  hc.sim().spawn(ps.ep->post_send(hc, wqe), &rung);
   co_await rung.wait(hc.sim());
   op.posted.fire();
 }
@@ -435,51 +425,46 @@ sim::SimTask NotifyDomain::run_ib_post(std::int32_t op_id, sim::Trigger* prev,
 // Pumps (the domain's single consumer per queue)
 // ===========================================================================
 
-sim::SimTask NotifyDomain::pump_extoll(int node, std::uint64_t epoch) {
+sim::CoTask NotifyDomain::pump_extoll(int node, std::uint64_t epoch) {
   host::HostCpu& hc = cpu(node);
   NodeState& ns = nodes_[static_cast<std::size_t>(node)];
-  while (ns.pump_epoch == epoch) {
-    int hit = -1;
+  auto pending_reader = [this, &hc, &ns]() -> NotificationReader* {
     for (std::uint32_t p = 0; p < options_.put_ports; ++p) {
-      if (ns.ports[p]->completer_notifications().pending(hc)) {
-        hit = static_cast<int>(p);
-        break;
-      }
+      NotificationReader& rd = ns.ports[p]->completer_notifications();
+      if (rd.pending(hc)) return &rd;
     }
-    if (hit < 0) {
-      co_await hc.delay(hc.config().cached_poll_interval);
-      continue;
-    }
+    return nullptr;
+  };
+  for (;;) {
+    co_await hc.scan_until(
+        [&] { return ns.pump_epoch != epoch || pending_reader(); });
+    if (ns.pump_epoch != epoch) co_return;
+    NotificationReader& rd = *pending_reader();
     co_await hc.touch_dram();
     // A wait call may have retired this pump while the cost was charged;
     // bail before consuming so the successor pump owns the queues alone.
     if (ns.pump_epoch != epoch) co_return;
-    NotificationReader& rd =
-        ns.ports[static_cast<std::size_t>(hit)]->completer_notifications();
     if (!rd.pending(hc)) continue;
     (void)rd.consume(hc);
     ++ns.notified;
   }
 }
 
-sim::SimTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
+sim::CoTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
   host::HostCpu& hc = cpu(node);
   NodeState& ns = nodes_[static_cast<std::size_t>(node)];
-  while (ns.pump_epoch == epoch) {
-    int hit_pair = -1;
-    int hit_side = 0;
-    for (const auto& [pi, si] : ns.endpoints) {
-      if (pairs_[static_cast<std::size_t>(pi)].side[si].ep->cq().pending(
-              hc)) {
-        hit_pair = pi;
-        hit_side = si;
-        break;
-      }
+  auto pending_endpoint = [this, &hc, &ns]() -> const std::pair<int, int>* {
+    for (const auto& e : ns.endpoints) {
+      PairSide& s = pairs_[static_cast<std::size_t>(e.first)].side[e.second];
+      if (s.ep->cq().pending(hc)) return &e;
     }
-    if (hit_pair < 0) {
-      co_await hc.delay(hc.config().cached_poll_interval);
-      continue;
-    }
+    return nullptr;
+  };
+  for (;;) {
+    co_await hc.scan_until(
+        [&] { return ns.pump_epoch != epoch || pending_endpoint(); });
+    if (ns.pump_epoch != epoch) co_return;
+    const auto [hit_pair, hit_side] = *pending_endpoint();
     co_await hc.touch_dram();
     if (ns.pump_epoch != epoch) co_return;
     PairSide& ps = pairs_[static_cast<std::size_t>(hit_pair)].side[hit_side];
@@ -497,7 +482,7 @@ sim::SimTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
       rwqe.addr = ns.base;
       rwqe.len = 8;
       rwqe.lkey = ns.mr.lkey;
-      (void)sim::spawn(ps.ep->post_recv(hc, rwqe));
+      hc.sim().spawn(ps.ep->post_recv(hc, rwqe));
     } else {
       // A send CQE at ACK-retire: the op is locally (and, RC semantics,
       // remotely) complete.
@@ -507,18 +492,20 @@ sim::SimTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
   }
 }
 
+void NotifyDomain::start_pump(int node) {
+  const std::uint64_t epoch =
+      ++nodes_[static_cast<std::size_t>(node)].pump_epoch;
+  cpu(node).sim().spawn(backend_ == RmaBackend::kExtoll
+                            ? pump_extoll(node, epoch)
+                            : pump_ib(node, epoch));
+}
+
 template <typename Pred>
 bool NotifyDomain::pump_until(int node, Pred pred) {
   if (pred()) return true;
-  NodeState& ns = nodes_[static_cast<std::size_t>(node)];
-  const std::uint64_t epoch = ++ns.pump_epoch;
-  if (backend_ == RmaBackend::kExtoll) {
-    (void)pump_extoll(node, epoch);
-  } else {
-    (void)pump_ib(node, epoch);
-  }
+  start_pump(node);
   const bool ok = cluster_->run_until(pred);
-  ++ns.pump_epoch;  // retire the pump at its next resume
+  ++nodes_[static_cast<std::size_t>(node)].pump_epoch;  // retire the pump
   return ok;
 }
 
@@ -562,15 +549,9 @@ int NotifyDomain::wait_any(const std::vector<OpHandle>& ops) {
       }
     }
   }
-  for (int n : pump_nodes) {
-    NodeState& ns = nodes_[static_cast<std::size_t>(n)];
-    const std::uint64_t epoch = ++ns.pump_epoch;
-    (void)pump_ib(n, epoch);
-  }
+  for (int n : pump_nodes) start_pump(n);
   const bool ok = cluster_->run_until([&winner] { return winner() >= 0; });
-  for (int n : pump_nodes) {
-    ++nodes_[static_cast<std::size_t>(n)].pump_epoch;
-  }
+  for (int n : pump_nodes) ++nodes_[static_cast<std::size_t>(n)].pump_epoch;
   return ok ? winner() : -1;
 }
 
@@ -620,9 +601,9 @@ bool NotifyDomain::wait_notified(int node, std::uint64_t target) {
   return pump_until(node, [&ns, target] { return ns.notified >= target; });
 }
 
-sim::SimTask NotifyDomain::run_wait_value(int node, mem::Addr addr,
-                                          WaitCmp cmp, std::uint64_t value,
-                                          std::shared_ptr<bool> done) {
+sim::CoTask NotifyDomain::run_wait_value(int node, mem::Addr addr,
+                                         WaitCmp cmp, std::uint64_t value,
+                                         std::shared_ptr<bool> done) {
   host::HostCpu& hc = cpu(node);
   co_await hc.poll_until([this, node, addr, cmp, value] {
     return wait_cmp_holds(cpu(node).load_u64(addr), cmp, value);
@@ -641,7 +622,7 @@ bool NotifyDomain::wait_until_u64(int node, mem::Addr addr, WaitCmp cmp,
                                   std::uint64_t value) {
   if (node < 0 || node >= num_nodes()) return false;
   auto done = std::make_shared<bool>(false);
-  (void)run_wait_value(node, addr, cmp, value, done);
+  cpu(node).sim().spawn(run_wait_value(node, addr, cmp, value, done));
   return cluster_->run_until([done] { return *done; });
 }
 

@@ -228,22 +228,23 @@ class NotifyDomain {
 
   Status check_put_args(int from, int to, std::uint32_t bytes) const;
 
-  sim::SimTask run_extoll_put(std::int32_t op_id, sim::Trigger* prev,
-                              std::uint32_t port_idx, extoll::WorkRequest wr);
-  sim::SimTask run_extoll_get(std::int32_t op_id, sim::Trigger* prev,
-                              extoll::WorkRequest wr);
-  sim::SimTask run_ib_post(std::int32_t op_id, sim::Trigger* prev,
-                           int pair_idx, int side, ib::SendWqe wqe);
+  sim::CoTask run_extoll_op(std::int32_t op_id, sim::Trigger* prev,
+                            std::uint32_t port_idx, extoll::WorkRequest wr);
+  sim::CoTask run_ib_post(std::int32_t op_id, sim::Trigger* prev,
+                          int pair_idx, int side, ib::SendWqe wqe);
   /// Consumes CQEs on `node`'s endpoints until the epoch moves on:
   /// send CQEs retire ops FIFO per endpoint, recv CQEs advance the
   /// arrival counter and replenish the receive window.
-  sim::SimTask pump_ib(int node, std::uint64_t epoch);
+  sim::CoTask pump_ib(int node, std::uint64_t epoch);
   /// EXTOLL arrival drain: consumes completer notifications on the put
   /// ports until the epoch moves on.
-  sim::SimTask pump_extoll(int node, std::uint64_t epoch);
-  sim::SimTask run_wait_value(int node, mem::Addr addr, WaitCmp cmp,
-                              std::uint64_t value,
-                              std::shared_ptr<bool> done);
+  sim::CoTask pump_extoll(int node, std::uint64_t epoch);
+  /// Starts `node`'s pump under a new epoch. It waits parked and
+  /// retires on its first probe after the epoch moves on.
+  void start_pump(int node);
+  sim::CoTask run_wait_value(int node, mem::Addr addr, WaitCmp cmp,
+                             std::uint64_t value,
+                             std::shared_ptr<bool> done);
 
   /// Spawns the backend's consume pump for `node` (new epoch) and runs
   /// the cluster until `pred` holds.

@@ -114,7 +114,7 @@ void ShardGroup::claim_windows() {
   }
 }
 
-void ShardGroup::run_round() {
+std::uint64_t ShardGroup::run_round() {
   ++rounds_;
   in_round_ = true;
   // Tag minting must be shard-local inside the round regardless of
@@ -147,6 +147,10 @@ void ShardGroup::run_round() {
   }
   for (Simulation* s : shards_) s->set_shared_births_active(true);
   in_round_ = false;
+  std::uint64_t executed = 0;
+  for (const Slot& s : slots_) executed += s.result.executed;
+  if (executed == 0 && !any_limit_hit()) report_stall();
+  return executed;
 }
 
 void ShardGroup::post(int src, int dst, SimTime when, SimTime birth_time,
@@ -225,10 +229,14 @@ bool ShardGroup::deadlocked() {
     waiting = true;
   }
   if (!waiting) return false;
+  report_stall();
+  return true;
+}
+
+void ShardGroup::report_stall() {
   for (Simulation* s : shards_) {
     if (!s->idle()) s->report_stall("ShardGroup");
   }
-  return true;
 }
 
 void ShardGroup::fence_all(SimTime t) {
@@ -344,7 +352,10 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       s.cond = nullptr;
     }
     run_round();
-    if (any_limit_hit()) break;
+    if (any_limit_hit()) {
+      merge_sinks();
+      return Outcome::kStopped;
+    }
   }
   fence_all(t_star);
   merge_sinks();
@@ -379,9 +390,7 @@ ShardGroup::Outcome ShardGroup::run_until_global_before(
         }
         continue;
       case Simulation::Step::kStalled:
-        for (Simulation* s : shards_) {
-          if (!s->idle()) s->report_stall("ShardGroup");
-        }
+        report_stall();
         return Outcome::kStopped;
       case Simulation::Step::kLimit:
         return Outcome::kStopped;
@@ -391,9 +400,14 @@ ShardGroup::Outcome ShardGroup::run_until_global_before(
     // Nothing is left below the deadline. Parked pollers that can never
     // succeed would stall the next segment too: stop here instead.
     if (deadlocked()) return Outcome::kStopped;
-    bool idle = true;
-    for (const Simulation* s : shards_) idle = idle && s->idle();
-    if (idle) return Outcome::kStopped;
+    const SimTime next = frontier().min1;
+    if (next == kNever) return Outcome::kStopped;  // drained
+    if (next < cap) {
+      // A settled step leaves nothing pending below the cap; what is
+      // would never run, and every later segment would stop here again.
+      report_stall();
+      return Outcome::kStopped;
+    }
     fence_all(deadline);
     return Outcome::kDeadline;
   }
@@ -411,8 +425,7 @@ std::uint64_t ShardGroup::run_until_time(SimTime deadline) {
       s.cap = std::min(horizon_for(f, i), deadline + 1);
       s.cond = nullptr;
     }
-    run_round();
-    for (const Slot& s : slots_) executed += s.result.executed;
+    executed += run_round();
     if (any_limit_hit()) break;
   }
   fence_all(deadline);
@@ -434,8 +447,7 @@ std::uint64_t ShardGroup::run() {
       s.cap = horizon_for(f, i);
       s.cond = nullptr;
     }
-    run_round();
-    for (const Slot& s : slots_) executed += s.result.executed;
+    executed += run_round();
     if (any_limit_hit()) break;
   }
   for (Simulation* s : shards_) end = std::max(end, s->now());

@@ -207,8 +207,10 @@ class ShardGroup {
   }
 
   /// Executes one synchronization round: slots' caps/conds must be
-  /// published; blocks until every shard's window completed.
-  void run_round();
+  /// published; blocks until every shard's window completed. Returns the
+  /// events executed; a round that executes none would repeat for ever,
+  /// so it reports the stall (tripping the limit flag callers check).
+  std::uint64_t run_round();
 
   /// Claims and executes windows until none are left this round. Shards
   /// are assigned dynamically (atomic claim counter), so a descheduled
@@ -221,11 +223,13 @@ class ShardGroup {
   /// True when any shard tripped its event-storm limit.
   bool any_limit_hit() const;
 
-  /// True (and reported on every waiting shard, see
-  /// Simulation::report_stall) when no shard has a heap event and no
-  /// parked poller's predicate holds: nothing can ever run again.
-  /// Coordinator only, after drain_channels().
+  /// True (and reported) when no shard has a heap event and no parked
+  /// poller's predicate holds: nothing can ever run again. Coordinator
+  /// only, after drain_channels().
   bool deadlocked();
+
+  /// Simulation::report_stall on every shard with pending work.
+  void report_stall();
 
   /// Fences every shard clock (and the group clock) at `t`.
   void fence_all(SimTime t);

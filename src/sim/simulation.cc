@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 #include "common/log.h"
 
@@ -73,6 +74,12 @@ void Simulation::trip_limit(const char* who) {
              static_cast<long long>(now_), who);
   }
   event_limit_hit_ = true;
+}
+
+void Simulation::time_travel(SimTime t) const {
+  PG_ERROR("sim", "time travel: event at t=%lld ps popped at t=%lld ps",
+           static_cast<long long>(t), static_cast<long long>(now_));
+  std::abort();
 }
 
 void Simulation::skip_probe(Poller& p) {
@@ -320,7 +327,7 @@ bool Simulation::step() {
     return false;
   }
   auto popped = queue_.pop();
-  assert(popped.time >= now_ && "event queue produced time travel");
+  if (popped.time < now_) time_travel(popped.time);
   now_ = popped.time;
   current_key_ = EventQueue::Key{popped.time, popped.birth_time, popped.id};
   ++events_executed_;
@@ -405,7 +412,7 @@ Simulation::WindowResult Simulation::run_window(
       break;
     }
     if (!queue_.pop_if_before(cap, &popped)) break;
-    assert(popped.time >= now_ && "event queue produced time travel");
+    if (popped.time < now_) time_travel(popped.time);
     now_ = popped.time;
     current_key_ = EventQueue::Key{popped.time, popped.birth_time, popped.id};
     ++events_executed_;

@@ -32,6 +32,7 @@
 // none of whose parked probes precedes the bound.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -43,7 +44,22 @@
 
 namespace pg::sim {
 
+class CoTask;
 class Simulation;
+class Trigger;
+
+/// A root coroutine's link in its Simulation's circular list of live roots
+/// (Simulation::spawn); self-linked when in none. The promise unlinks it.
+struct RootHook {
+  RootHook* prev = this;
+  RootHook* next = this;
+  std::coroutine_handle<> frame{};
+
+  void unlink() {
+    prev->next = next;
+    next->prev = prev;
+  }
+};
 
 /// A polling loop that waits off the event heap between real events.
 /// Contract: `predicate` is side-effect free and never reads the clock.
@@ -87,8 +103,21 @@ class Simulation {
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
+  ~Simulation() { destroy_roots(); }
 
   SimTime now() const { return now_; }
+
+  /// Starts `task` as a root coroutine owned by this Simulation: it runs
+  /// inline up to its first suspension and, when it finishes, fires
+  /// `done` (if given) and frees itself. Schedules no events of its own.
+  /// Defined in sim/coro.h.
+  void spawn(CoTask task, Trigger* done = nullptr);
+
+  /// Destroys the suspended roots, each with the children it awaits.
+  /// Teardown only: their pending resume events must never run.
+  void destroy_roots() {
+    while (roots_.next != &roots_) roots_.next->frame.destroy();
+  }
 
   /// Schedules `fn` to run `delay` after the current time.
   void schedule(SimDuration delay, EventFn fn) {
@@ -169,7 +198,8 @@ class Simulation {
 
   /// Enqueues an event admitted from another shard under the sender's
   /// birth stamp. `when` must not precede the last event this shard
-  /// executed — the ShardGroup's lookahead rule guarantees that.
+  /// executed — the ShardGroup's lookahead rule guarantees that; popping
+  /// one that does aborts the process.
   void schedule_admitted(SimTime when, SimTime birth_time, EventId birth_tag,
                          EventFn fn) {
     queue_.schedule_admitted(when, birth_time, birth_tag, std::move(fn));
@@ -286,7 +316,12 @@ class Simulation {
 
   void trip_limit(const char* who);
 
+  /// Aborts on an event below the clock, in every build: running it
+  /// would step time backwards.
+  [[noreturn]] void time_travel(SimTime t) const;
+
   EventQueue queue_;
+  RootHook roots_;  // list head of the live roots
   std::vector<Poller*> parked_;
   std::vector<Due> due_;  // settle() scratch of the first sim settled
   // Lower bound on the parked pollers' next keys: park() lowers it, a

@@ -247,6 +247,9 @@ Cluster::~Cluster() {
   // Every public run_* merges at its exit fence, so this only catches
   // ops buffered by direct shard_sims_ stepping in tests.
   obs_hub_->merge();
+  // Suspended host coroutines point into the nodes (CPUs, NICs, queue
+  // readers): free every shard's roots while all of them still exist.
+  for (auto& s : shard_sims_) s->destroy_roots();
 }
 
 sim::Simulation& Cluster::node_sim(int i) {

@@ -107,7 +107,7 @@ TEST(DeviceLib, NotificationConsumeUpdatesReadPointer) {
   wr.notify_requester = true;
   wr.src_nla = *src_nla;
   wr.dst_nla = *dst_nla;
-  auto post = sim::spawn(port0->post(h.n0.cpu(), wr));
+  h.n0.cpu().sim().spawn(port0->post(h.n0.cpu(), wr));
 
   Assembler a("consume_one");
   const Reg base(8), idx(9), rp(10), s0(11), s1(12), s2(13);

@@ -80,9 +80,9 @@ TEST(Extoll, HostControlledPutDeliversGpuToGpu) {
   wr.dst_nla = *dst_nla;
 
   sim::Trigger req_done, cmp_done;
-  auto t1 = sim::spawn(port0->post(f.n0.cpu(), wr));
-  auto t2 = sim::spawn(port0->wait_requester(f.n0.cpu()), &req_done);
-  auto t3 = sim::spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
+  f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
+  f.n0.cpu().sim().spawn(port0->wait_requester(f.n0.cpu()), &req_done);
+  f.n1.cpu().sim().spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
   ASSERT_TRUE(f.cluster.run_until(
       [&] { return req_done.fired() && cmp_done.fired(); }));
 
@@ -114,7 +114,7 @@ TEST(Extoll, PutLandsInOrderSoLastByteSignalsCompletion) {
   wr.size = static_cast<std::uint32_t>(size);
   wr.src_nla = *src_nla;
   wr.dst_nla = *dst_nla;
-  auto t = sim::spawn(port0->post(f.n0.cpu(), wr));
+  f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
 
   // Watch for the last byte; whenever it is set, the whole payload must
   // be correct.
@@ -158,8 +158,8 @@ TEST(Extoll, GetPullsRemoteData) {
   wr.dst_nla = *dst_nla;
 
   sim::Trigger done;
-  auto t1 = sim::spawn(port0->post(f.n0.cpu(), wr));
-  auto t2 = sim::spawn(port0->wait_completer(f.n0.cpu()), &done);
+  f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
+  f.n0.cpu().sim().spawn(port0->wait_completer(f.n0.cpu()), &done);
   ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
 
   std::vector<std::uint8_t> got(payload.size());
@@ -200,9 +200,9 @@ TEST(Extoll, PropertyRandomPutSizesAndOffsets) {
     wr.dst_nla = *dst_nla + dst_off;
 
     sim::Trigger req_done, cmp_done;
-    auto t1 = sim::spawn(port0->post(f.n0.cpu(), wr));
-    auto t2 = sim::spawn(port0->wait_requester(f.n0.cpu()), &req_done);
-    auto t3 = sim::spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
+    f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
+    f.n0.cpu().sim().spawn(port0->wait_requester(f.n0.cpu()), &req_done);
+    f.n1.cpu().sim().spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
     ASSERT_TRUE(f.cluster.run_until(
         [&] { return req_done.fired() && cmp_done.fired(); }))
         << "iteration " << iter;
@@ -343,7 +343,7 @@ TEST(Extoll, BarWritesViaFabricKickTransfers) {
   wr.src_nla = *src_nla;
   wr.dst_nla = *dst_nla;
   sim::Trigger posted;
-  auto t = sim::spawn(port0->post(f.n0.cpu(), wr), &posted);
+  f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr), &posted);
   f.run_for(milliseconds(1));
   std::vector<std::uint8_t> got(256);
   f.n1.memory().read(dst, got);

@@ -350,7 +350,7 @@ void start_transfers(
       eps.push_back(std::make_unique<putget::IbHostEndpoint>(std::move(*ea)));
       eps.push_back(std::make_unique<putget::IbHostEndpoint>(std::move(*eb)));
       // The post finishes long before the transfer does.
-      sim::spawn(eps[eps.size() - 2]->post_send(n0.cpu(), wqe));
+      n0.cpu().sim().spawn(eps[eps.size() - 2]->post_send(n0.cpu(), wqe));
     }
   }
 }

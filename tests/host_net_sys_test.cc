@@ -21,20 +21,18 @@ struct CpuFixture {
   host::HostCpu cpu{sim, fabric, cfg};
 };
 
-sim::SimTask charge_sequence(host::HostCpu& cpu, SimTime* t_end,
-                             sim::Trigger& done) {
+sim::CoTask charge_sequence(host::HostCpu& cpu, SimTime* t_end) {
   co_await cpu.build_descriptor();
   co_await cpu.touch_dram();
   co_await cpu.delay(nanoseconds(500));
   *t_end = cpu.sim().now();
-  done.fire();
 }
 
 TEST(HostCpu, AwaitsChargeTheCostModel) {
   CpuFixture f;
   SimTime t_end = 0;
   sim::Trigger done;
-  auto task = charge_sequence(f.cpu, &t_end, done);
+  f.sim.spawn(charge_sequence(f.cpu, &t_end), &done);
   f.sim.run();
   EXPECT_TRUE(done.fired());
   EXPECT_EQ(t_end, f.cfg.descriptor_build_cost + f.cfg.dram_touch_cost +
@@ -51,18 +49,16 @@ TEST(HostCpu, DirectDramAccessIsImmediateState) {
   EXPECT_EQ(f.sim.now(), 0);  // state access itself costs nothing
 }
 
-sim::SimTask write_then_poll(host::HostCpu& cpu, mem::Addr flag,
-                             sim::Trigger& done) {
+sim::CoTask write_then_poll(host::HostCpu& cpu, mem::Addr flag) {
   co_await cpu.mmio_write_u64(flag, 1);  // posted store into own DRAM
   co_await cpu.poll_until([&cpu, flag] { return cpu.load_u64(flag) == 1; });
-  done.fire();
 }
 
 TEST(HostCpu, MmioWriteLandsAndPollObservesIt) {
   CpuFixture f;
   const mem::Addr flag = mem::AddressMap::kHostDramBase + 4096;
   sim::Trigger done;
-  auto task = write_then_poll(f.cpu, flag, done);
+  f.sim.spawn(write_then_poll(f.cpu, flag), &done);
   f.sim.run();
   EXPECT_TRUE(done.fired());
   EXPECT_EQ(f.memory.read_u64(flag), 1u);

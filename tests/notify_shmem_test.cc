@@ -266,6 +266,24 @@ TEST(NotifyParity, WaitAnyReturnsFirstPostedOnBothFabrics) {
   }
 }
 
+// A wait returns on the event that satisfies it: the retired pump is still
+// parked, and on IB the post_recv replenishing the consumed receive is
+// still in flight. Destroying the cluster frees both frames (under ASan,
+// LeakSanitizer checks it).
+TEST(Notify, TeardownFreesRetiredPumpsAndInFlightPosts) {
+  for (RmaBackend backend : kBackends) {
+    NotifyRig rig = NotifyRig::make(backend);
+    ASSERT_NE(rig.domain, nullptr);
+    ASSERT_TRUE(rig.domain
+                    ->post_put(0, 1, rig.at(0, 256), rig.at(1, 512), 8,
+                               Completion::kNotification)
+                    .is_ok());
+    EXPECT_TRUE(rig.domain->wait_notified(1, 1));
+    EXPECT_FALSE(rig.cluster->node_sim(1).idle())
+        << sys::backend_name(backend);
+  }
+}
+
 TEST(Notify, GetRoundTripBothFabrics) {
   for (RmaBackend backend : kBackends) {
     NotifyRig rig = NotifyRig::make(backend);

@@ -260,9 +260,23 @@ TEST(Simulation, ScheduleAtClampsToNow) {
   sim.run();
 }
 
+// An event admitted below the shard clock would run time backwards. The
+// engine aborts on it in every build type, NDEBUG ones included.
+TEST(SimulationDeathTest, AdmittedEventBelowTheClockAborts) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        sim.schedule(nanoseconds(100), [] {});
+        sim.run();
+        sim.schedule_admitted(nanoseconds(50), 0, 1, [] {});
+        sim.run();
+      },
+      "time travel");
+}
+
 // --- Coroutine layer -------------------------------------------------------
 
-SimTask delays_then_sets(Simulation& sim, SimTime& t1, SimTime& t2) {
+CoTask delays_then_sets(Simulation& sim, SimTime& t1, SimTime& t2) {
   co_await Delay{sim, nanoseconds(100)};
   t1 = sim.now();
   co_await Delay{sim, nanoseconds(50)};
@@ -272,15 +286,16 @@ SimTask delays_then_sets(Simulation& sim, SimTime& t1, SimTime& t2) {
 TEST(Coro, DelaysAdvanceTime) {
   Simulation sim;
   SimTime t1 = -1, t2 = -1;
-  SimTask task = delays_then_sets(sim, t1, t2);
+  Trigger done;
+  sim.spawn(delays_then_sets(sim, t1, t2), &done);
   sim.run();
-  EXPECT_TRUE(task.done());
+  EXPECT_TRUE(done.fired());
   EXPECT_EQ(t1, nanoseconds(100));
   EXPECT_EQ(t2, nanoseconds(150));
 }
 
-SimTask poller(Simulation& sim, const bool& flag, SimTime& when,
-               std::uint64_t& probes) {
+CoTask poller(Simulation& sim, const bool& flag, SimTime& when,
+              std::uint64_t& probes) {
   probes = co_await PollUntil{sim, [&flag] { return flag; },
                               /*interval=*/nanoseconds(10)};
   when = sim.now();
@@ -291,16 +306,17 @@ TEST(Coro, PollUntilSeesLateFlag) {
   bool flag = false;
   SimTime when = -1;
   std::uint64_t probes = 0;
-  SimTask task = poller(sim, flag, when, probes);
+  Trigger done;
+  sim.spawn(poller(sim, flag, when, probes), &done);
   sim.schedule(nanoseconds(95), [&] { flag = true; });
   sim.run();
-  EXPECT_TRUE(task.done());
+  EXPECT_TRUE(done.fired());
   // Probes at 0,10,...,90 miss; the probe at 100 hits.
   EXPECT_EQ(when, nanoseconds(100));
   EXPECT_EQ(probes, 11u);
 }
 
-SimTask waiter(Simulation& sim, Trigger& trig, int& order, int& my_rank) {
+CoTask waiter(Simulation& sim, Trigger& trig, int& order, int& my_rank) {
   co_await trig.wait(sim);
   my_rank = ++order;
 }
@@ -310,12 +326,13 @@ TEST(Coro, TriggerWakesAllWaiters) {
   Trigger trig;
   int order = 0;
   int rank_a = 0, rank_b = 0;
-  SimTask a = waiter(sim, trig, order, rank_a);
-  SimTask b = waiter(sim, trig, order, rank_b);
+  Trigger a, b;
+  sim.spawn(waiter(sim, trig, order, rank_a), &a);
+  sim.spawn(waiter(sim, trig, order, rank_b), &b);
   sim.schedule(nanoseconds(30), [&] { trig.fire(); });
   sim.run();
-  EXPECT_TRUE(a.done());
-  EXPECT_TRUE(b.done());
+  EXPECT_TRUE(a.fired());
+  EXPECT_TRUE(b.fired());
   EXPECT_EQ(rank_a + rank_b, 3);  // both woke, in FIFO order 1 and 2
 }
 
@@ -324,10 +341,51 @@ TEST(Coro, WaitOnFiredTriggerContinuesImmediately) {
   Trigger trig;
   trig.fire();
   int order = 0, rank = 0;
-  SimTask t = waiter(sim, trig, order, rank);
+  Trigger t;
+  sim.spawn(waiter(sim, trig, order, rank), &t);
   sim.run();
-  EXPECT_TRUE(t.done());
+  EXPECT_TRUE(t.fired());
   EXPECT_EQ(rank, 1);
+}
+
+// --- Root ownership --------------------------------------------------------
+
+struct Sentinel {
+  int* destroyed;
+  ~Sentinel() { ++*destroyed; }
+};
+
+CoTask parks_forever(Simulation& sim, int* destroyed) {
+  Sentinel s{destroyed};
+  co_await PollUntil{sim, [] { return false; }, nanoseconds(10)};
+}
+
+CoTask finishes(Simulation& sim, int* destroyed) {
+  Sentinel s{destroyed};
+  co_await Delay{sim, nanoseconds(5)};
+}
+
+// A finished root frees itself; a suspended one, and the child it awaits,
+// is destroyed with the Simulation, each frame exactly once.
+CoTask awaits_child(Simulation& sim, int* destroyed) {
+  Sentinel s{destroyed};
+  co_await parks_forever(sim, destroyed);
+}
+
+TEST(Coro, SimulationOwnsRootFrames) {
+  int finished = 0, parked = 0;
+  {
+    Simulation sim;
+    Trigger done;
+    sim.spawn(finishes(sim, &finished), &done);
+    sim.spawn(parks_forever(sim, &parked));
+    sim.spawn(awaits_child(sim, &parked));
+    sim.run_until(nanoseconds(100));
+    EXPECT_TRUE(done.fired());
+    EXPECT_EQ(finished, 1);
+    EXPECT_EQ(parked, 0);
+  }
+  EXPECT_EQ(parked, 3);
 }
 
 // --- Parked polling against explicit per-probe events ----------------------
@@ -348,21 +406,31 @@ struct ExplicitPoll {
   bool stopped = false;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
+  bool await_suspend(std::coroutine_handle<> h) {
     handle_ = h;
-    step();
+    return step(/*first=*/true);
   }
   std::uint64_t await_resume() const noexcept { return probes_; }
 
-  void step() {
+  // One probe; returns whether the coroutine stays suspended. With no
+  // probe cost a successful probe continues inline: the first one
+  // without suspending, a later one inside its probe event.
+  bool step(bool first = false) {
     ++probes_;
-    if (predicate()) {
-      sim.schedule(probe_cost, [h = handle_]() mutable { h.resume(); });
-      return;
+    if (!predicate()) {
+      sim.schedule(interval, [this] {
+        if (!stopped) step();
+      });
+      return true;
     }
-    sim.schedule(interval, [this] {
-      if (!stopped) step();
-    });
+    if (probe_cost > 0) {
+      sim.schedule(probe_cost, [h = handle_]() mutable { h.resume(); });
+      return true;
+    }
+    if (first) return false;
+    const std::coroutine_handle<> h = handle_;
+    h.resume();  // destroys this awaiter
+    return false;
   }
 };
 
@@ -391,9 +459,9 @@ struct PollTrace {
 // One host loop: waits on each flag in turn, logs the resume, and
 // schedules a follow-up event whose birth key is logged too.
 template <class Poll>
-SimTask poll_flags(Simulation& sim, const std::vector<char>& flags,
-                   std::vector<int> order, SimDuration interval,
-                   SimDuration cost, PollTrace& tr, int& done) {
+CoTask poll_flags(Simulation& sim, const std::vector<char>& flags,
+                  std::vector<int> order, SimDuration interval,
+                  SimDuration cost, PollTrace& tr, int& done) {
   for (int f : order) {
     const std::uint64_t probes =
         co_await Poll{sim, [&flags, f] { return flags[f] != 0; }, interval,
@@ -464,7 +532,6 @@ PollTrace run_poll_scenario(const PollScenario& sc, Drive drive,
   Simulation sim;
   PollTrace tr;
   std::vector<char> flags(static_cast<std::size_t>(sc.num_flags), 0);
-  std::vector<SimTask> tasks;
   int done = 0;
   // Each write: a creator event at t=0 schedules the relay, which
   // schedules the write itself.
@@ -482,9 +549,9 @@ PollTrace run_poll_scenario(const PollScenario& sc, Drive drive,
   };
   if (sc.writes_first) schedule_writes();
   for (const PollerSpec& p : sc.pollers) {
-    sim.schedule_at(p.start, [&sim, &flags, &tr, &tasks, &done, p] {
-      tasks.push_back(poll_flags<Poll>(sim, flags, p.flags, p.interval,
-                                       p.cost, tr, done));
+    sim.schedule_at(p.start, [&sim, &flags, &tr, &done, p] {
+      sim.spawn(poll_flags<Poll>(sim, flags, p.flags, p.interval, p.cost, tr,
+                                 done));
     });
   }
   if (!sc.writes_first) schedule_writes();
@@ -610,7 +677,7 @@ TEST(ParkedPoll, RunUntilEndsMidParkAndSegmentsResume) {
   bool flag = false;
   std::uint64_t probes = 0;
   SimTime when = -1;
-  SimTask task = poller(sim, flag, when, probes);
+  sim.spawn(poller(sim, flag, when, probes));
   sim.run_until(nanoseconds(250));
   EXPECT_EQ(sim.now(), nanoseconds(250));
   EXPECT_EQ(sim.events_executed(), 25u);   // probes at 10..250
@@ -712,14 +779,11 @@ std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
   std::array<std::vector<char>, 2> flags{std::vector<char>(3, 0),
                                          std::vector<char>(3, 0)};
   std::array<int, 2> done{0, 0};
-  std::vector<SimTask> tasks;
   for (int s = 0; s < 2; ++s) {
     Simulation& sim = *sims[s];
     const SimDuration iv = s == 0 ? nanoseconds(60) : nanoseconds(40);
-    tasks.push_back(poll_flags<Poll>(sim, flags[s], {0, 1}, iv, iv, tr[s],
-                                     done[s]));
-    tasks.push_back(poll_flags<Poll>(sim, flags[s], {2}, iv, 0, tr[s],
-                                     done[s]));
+    sim.spawn(poll_flags<Poll>(sim, flags[s], {0, 1}, iv, iv, tr[s], done[s]));
+    sim.spawn(poll_flags<Poll>(sim, flags[s], {2}, iv, 0, tr[s], done[s]));
     // Writers on the other shard post these flag sets; one lands on a
     // probe lattice point of this shard's loops.
     const int src = 1 - s;
@@ -780,7 +844,8 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     bool flag = false;
     SimTime when = -1;
     std::uint64_t probes = 0;
-    SimTask task = poller(sim, flag, when, probes);
+    Trigger done;
+    sim.spawn(poller(sim, flag, when, probes), &done);
     sim.schedule(nanoseconds(35), [] {});
     const auto resumed = [&when] { return when >= 0; };
     switch (driver) {
@@ -795,7 +860,7 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     EXPECT_EQ(sim.now(), nanoseconds(35)) << "driver " << driver;
     flag = true;
     sim.run();
-    EXPECT_TRUE(task.done());
+    EXPECT_TRUE(done.fired());
     EXPECT_EQ(when, nanoseconds(40));
   }
   for (int driver : {0, 1, 2}) {
@@ -806,7 +871,8 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     bool flag = false;
     SimTime when = -1;
     std::uint64_t probes = 0;
-    SimTask task = poller(b, flag, when, probes);
+    Trigger done;
+    b.spawn(poller(b, flag, when, probes), &done);
     a.schedule(nanoseconds(500), [] {});
     const auto resumed = [&when] { return when >= 0; };
     switch (driver) {
@@ -824,7 +890,7 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     EXPECT_EQ(a.events_executed(), 1u) << "driver " << driver;
     flag = true;
     group.run();
-    EXPECT_TRUE(task.done()) << "driver " << driver;
+    EXPECT_TRUE(done.fired()) << "driver " << driver;
   }
 }
 
@@ -850,13 +916,12 @@ std::pair<PollTrace, std::vector<std::uint64_t>> run_stale_floor() {
   std::vector<std::uint64_t> executed;
   std::vector<char> flags(5, 0);
   int done = 0;
-  std::vector<SimTask> tasks;
   std::optional<Poll> doomed;
   doomed.emplace(sim, [] { return false; }, nanoseconds(20));
   doomed->await_suspend(std::noop_coroutine());
   const auto start = [&](SimTime at, std::vector<int> order, SimDuration iv) {
     sim.schedule_at(at, [&, order, iv] {
-      tasks.push_back(poll_flags<Poll>(sim, flags, order, iv, 0, tr, done));
+      sim.spawn(poll_flags<Poll>(sim, flags, order, iv, 0, tr, done));
     });
   };
   start(nanoseconds(20), {0, 2}, nanoseconds(60));  // A: 20 + 60m
@@ -912,8 +977,8 @@ PollTrace run_until_limit(std::uint64_t limit) {
   std::vector<char> flags(2, 0);
   PollTrace tr;
   int done = 0;
-  SimTask a = poll_flags<Poll>(sim, flags, {0}, nanoseconds(20), 0, tr, done);
-  SimTask b = poll_flags<Poll>(sim, flags, {1}, nanoseconds(30), 0, tr, done);
+  sim.spawn(poll_flags<Poll>(sim, flags, {0}, nanoseconds(20), 0, tr, done));
+  sim.spawn(poll_flags<Poll>(sim, flags, {1}, nanoseconds(30), 0, tr, done));
   sim.schedule(microseconds(5), [&flags] { flags[0] = flags[1] = 1; });
   sim.run();
   EXPECT_TRUE(sim.event_limit_hit());
@@ -975,7 +1040,6 @@ GroupTrace run_group_scenario(const GroupScenario& g, SimDuration segment,
       flag_shard[static_cast<std::size_t>(f)] = g.shards[i];
     }
   }
-  std::vector<SimTask> tasks;
   int done = 0;
   auto schedule_writes = [&] {
     for (std::size_t w = 0; w < sc.writes.size(); ++w) {
@@ -1004,8 +1068,8 @@ GroupTrace run_group_scenario(const GroupScenario& g, SimDuration segment,
     const PollerSpec p = sc.pollers[i];
     const int s = g.shards[i];
     sims[s]->schedule_at(p.start, [&, p, s] {
-      tasks.push_back(poll_flags<Poll>(*sims[s], flags, p.flags, p.interval,
-                                       p.cost, tr.shard[s], done));
+      sims[s]->spawn(poll_flags<Poll>(*sims[s], flags, p.flags, p.interval,
+                                      p.cost, tr.shard[s], done));
     });
   }
   if (!sc.writes_first) schedule_writes();
