@@ -60,7 +60,7 @@ std::uint64_t count_post_instructions(bool preswap) {
     const auto before = n0.gpu().counters_snapshot();
     bool done = false;
     n0.gpu().launch({.program = &prog, .params = {}}, [&] { done = true; });
-    cluster.run_until([&] { return done; });
+    cluster.run_until({{0, [&] { return done; }}});
     cluster.run_for(microseconds(200));
     return (n0.gpu().counters_snapshot() - before).instructions_executed;
   };

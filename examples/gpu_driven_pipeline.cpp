@@ -170,8 +170,8 @@ int main() {
                   [&] { prod_done = true; });
   n1.gpu().launch({.program = &consumer, .params = {}},
                   [&] { cons_done = true; });
-  const bool ok =
-      cluster.run_until([&] { return prod_done && cons_done; });
+  const bool ok = cluster.run_until({{0, [&] { return prod_done; }},
+                                     {1, [&] { return cons_done; }}});
   if (!ok) {
     std::fprintf(stderr, "pipeline did not converge\n");
     return 1;

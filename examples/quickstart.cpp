@@ -71,7 +71,10 @@ int main() {
   n0.cpu().sim().spawn(port0->post(n0.cpu(), put));
   n0.cpu().sim().spawn(port0->wait_requester(n0.cpu()), &put_sent);
   n1.cpu().sim().spawn(port1->wait_completer(n1.cpu()), &put_landed);
-  cluster.run_until([&] { return put_sent.fired() && put_landed.fired(); });
+  // Each node waits on its own side: node0 for the requester
+  // notification, node1 for the completer notification.
+  cluster.run_until({{0, [&] { return put_sent.fired(); }},
+                     {1, [&] { return put_landed.fired(); }}});
   std::printf("put: %u bytes delivered at t=%.2f us\n", kSize,
               to_us(cluster.now()));
 
@@ -87,7 +90,7 @@ int main() {
   sim::Trigger got;
   n0.cpu().sim().spawn(port0->post(n0.cpu(), get));
   n0.cpu().sim().spawn(port0->wait_completer(n0.cpu()), &got);
-  cluster.run_until([&] { return got.fired(); });
+  cluster.run_until({{0, [&] { return got.fired(); }}});
   std::printf("get: %u bytes pulled back at t=%.2f us\n", kSize,
               to_us(cluster.now()));
 

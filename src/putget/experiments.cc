@@ -223,7 +223,8 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
                         done0);
     launch_with_trigger(n1.gpu(), {.program = &plan.prog1, .params = {}},
                         done1);
-    if (!run_to(cluster, [&] { return done0.fired() && done1.fired(); })) {
+    if (!run_to(cluster, {{0, [&] { return done0.fired(); }},
+                        {1, [&] { return done1.fired(); }}})) {
       PG_ERROR("exp", "%s pingpong (%s) did not converge", t.name(),
                t.diag_tag(mode));
       return result;
@@ -240,7 +241,8 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
     n0.cpu().sim().spawn(pingpong_initiator(t, n0.cpu(), iterations, &t_end),
                          &done0);
     n1.cpu().sim().spawn(pingpong_responder(t, iterations), &done1);
-    if (!run_to(cluster, [&] { return done0.fired() && done1.fired(); })) {
+    if (!run_to(cluster, {{0, [&] { return done0.fired(); }},
+                        {1, [&] { return done1.fired(); }}})) {
       PG_ERROR("exp", "%s host pingpong did not converge", t.name());
       return result;
     }
@@ -256,10 +258,10 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
                                                   ctl.go_flag, ctl.ack_flag),
                          &server_done);
     n1.cpu().sim().spawn(pingpong_responder(t, iterations), &responder_done);
-    if (!run_to(cluster, [&] {
-          return kernel_done.fired() && server_done.fired() &&
-                 responder_done.fired();
-        })) {
+    if (!run_to(cluster, {{0, [&] {
+                            return kernel_done.fired() && server_done.fired();
+                          }},
+                          {1, [&] { return responder_done.fired(); }}})) {
       PG_ERROR("exp", "%s assisted pingpong did not converge", t.name());
       return result;
     }
@@ -303,10 +305,11 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
       launch_with_trigger(n1.gpu(), {.program = &plan.receiver, .params = {}},
                           recv_done);
     }
-    if (!run_to(cluster, [&] {
-          return send_done.fired() &&
-                 (!plan.has_receiver || recv_done.fired());
-        })) {
+    std::vector<sim::ShardCond> conds{{0, [&] { return send_done.fired(); }}};
+    if (plan.has_receiver) {
+      conds.push_back({1, [&] { return recv_done.fired(); }});
+    }
+    if (!run_to(cluster, std::move(conds))) {
       PG_ERROR("exp", "%s bandwidth (gpu) did not converge", t.name());
       return result;
     }
@@ -321,6 +324,11 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
     // with a host-side receiver draining completions when the backend
     // measures at the far end.
     sim::Trigger send_done, recv_done, kernel_done;
+    // Node 1 waits only when it runs the drain.
+    std::vector<sim::ShardCond> conds;
+    if (t.has_stream_drain()) {
+      conds.push_back({1, [&] { return recv_done.fired(); }});
+    }
     SimTime host_t_start = 0;
     SimTime host_t_end_send = 0;
     SimTime host_t_end_recv = 0;
@@ -333,10 +341,8 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
           windowed_sender(t, n0.cpu(), 0, messages, t.host_window(),
                           &host_t_start, nullptr, &host_t_end_send),
           &send_done);
-      if (!run_to(cluster, [&] {
-            return send_done.fired() &&
-                   (!t.has_stream_drain() || recv_done.fired());
-          })) {
+      conds.push_back({0, [&] { return send_done.fired(); }});
+      if (!run_to(cluster, std::move(conds))) {
         PG_ERROR("exp", "%s bandwidth (host) did not converge", t.name());
         return result;
       }
@@ -351,10 +357,9 @@ BandwidthResult run_bandwidth(Transport& t, const sys::ClusterConfig& cfg,
                                  ctl.ack_flag, &host_t_start,
                                  &host_t_end_send),
           &send_done);
-      if (!run_to(cluster, [&] {
-            return kernel_done.fired() && send_done.fired() &&
-                   (!t.has_stream_drain() || recv_done.fired());
-          })) {
+      conds.push_back(
+          {0, [&] { return kernel_done.fired() && send_done.fired(); }});
+      if (!run_to(cluster, std::move(conds))) {
         PG_ERROR("exp", "%s bandwidth (assisted) did not converge", t.name());
         return result;
       }
@@ -433,7 +438,7 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
         });
       };
       (*round)(0);
-      const bool ok = run_to(cluster, [&] { return all_done.fired(); });
+      const bool ok = run_to(cluster, {{0, [&] { return all_done.fired(); }}});
       // The closure captures `round` by value - break the self-ownership
       // cycle so the shared state is actually released.
       *round = {};
@@ -450,8 +455,9 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
           });
         }
       }
-      if (!run_to(cluster,
-                  [&] { return finished == pairs * msgs_per_pair; })) {
+      if (!run_to(cluster, {{0, [&] {
+                    return finished == pairs * msgs_per_pair;
+                  }}})) {
         return result;
       }
     }
@@ -487,8 +493,9 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
     n0.cpu().sim().spawn(
         rate_server(t, n0.cpu(), pairs, go, ack, result.messages, &t_end),
         &server_done);
-    if (!run_to(cluster,
-                [&] { return kernel_done.fired() && server_done.fired(); })) {
+    if (!run_to(cluster, {{0, [&] {
+                  return kernel_done.fired() && server_done.fired();
+                }}})) {
       return result;
     }
     if (t.rate_span_from_device()) {
@@ -512,7 +519,9 @@ MessageRateResult run_msgrate(Transport& t, const sys::ClusterConfig& cfg,
                                            t.host_window(), nullptr,
                                            &finished, &t_end));
     }
-    if (!run_to(cluster, [&] { return finished == pairs; })) return result;
+    if (!run_to(cluster, {{0, [&] { return finished == pairs; }}})) {
+      return result;
+    }
     const double span_s = to_sec(t_end - t_start);
     if (span_s > 0) {
       result.msgs_per_s = static_cast<double>(result.messages) / span_s;

@@ -233,7 +233,8 @@ PingPongResult run_ib_pingpong_warp(const sys::ClusterConfig& cfg,
   launch_with_trigger(
       n1.gpu(), {.program = &prog1, .threads_per_block = 8, .params = {}},
       done1);
-  if (!run_to(cluster, [&] { return done0.fired() && done1.fired(); })) {
+  if (!run_to(cluster, {{0, [&] { return done0.fired(); }},
+                          {1, [&] { return done1.fired(); }}})) {
     PG_ERROR("exp", "warp-collaborative ib pingpong did not converge");
     return result;
   }
@@ -338,7 +339,8 @@ PingPongResult run_extoll_pingpong_gpu_notifications(
   sim::Trigger done0, done1;
   launch_with_trigger(n0.gpu(), {.program = &prog0, .params = {}}, done0);
   launch_with_trigger(n1.gpu(), {.program = &prog1, .params = {}}, done1);
-  if (!run_to(cluster, [&] { return done0.fired() && done1.fired(); })) {
+  if (!run_to(cluster, {{0, [&] { return done0.fired(); }},
+                          {1, [&] { return done1.fired(); }}})) {
     PG_ERROR("exp", "gpu-notification extoll pingpong did not converge");
     return result;
   }

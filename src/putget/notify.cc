@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "common/log.h"
 #include "obs/flow.h"
 
 namespace pg::putget {
@@ -84,8 +85,8 @@ Status NotifyDomain::setup_extoll() {
 
 Result<NotifyDomain::Pair> NotifyDomain::connect_pair(int a, int b,
                                                       QueueLocation loc_a) {
-  const sys::Cluster::Route ra = cluster_->ib_route(a, b);
-  const sys::Cluster::Route rb = cluster_->ib_route(b, a);
+  const sys::Cluster::Route ra = cluster_->route(sys::Backend::kIb, a, b);
+  const sys::Cluster::Route rb = cluster_->route(sys::Backend::kIb, b, a);
   if (ra.link == nullptr || rb.link == nullptr) {
     return not_found("no IB link between the two nodes");
   }
@@ -172,9 +173,12 @@ Status NotifyDomain::register_region(const std::vector<mem::Addr>& bases,
   registered_ = true;
   if (backend_ == RmaBackend::kIb) {
     // Fill each endpoint's receive window so write-with-immediate puts
-    // can land from the first post.
-    std::vector<sim::Trigger> posted(pairs_.size() * 2 * options_.rx_window);
-    std::size_t k = 0;
+    // can land from the first post. Each node waits for its own posts.
+    std::vector<std::vector<sim::Trigger>> posted(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      posted[i].resize(nodes_[i].endpoints.size() * options_.rx_window);
+    }
+    std::vector<std::size_t> spawned(nodes_.size(), 0);
     for (Pair& pr : pairs_) {
       for (int s = 0; s < 2; ++s) {
         PairSide& ps = pr.side[s];
@@ -183,20 +187,27 @@ Status NotifyDomain::register_region(const std::vector<mem::Addr>& bases,
         rwqe.addr = ns.base;
         rwqe.len = 8;
         rwqe.lkey = ns.mr.lkey;
+        const auto n = static_cast<std::size_t>(ps.node);
         for (std::uint32_t r = 0; r < options_.rx_window; ++r) {
           host::HostCpu& hc = cpu(ps.node);
-          hc.sim().spawn(ps.ep->post_recv(hc, rwqe), &posted[k++]);
+          hc.sim().spawn(ps.ep->post_recv(hc, rwqe), &posted[n][spawned[n]++]);
         }
       }
     }
-    // Triggers stay fired, so a cursor past the fired prefix makes the
-    // wait linear in the triggers, not in triggers x events.
-    std::size_t fired = 0;
-    const bool ok = cluster_->run_until([&posted, &fired] {
-      while (fired < posted.size() && posted[fired].fired()) ++fired;
-      return fired == posted.size();
-    });
-    if (!ok) return internal_error("receive prepost did not complete");
+    // Triggers stay fired, so a cursor past each node's fired prefix
+    // makes the wait linear in the triggers, not in triggers x events.
+    std::vector<std::size_t> fired(nodes_.size(), 0);
+    std::vector<sim::ShardCond> conds;
+    for (int i = 0; i < num_nodes(); ++i) {
+      const auto n = static_cast<std::size_t>(i);
+      conds.push_back({i, [&list = posted[n], &f = fired[n]] {
+                         while (f < list.size() && list[f].fired()) ++f;
+                         return f == list.size();
+                       }});
+    }
+    if (!cluster_->run_until(std::move(conds))) {
+      return internal_error("receive prepost did not complete");
+    }
   }
   return Status::ok();
 }
@@ -248,7 +259,7 @@ Result<OpHandle> NotifyDomain::post_put(int from, int to, mem::Addr src,
   }
   const std::int32_t id = static_cast<std::int32_t>(ops_.size());
   if (backend_ == RmaBackend::kExtoll) {
-    if (cluster_->extoll_route(from, to).link == nullptr) {
+    if (cluster_->route(sys::Backend::kExtoll, from, to).link == nullptr) {
       return not_found("no EXTOLL link between the two nodes");
     }
     ops_.emplace_back();
@@ -271,6 +282,7 @@ Result<OpHandle> NotifyDomain::post_put(int from, int to, mem::Addr src,
     sim::Trigger* prev = fs.port_chain[pi];
     fs.port_chain[pi] = &op.local_done;
     fs.dirty_targets.insert(to);
+    ++fs.outstanding;
     cpu(from).sim().spawn(run_extoll_op(id, prev, pi, wr));
   } else {
     const int pair_idx = fs.pair_by_peer[static_cast<std::size_t>(to)];
@@ -305,6 +317,7 @@ Result<OpHandle> NotifyDomain::post_put(int from, int to, mem::Addr src,
     sim::Trigger* prev = ps.post_chain;
     ps.post_chain = &op.posted;
     fs.dirty_targets.insert(to);
+    ++fs.outstanding;
     cpu(from).sim().spawn(run_ib_post(id, prev, pair_idx, side, wqe));
   }
   return OpHandle{id};
@@ -328,7 +341,7 @@ Result<OpHandle> NotifyDomain::post_get(int from, int to, mem::Addr local_dst,
   }
   const std::int32_t id = static_cast<std::int32_t>(ops_.size());
   if (backend_ == RmaBackend::kExtoll) {
-    if (cluster_->extoll_route(from, to).link == nullptr) {
+    if (cluster_->route(sys::Backend::kExtoll, from, to).link == nullptr) {
       return not_found("no EXTOLL link between the two nodes");
     }
     ops_.emplace_back();
@@ -350,6 +363,7 @@ Result<OpHandle> NotifyDomain::post_get(int from, int to, mem::Addr local_dst,
     wr.dst_nla = fs.nla_base + (local_dst - fs.base);
     sim::Trigger* prev = fs.get_chain;
     fs.get_chain = &op.local_done;
+    ++fs.outstanding;
     cpu(from).sim().spawn(
         run_extoll_op(id, prev, options_.put_ports, wr));
   } else {
@@ -374,6 +388,7 @@ Result<OpHandle> NotifyDomain::post_get(int from, int to, mem::Addr local_dst,
     wqe.wr_id = static_cast<std::uint64_t>(id);
     sim::Trigger* prev = ps.post_chain;
     ps.post_chain = &op.posted;
+    ++fs.outstanding;
     cpu(from).sim().spawn(run_ib_post(id, prev, pair_idx, side, wqe));
   }
   return OpHandle{id};
@@ -403,7 +418,7 @@ sim::CoTask NotifyDomain::run_extoll_op(std::int32_t op_id,
   } else {
     co_await port.wait_requester(hc);
   }
-  op.local_done.fire();
+  complete_local(op);
 }
 
 sim::CoTask NotifyDomain::run_ib_post(std::int32_t op_id, sim::Trigger* prev,
@@ -487,7 +502,7 @@ sim::CoTask NotifyDomain::pump_ib(int node, std::uint64_t epoch) {
       // A send CQE at ACK-retire: the op is locally (and, RC semantics,
       // remotely) complete.
       const std::size_t id = static_cast<std::size_t>(cqe.wr_id);
-      if (id < ops_.size()) ops_[id].local_done.fire();
+      if (id < ops_.size()) complete_local(ops_[id]);
     }
   }
 }
@@ -500,11 +515,17 @@ void NotifyDomain::start_pump(int node) {
                             : pump_ib(node, epoch));
 }
 
+void NotifyDomain::complete_local(Op& op) {
+  if (op.local_done.fired()) return;
+  op.local_done.fire();
+  --nodes_[static_cast<std::size_t>(op.from)].outstanding;
+}
+
 template <typename Pred>
 bool NotifyDomain::pump_until(int node, Pred pred) {
   if (pred()) return true;
   start_pump(node);
-  const bool ok = cluster_->run_until(pred);
+  const bool ok = cluster_->run_until({{node, pred}});
   ++nodes_[static_cast<std::size_t>(node)].pump_epoch;  // retire the pump
   return ok;
 }
@@ -530,7 +551,7 @@ bool NotifyDomain::wait_local(OpHandle op) {
   // IB local completion is a send CQE only the pump consumes; EXTOLL ops
   // consume their own requester notification and just need the clock run.
   if (backend_ == RmaBackend::kIb) return pump_until(o.from, pred);
-  return cluster_->run_until(pred);
+  return cluster_->run_until({{o.from, pred}});
 }
 
 int NotifyDomain::wait_any(const std::vector<OpHandle>& ops) {
@@ -541,17 +562,24 @@ int NotifyDomain::wait_any(const std::vector<OpHandle>& ops) {
     return -1;
   };
   if (int w = winner(); w >= 0) return w;
-  std::set<int> pump_nodes;
-  if (backend_ == RmaBackend::kIb) {
-    for (const OpHandle& h : ops) {
-      if (h.valid() && static_cast<std::size_t>(h.id) < ops_.size()) {
-        pump_nodes.insert(ops_[static_cast<std::size_t>(h.id)].from);
-      }
+  // Every op completes locally on its source node, so one node's
+  // condition covers the set only when they all share that node.
+  int from = -1;
+  for (const OpHandle& h : ops) {
+    if (!h.valid() || static_cast<std::size_t>(h.id) >= ops_.size()) continue;
+    const int f = ops_[static_cast<std::size_t>(h.id)].from;
+    if (from >= 0 && f != from) {
+      PG_ERROR("notify", "wait_any: ops from nodes %d and %d; every op in "
+               "the set must come from one source node", from, f);
+      return -1;
     }
+    from = f;
   }
-  for (int n : pump_nodes) start_pump(n);
-  const bool ok = cluster_->run_until([&winner] { return winner() >= 0; });
-  for (int n : pump_nodes) ++nodes_[static_cast<std::size_t>(n)].pump_epoch;
+  if (from < 0) return -1;
+  auto any_done = [&winner] { return winner() >= 0; };
+  const bool ok = backend_ == RmaBackend::kIb
+                      ? pump_until(from, any_done)
+                      : cluster_->run_until({{from, any_done}});
   return ok ? winner() : -1;
 }
 
@@ -560,15 +588,10 @@ Status NotifyDomain::quiet(int node) {
     return out_of_range("quiet: node id outside [0, num_nodes)");
   }
   NodeState& ns = nodes_[static_cast<std::size_t>(node)];
-  auto all_local = [this, node] {
-    for (const Op& o : ops_) {
-      if (o.from == node && !o.local_done.fired()) return false;
-    }
-    return true;
-  };
+  auto all_local = [&ns] { return ns.outstanding == 0; };
   const bool ok = backend_ == RmaBackend::kIb
                       ? pump_until(node, all_local)
-                      : cluster_->run_until(all_local);
+                      : cluster_->run_until({{node, all_local}});
   if (!ok && !all_local()) {
     return internal_error("quiet: simulation ran dry before completion");
   }
@@ -623,7 +646,7 @@ bool NotifyDomain::wait_until_u64(int node, mem::Addr addr, WaitCmp cmp,
   if (node < 0 || node >= num_nodes()) return false;
   auto done = std::make_shared<bool>(false);
   cpu(node).sim().spawn(run_wait_value(node, addr, cmp, value, done));
-  return cluster_->run_until([done] { return *done; });
+  return cluster_->run_until({{node, [done] { return *done; }}});
 }
 
 // ===========================================================================

@@ -134,7 +134,8 @@ class NotifyDomain {
 
   /// Runs until any of `ops` is locally complete; returns the smallest
   /// index whose op completed (deterministic tie-break), or -1 if the
-  /// simulation ran dry.
+  /// simulation ran dry. Every op must come from one source node (local
+  /// completion happens there); a set mixing source nodes returns -1.
   int wait_any(const std::vector<OpHandle>& ops);
 
   /// Remote completion of everything `node` posted: waits local
@@ -209,8 +210,9 @@ class NotifyDomain {
     ib::Mr mr;
     // common
     std::uint64_t notified = 0;
-    std::uint64_t next_port = 0;   // EXTOLL round-robin cursor
-    std::uint64_t pump_epoch = 0;  // invalidates stale drain loops
+    std::uint64_t outstanding = 0;  // posted ops not yet locally complete
+    std::uint64_t next_port = 0;    // EXTOLL round-robin cursor
+    std::uint64_t pump_epoch = 0;   // invalidates stale drain loops
   };
 
   NotifyDomain(sys::Cluster& cluster, RmaBackend backend,
@@ -246,8 +248,11 @@ class NotifyDomain {
                              std::uint64_t value,
                              std::shared_ptr<bool> done);
 
+  /// Fires `op`'s local completion, once, in an event of its source node.
+  void complete_local(Op& op);
+
   /// Spawns the backend's consume pump for `node` (new epoch) and runs
-  /// the cluster until `pred` holds.
+  /// the cluster until `pred`, a condition on `node`'s state, holds.
   template <typename Pred>
   bool pump_until(int node, Pred pred);
 

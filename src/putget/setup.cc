@@ -123,16 +123,8 @@ void launch_with_trigger(gpu::Gpu& gpu, const gpu::KernelLaunch& kl,
   gpu.launch(kl, [&done] { done.fire(); });
 }
 
-bool run_to(sys::Cluster& cluster, const std::function<bool()>& pred) {
-  const bool ok = cluster.run_until(pred);
-  if (ok) {
-    cluster.run_for(microseconds(50));
-  }
-  return ok;
-}
-
-bool run_to_each(sys::Cluster& cluster, std::vector<sim::ShardCond> conds) {
-  const bool ok = cluster.run_until_each(std::move(conds));
+bool run_to(sys::Cluster& cluster, std::vector<sim::ShardCond> conds) {
+  const bool ok = cluster.run_until(std::move(conds));
   if (ok) {
     cluster.run_for(microseconds(50));
   }

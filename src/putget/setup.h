@@ -60,13 +60,9 @@ mem::Addr make_qp_table(sys::Node& node, std::uint32_t qpn,
 void launch_with_trigger(gpu::Gpu& gpu, const gpu::KernelLaunch& kl,
                          sim::Trigger& done);
 
-/// Runs the cluster until `pred` holds, then drains in-flight posted
-/// writes for 50 us of simulated time so memory checks see final state.
-bool run_to(sys::Cluster& cluster, const std::function<bool()>& pred);
-
-/// Like run_to, but with one monotone node-local condition per node so
-/// a sharded cluster can execute the waits in parallel (identical
-/// result either way; see Cluster::run_until_each).
-bool run_to_each(sys::Cluster& cluster, std::vector<sim::ShardCond> conds);
+/// Runs the cluster until every per-node condition holds (see
+/// Cluster::run_until), then drains in-flight posted writes for 50 us of
+/// simulated time so memory checks see final state.
+bool run_to(sys::Cluster& cluster, std::vector<sim::ShardCond> conds);
 
 }  // namespace pg::putget

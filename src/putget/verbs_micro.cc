@@ -54,7 +54,7 @@ VerbsInstructionCounts measure_verbs_instruction_counts(
     bool finished = false;
     n0.gpu().launch({.program = &prog, .params = {}},
                     [&finished] { finished = true; });
-    cluster.run_until([&] { return finished; });
+    cluster.run_until({{0, [&] { return finished; }}});
     cluster.run_for(microseconds(200));
     const gpu::PerfCounters delta = n0.gpu().counters_snapshot() - before;
     *instr = delta.instructions_executed;

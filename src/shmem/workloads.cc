@@ -269,7 +269,7 @@ GupsResult run_gups(const GupsConfig& cfg) {
     for (int o = 0; o < n; ++o) {
       conds.push_back({o, [&done, o] { return done[o].fired(); }});
     }
-    if (!putget::run_to_each(cluster, std::move(conds))) {
+    if (!putget::run_to(cluster, std::move(conds))) {
       out.error = "gups: device kernels did not finish";
       return out;
     }
@@ -489,7 +489,7 @@ Halo2dResult run_halo2d(const Halo2dConfig& cfg) {
                          return true;
                        }});
     }
-    return putget::run_to_each(cluster, std::move(conds));
+    return putget::run_to(cluster, std::move(conds));
   };
 
   int cur = 0;

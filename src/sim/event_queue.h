@@ -8,9 +8,8 @@
 // simulator has always relied on for reproducible runs. Its purpose is
 // sharded execution (sim/parallel.h): an event admitted from another
 // shard carries the *sender's* birth stamp, so same-timestamp events
-// interleave in exactly the order a single global scheduling counter
-// would have produced — deterministic tie-breaking by (timestamp,
-// birth time, per-shard counter, shard id), independent of thread count.
+// interleave deterministically by (timestamp, birth time, per-shard
+// counter, shard id), independent of thread count.
 //
 // Layout: the heap itself holds 32-byte POD entries (time, birth_time,
 // tag, slot), so sift-up/down moves are plain memcpys; the callbacks
@@ -23,6 +22,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/units.h"
@@ -50,6 +50,11 @@ class EventQueue {
       if (birth_time != o.birth_time) return birth_time < o.birth_time;
       return birth_tag < o.birth_tag;
     }
+    /// The smallest key at time `t`: as an exclusive cap, it admits
+    /// every event strictly before `t`.
+    static constexpr Key before(SimTime t) {
+      return Key{t, std::numeric_limits<SimTime>::min(), 0};
+    }
   };
 
   /// Brands every locally minted birth tag with this shard's identity
@@ -60,11 +65,11 @@ class EventQueue {
   /// a group. While *activated*, freshly minted tags consume the shared
   /// counter (with kSharedSeqBit set) instead of the local one, so
   /// events scheduled from serial coordinator context — host code
-  /// between rounds and merged execution — carry their *global*
-  /// chronological order, exactly the sequence one global counter would
-  /// have assigned. The group deactivates shared minting for the
-  /// duration of parallel rounds (workers may not touch it concurrently)
-  /// and local tags take over; kSharedSeqBit orders every
+  /// between rounds — carry their *global* chronological order, exactly
+  /// the sequence one global counter would have assigned. The group
+  /// deactivates shared minting for the duration of parallel rounds
+  /// (workers may not touch it concurrently) and local tags take over;
+  /// kSharedSeqBit orders every
   /// coordinator-minted tag after same-key round-minted ones, matching
   /// chronology (round events are born before the host code that runs
   /// once the round's wait completes).
@@ -158,12 +163,14 @@ class EventQueue {
     return pop_front();
   }
 
-  /// Pops the next event only if its timestamp is strictly below
-  /// `cap`; one heap-top inspection and one pop, fused — the window
-  /// execution hot path. Returns false (and leaves the queue untouched)
-  /// when the queue is empty or the next event is at or past the cap.
-  bool pop_if_before(SimTime cap, Popped* out) {
-    if (heap_.empty() || heap_.front().time >= cap) return false;
+  /// Pops the next event only if its key is strictly below `cap`; one
+  /// heap-top inspection and one pop, fused — the window execution hot
+  /// path. Returns false (and leaves the queue untouched) when the queue
+  /// is empty or the next event is at or past the cap.
+  bool pop_if_before(const Key& cap, Popped* out) {
+    if (heap_.empty()) return false;
+    const Entry& top = heap_.front();
+    if (!(Key{top.time, top.birth_time, top.tag} < cap)) return false;
     *out = pop_front();
     return true;
   }

@@ -55,9 +55,9 @@ ShardGroup::ShardGroup(std::vector<Simulation*> shards, Options opt)
   if (opt_.workers > n) opt_.workers = n;
   slots_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) slots_[static_cast<std::size_t>(i)].sim = shards_[static_cast<std::size_t>(i)];
-  // Serial contexts (host phases, merged execution) mint globally
-  // ordered birth tags; run_round() switches every shard to its local
-  // counter for the duration of each parallel window.
+  // Host code between rounds mints globally ordered birth tags;
+  // run_round() switches every shard to its local counter for the
+  // duration of each parallel window.
   for (Simulation* s : shards_) {
     s->set_shared_births(&shared_births_);
     s->set_shared_births_active(true);
@@ -157,14 +157,19 @@ void ShardGroup::post(int src, int dst, SimTime when, SimTime birth_time,
                       EventId birth_tag, EventFn fn) {
   assert(src != dst);
   if (!in_round_) {
-    // Host code or merged execution: the coordinator owns every shard,
-    // admit directly.
+    // Host code: the coordinator owns every shard, admit directly.
     shards_[static_cast<std::size_t>(dst)]->schedule_admitted(
         when, birth_time, birth_tag, std::move(fn));
     return;
   }
-  SimTime& cap = slots_[static_cast<std::size_t>(src)].cap;
-  cap = std::min(cap, when + opt_.lookahead);
+  Slot& from = slots_[static_cast<std::size_t>(src)];
+  // A shard that is not waiting must not run past an unfired waiter's
+  // firing event, and this event may be it (run_until_local).
+  const bool to_waiter =
+      from.cond == nullptr &&
+      slots_[static_cast<std::size_t>(dst)].cond != nullptr;
+  const Key cap = Key::before(to_waiter ? when : when + opt_.lookahead);
+  if (cap < from.cap) from.cap = cap;
   channels_[static_cast<std::size_t>(src) * num_shards() + dst]->push(
       Admission{when, birth_time, birth_tag, dst, std::move(fn)});
   posted_.fetch_add(1, std::memory_order_release);
@@ -197,12 +202,15 @@ void ShardGroup::drain_channels() {
   admit_buf_.clear();
 }
 
-ShardGroup::Frontier ShardGroup::frontier() const {
+ShardGroup::Frontier ShardGroup::frontier() {
   Frontier f;
   for (int i = 0; i < num_shards(); ++i) {
-    Simulation* s = shards_[static_cast<std::size_t>(i)];
+    Slot& slot = slots_[static_cast<std::size_t>(i)];
+    Simulation* s = slot.sim;
+    slot.send_bound = kNever;
     if (s->idle()) continue;
-    const SimTime t = s->next_time();
+    f.next = std::min(f.next, s->next_key());
+    const SimTime t = slot.send_bound = s->send_bound();
     if (t < f.min1) {
       f.min2 = f.min1;
       f.min1 = t;
@@ -221,14 +229,8 @@ bool ShardGroup::any_limit_hit() const {
   return false;
 }
 
-bool ShardGroup::deadlocked() {
-  bool waiting = false;
-  for (Simulation* s : shards_) {
-    if (s->idle()) continue;
-    if (!s->stalled()) return false;
-    waiting = true;
-  }
-  if (!waiting) return false;
+bool ShardGroup::deadlocked(const Frontier& f) {
+  if (f.next.time == kNever || f.min1 != kNever) return false;
   report_stall();
   return true;
 }
@@ -256,7 +258,7 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
   struct Wait {
     const ShardCond* cond = nullptr;
     bool fired = false;
-    SimTime fire_time = 0;
+    Key fire_key{};  // the firing event's key
   };
   std::vector<Wait> waits(static_cast<std::size_t>(n));
   for (const ShardCond& c : conds) {
@@ -273,23 +275,19 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
     if (w.cond == nullptr) continue;
     if (w.cond->pred()) {
       w.fired = true;
-      w.fire_time = now_;
+      w.fire_key = Key::before(now_);
     } else {
       ++unfired;
     }
   }
   while (unfired > 0) {
     drain_channels();
-    if (deadlocked()) {
-      merge_sinks();
-      return Outcome::kStopped;
-    }
     const Frontier f = frontier();
-    if (f.min1 == kNever) {
+    if (f.next.time == kNever || deadlocked(f)) {
       merge_sinks();
       return Outcome::kStopped;  // drained with predicates unmet
     }
-    if (f.min1 > deadline) {
+    if (f.next.time > deadline) {
       // Every event up to the boundary ran without the wait completing:
       // fence at the boundary so the caller samples a defined instant,
       // then resume the (monotone) wait on the next call.
@@ -298,25 +296,27 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       return Outcome::kDeadline;
     }
     // Shards still waiting run to their horizon but pause on their
-    // firing event. Everyone else must stay below every waiter's next
-    // event: a waiter can fire no earlier than that, and nothing may
-    // execute past the final firing time.
+    // firing event. Everyone else must stay below every waiter's send
+    // bound: a condition reads its own shard's state, so it can fire no
+    // earlier than that shard's next real event, and nothing may execute
+    // past the final firing time.
     SimTime min_unfired = kNever;
     for (int i = 0; i < n; ++i) {
       const Wait& w = waits[static_cast<std::size_t>(i)];
-      if (w.cond != nullptr && !w.fired && !shards_[static_cast<std::size_t>(i)]->idle()) {
+      if (w.cond != nullptr && !w.fired) {
         min_unfired = std::min(
-            min_unfired, shards_[static_cast<std::size_t>(i)]->next_time());
+            min_unfired, slots_[static_cast<std::size_t>(i)].send_bound);
       }
     }
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[static_cast<std::size_t>(i)];
       Wait& w = waits[static_cast<std::size_t>(i)];
       if (w.cond != nullptr && !w.fired) {
-        s.cap = std::min(horizon_for(f, i), cap_bound);
+        s.cap = Key::before(std::min(horizon_for(f, i), cap_bound));
         s.cond = &w.cond->pred;
       } else {
-        s.cap = std::min({horizon_for(f, i), min_unfired, cap_bound});
+        s.cap = Key::before(
+            std::min({horizon_for(f, i), min_unfired, cap_bound}));
         s.cond = nullptr;
       }
     }
@@ -326,7 +326,7 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       Wait& w = waits[static_cast<std::size_t>(i)];
       if (w.cond != nullptr && !w.fired && s.result.fired) {
         w.fired = true;
-        w.fire_time = s.sim->now();
+        w.fire_key = s.sim->current_key();
         --unfired;
       }
     }
@@ -335,20 +335,22 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       return Outcome::kStopped;
     }
   }
-  SimTime t_star = now_;
+  // The wait completes on the last firing event, at key k* and time t*.
+  Key k_star = Key::before(now_);
   for (const Wait& w : waits) {
-    if (w.cond != nullptr) t_star = std::max(t_star, w.fire_time);
+    if (w.cond != nullptr && k_star < w.fire_key) k_star = w.fire_key;
   }
-  // Catch-up: every event strictly before t* would have executed before
-  // the sequential engine stopped; finish them so the fence leaves each
-  // shard with nothing pending below its clock.
+  // Catch-up: every event ordered before k*, on any shard, would have
+  // executed before the sequential engine stopped — those at t* itself
+  // included; finish them so the fence leaves each shard with nothing
+  // pending that the stop point precedes.
   for (;;) {
     drain_channels();
     const Frontier f = frontier();
-    if (f.min1 >= t_star) break;  // kNever included
+    if (!(f.next < k_star)) break;  // drained included
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[static_cast<std::size_t>(i)];
-      s.cap = std::min(horizon_for(f, i), t_star);
+      s.cap = std::min(Key::before(horizon_for(f, i)), k_star);
       s.cond = nullptr;
     }
     run_round();
@@ -357,60 +359,9 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       return Outcome::kStopped;
     }
   }
-  fence_all(t_star);
+  fence_all(k_star.time);
   merge_sinks();
   return Outcome::kFired;
-}
-
-bool ShardGroup::run_until_global(const std::function<bool()>& pred) {
-  return run_until_global_before(pred, kNever) == Outcome::kFired;
-}
-
-ShardGroup::Outcome ShardGroup::run_until_global_before(
-    const std::function<bool()>& pred, SimTime deadline) {
-  drain_channels();
-  // Merged execution applies observability directly; fold in anything a
-  // previous (windowed) call left buffered before the predicate looks
-  // at sink state.
-  merge_sinks();
-  if (pred()) return Outcome::kFired;
-  const SimTime cap = deadline == kNever ? kNever : deadline + 1;
-  for (;;) {
-    // The coordinator owns every shard here and post() admits directly,
-    // so the shards' heaps and parked pollers are the whole pending set.
-    switch (Simulation::advance(shards_, cap)) {
-      case Simulation::Step::kRan:
-        if (pred()) {
-          // The event just run is the latest anything has reached:
-          // settled probes all precede it.
-          SimTime t = now_;
-          for (const Simulation* s : shards_) t = std::max(t, s->now());
-          fence_all(t);
-          return Outcome::kFired;
-        }
-        continue;
-      case Simulation::Step::kStalled:
-        report_stall();
-        return Outcome::kStopped;
-      case Simulation::Step::kLimit:
-        return Outcome::kStopped;
-      case Simulation::Step::kNone:
-        break;
-    }
-    // Nothing is left below the deadline. Parked pollers that can never
-    // succeed would stall the next segment too: stop here instead.
-    if (deadlocked()) return Outcome::kStopped;
-    const SimTime next = frontier().min1;
-    if (next == kNever) return Outcome::kStopped;  // drained
-    if (next < cap) {
-      // A settled step leaves nothing pending below the cap; what is
-      // would never run, and every later segment would stop here again.
-      report_stall();
-      return Outcome::kStopped;
-    }
-    fence_all(deadline);
-    return Outcome::kDeadline;
-  }
 }
 
 std::uint64_t ShardGroup::run_until_time(SimTime deadline) {
@@ -419,10 +370,10 @@ std::uint64_t ShardGroup::run_until_time(SimTime deadline) {
   for (;;) {
     drain_channels();
     const Frontier f = frontier();
-    if (f.min1 > deadline) break;  // kNever included
+    if (f.next.time > deadline) break;  // kNever included
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[static_cast<std::size_t>(i)];
-      s.cap = std::min(horizon_for(f, i), deadline + 1);
+      s.cap = Key::before(std::min(horizon_for(f, i), deadline + 1));
       s.cond = nullptr;
     }
     executed += run_round();
@@ -439,12 +390,11 @@ std::uint64_t ShardGroup::run() {
   const int n = num_shards();
   for (;;) {
     drain_channels();
-    if (deadlocked()) break;
     const Frontier f = frontier();
-    if (f.min1 == kNever) break;
+    if (f.next.time == kNever || deadlocked(f)) break;
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[static_cast<std::size_t>(i)];
-      s.cap = horizon_for(f, i);
+      s.cap = Key::before(horizon_for(f, i));
       s.cond = nullptr;
     }
     executed += run_round();

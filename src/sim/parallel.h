@@ -10,10 +10,11 @@
 //   1. the coordinator drains every cross-shard channel, sorts the
 //      admissions by birth key, and inserts them into the destination
 //      shards (single-threaded, deterministic);
-//   2. it computes L = min over shards of next-event time, grants every
-//      shard a window capped at H = L + lookahead, and releases the
-//      workers; each shard executes its window events in local birth-key
-//      order, emitting cross-shard events into bounded SPSC channels;
+//   2. it grants every shard a window capped at its horizon: the
+//      smallest send bound (below) of any other shard plus lookahead,
+//      and releases the workers; each shard executes its window events
+//      in local birth-key order, emitting cross-shard events into
+//      bounded SPSC channels;
 //   3. the barrier closes and the next round begins.
 //
 // Determinism is by construction, not by luck: the caps, admissions and
@@ -21,18 +22,24 @@
 // barrier, so the set and order of events a shard executes is identical
 // for any worker count — thread count only changes which windows run
 // concurrently. Event ids and heap order use the birth keys from
-// event_queue.h, so same-timestamp cross-shard ties resolve exactly as
-// one global scheduling counter would have.
+// event_queue.h, so same-timestamp cross-shard ties resolve by birth
+// time, then by the minting shard's counter and id.
 //
-// The host-side control loops stop *exactly* where one serial run
-// would: run_until_local() lets each waiting shard pause on the
-// event that fires its (monotone, shard-local) predicate while
-// non-waiting shards are capped below every unfired waiter's next
-// event, then fences all clocks at t* = the last firing time;
-// run_until_global() is the exact fallback for predicates that read
-// state across shards — the coordinator merges the shards one
-// globally-minimal event at a time (serial), settling the parked
-// pollers of all shards together in closed form before each event.
+// A horizon counts what a shard can *send*, not everything it has
+// pending: Simulation::send_bound() skips a parked poller whose
+// predicate is false, because it reads only its own shard's state and
+// can turn true only after a real event there. An idle node spinning on
+// a flag therefore does not cut a busy node's windows at every poll
+// interval. Drained, deadline and catch-up checks still count every
+// pending probe (next_key()).
+//
+// The host-side control loop stops *exactly* where one serial run
+// would: run_until_local() lets each waiting shard pause on the event
+// that fires its (monotone, shard-local) predicate while non-waiting
+// shards are capped below every unfired waiter's send bound, then
+// runs every event ordered before the last firing event (same-time ones
+// included) and fences all clocks at its time t*. Every wait a host
+// program makes is such a set of per-node conditions.
 //
 // Every sys::Cluster runs on a ShardGroup, one shard per node, at every
 // worker count: there is no other engine.
@@ -94,29 +101,24 @@ class ShardGroup {
   /// Hands an event minted on shard `src` (see Simulation::take_birth)
   /// to shard `dst`. During a round this is the only legal cross-shard
   /// interaction and must be called from the thread executing `src`;
-  /// between rounds (host code, merged execution) it admits directly.
+  /// between rounds (host code) it admits directly.
   /// In a round it also lowers `src`'s window cap to `when` + lookahead:
   /// the event can wake a drained shard whose reply lands no earlier,
-  /// and `src` must not have run past it.
+  /// and `src` must not have run past it. When `dst` is an unfired
+  /// waiter of run_until_local and `src` is not, the cap drops to `when`:
+  /// the event may fire the wait.
   void post(int src, int dst, SimTime when, SimTime birth_time,
             EventId birth_tag, EventFn fn);
 
-  /// Runs until every condition has fired, then fences every clock at
-  /// t* = the timestamp of the last firing event — no shard executes
-  /// past t*, exactly like one serial run stopping on a global
-  /// AND of the predicates. Returns false if the group drained,
-  /// deadlocked on parked pollers or an event limit tripped first.
+  /// Runs until every condition has fired, exactly like one serial run
+  /// stopping on a global AND of the predicates: every event that the
+  /// last firing event follows in key order runs, on every shard, and
+  /// none after it; then every clock is fenced at its time t*. Returns
+  /// false if the group drained, deadlocked on parked pollers or an
+  /// event limit tripped first.
   bool run_until_local(std::vector<ShardCond> conds);
 
-  /// Exact sequential fallback for predicates that read cross-shard
-  /// state: executes the globally minimal event one at a time on the
-  /// coordinator thread (Simulation::advance over every shard), checking
-  /// `pred` after each real event. Like poll predicates, `pred` must be
-  /// side-effect free and not read the clock: it is not re-checked after
-  /// skipped probes.
-  bool run_until_global(const std::function<bool()>& pred);
-
-  /// Deadline-segmented variants backing the sim-time telemetry sampler
+  /// Deadline-segmented variant backing the sim-time telemetry sampler
   /// (sys/Cluster): identical event execution, but the wait additionally
   /// stops once every event with timestamp <= `deadline` has run,
   /// fencing all clocks at the deadline. kFired = every condition fired
@@ -127,8 +129,6 @@ class ShardGroup {
   enum class Outcome { kFired, kDeadline, kStopped };
   Outcome run_until_local_before(std::vector<ShardCond> conds,
                                  SimTime deadline);
-  Outcome run_until_global_before(const std::function<bool()>& pred,
-                                  SimTime deadline);
 
   /// Observability shard-sink hooks (see obs/shard_sink.h). `bind` runs
   /// on the thread about to execute shard i's window, `unbind` when the
@@ -170,9 +170,12 @@ class ShardGroup {
   // Per-shard round state, cache-line padded: each slot is written by
   // exactly one thread during a round (the one that claimed it) and by
   // the coordinator between rounds (the barrier orders the two).
+  using Key = EventQueue::Key;
+
   struct alignas(64) Slot {
     Simulation* sim = nullptr;
-    SimTime cap = 0;
+    Key cap{};
+    SimTime send_bound = 0;  // set by frontier(); kNever when idle
     const std::function<bool()>* cond = nullptr;
     Simulation::WindowResult result;
   };
@@ -183,20 +186,24 @@ class ShardGroup {
   /// in global birth-key order. Coordinator only, between rounds.
   void drain_channels();
 
-  /// The two smallest next-event times across non-idle shards, and who
-  /// holds the smallest. Basis of the per-shard conservative horizons:
-  /// shard i may execute strictly below min_{j != i}(next_j) + lookahead
-  /// — anything another shard could still send it arrives no earlier —
-  /// which for the frontier shard (argmin) is the *second* minimum plus
-  /// lookahead, usually far past the uniform bound. What the frontier
-  /// shard posts itself is bounded by post(), which lowers the poster's
-  /// cap.
+  /// The key of the earliest pending event of any shard (parked probes
+  /// included), and the two smallest send bounds
+  /// (Simulation::send_bound) across non-idle shards, with who holds
+  /// the smallest. Basis of the per-shard conservative horizons: shard i
+  /// may execute strictly below
+  /// min_{j != i}(send_bound_j) + lookahead — anything another shard
+  /// could still send it arrives no earlier — which for the frontier
+  /// shard (argmin) is the *second* minimum plus lookahead, usually far
+  /// past the uniform bound. What the frontier shard posts itself is
+  /// bounded by post(), which lowers the poster's cap.
   struct Frontier {
+    Key next = Key::before(kNever);
     SimTime min1 = kNever;
     SimTime min2 = kNever;
     int argmin = -1;
   };
-  Frontier frontier() const;
+  /// Also records every shard's send bound in its slot.
+  Frontier frontier();
 
   /// Shard i's conservative execution bound under `f` (kNever when every
   /// other shard is drained: nothing can reach i this round unless i
@@ -223,10 +230,11 @@ class ShardGroup {
   /// True when any shard tripped its event-storm limit.
   bool any_limit_hit() const;
 
-  /// True (and reported) when no shard has a heap event and no parked
-  /// poller's predicate holds: nothing can ever run again. Coordinator
-  /// only, after drain_channels().
-  bool deadlocked();
+  /// True (and reported) when work is pending under `f` but no shard
+  /// can send: no heap event and no parked poller's predicate holds
+  /// anywhere, so nothing can ever run again. Coordinator only, on a
+  /// frontier taken after drain_channels().
+  bool deadlocked(const Frontier& f);
 
   /// Simulation::report_stall on every shard with pending work.
   void report_stall();
@@ -244,8 +252,9 @@ class ShardGroup {
   Options opt_;
   SinkHooks hooks_;
   SimTime now_ = 0;
-  // Group-global scheduling counter for serial contexts; consumed only
-  // by the coordinator thread (run_round() parks it during windows).
+  // Group-global scheduling counter for host code between rounds;
+  // consumed only by the coordinator thread (run_round() parks it during
+  // windows).
   std::uint64_t shared_births_ = 1;
 
   std::vector<Slot> slots_;

@@ -92,68 +92,64 @@ void Simulation::skip_probe(Poller& p) {
   p.skipped(1);
 }
 
-Simulation::Settle Simulation::settle(SimTime cap) {
-  EventQueue::Key bound{cap, std::numeric_limits<SimTime>::min(), 0};
-  if (!(parked_floor_ < bound)) return Settle::kOk;
+SimTime Simulation::send_bound() const {
+  SimTime bound = queue_.empty() ? kNoCap : queue_.next_time();
+  // No parked probe precedes the heap top.
+  if (parked_floor_.time >= bound) return bound;
+  for (const Poller* p : parked_) {
+    if (p->next_.time < bound && p->predicate_()) bound = p->next_.time;
+  }
+  return bound;
+}
+
+Simulation::Settle Simulation::settle(const EventQueue::Key& cap) {
+  // No parked probe precedes the cap, or the heap top below it.
+  if (!(parked_floor_ < cap)) return Settle::kOk;
+  EventQueue::Key bound = cap;
   if (!queue_.empty()) {
     const EventQueue::Key top = queue_.next_key();
     if (top < bound) bound = top;
   }
-  Simulation* self = this;
-  Simulation* next = nullptr;
-  return settle(std::span<Simulation* const>(&self, 1), bound, next);
-}
-
-Simulation::Settle Simulation::settle(std::span<Simulation* const> sims,
-                                      EventQueue::Key& bound,
-                                      Simulation*& next) {
+  if (!(parked_floor_ < bound)) return Settle::kOk;
   // Every parked predicate due before the bound is evaluated once; state
   // cannot change before the next real event, so that one answer holds
-  // for all of the poller's probes up to it.
-  std::vector<Due>& due = sims.front()->due_;
-  due.clear();
-  for (Simulation* s : sims) {
-    // No parked probe of s precedes the bound.
-    if (!(s->parked_floor_ < bound)) continue;
-    // The scan recomputes the floor exactly: from the pollers it leaves
-    // parked here, and from the due ones once their batch is settled.
-    s->parked_floor_ = kNoKey;
-    std::vector<Poller*>& parked = s->parked_;
-    for (std::size_t i = 0; i < parked.size();) {
-      Poller* p = parked[i];
-      if (!(p->next_ < bound)) {
-        s->lower_floor(p->next_);
-        ++i;
-        continue;
-      }
-      if (!p->predicate_()) {
-        due.push_back(Due{p});
-        ++i;
-        continue;
-      }
-      // The successful probe runs as a real event under its exact key.
-      parked[i] = parked.back();
-      parked.pop_back();
-      p->parked_ = false;
-      s->queue_.schedule_keyed(p->next_, [p] { p->probe(); });
-      bound = p->next_;
-      next = s;
+  // for all of the poller's probes up to it. The scan recomputes the
+  // floor exactly: from the pollers it leaves parked, and from the due
+  // ones once their batch is settled.
+  due_.clear();
+  parked_floor_ = kNoKey;
+  for (std::size_t i = 0; i < parked_.size();) {
+    Poller* p = parked_[i];
+    if (!(p->next_ < bound)) {
+      lower_floor(p->next_);
+      ++i;
+      continue;
     }
+    if (!p->predicate_()) {
+      due_.push_back(Due{p});
+      ++i;
+      continue;
+    }
+    // The successful probe runs as a real event under its exact key.
+    parked_[i] = parked_.back();
+    parked_.pop_back();
+    p->parked_ = false;
+    queue_.schedule_keyed(p->next_, [p] { p->probe(); });
+    bound = p->next_;
   }
-  if (due.empty()) return Settle::kOk;
+  if (due_.empty()) return Settle::kOk;
   Settle result = Settle::kStalled;
   if (bound.time != kNoCap) {
     // A successful probe may have lowered the bound below some false
     // pollers' next probe; those wait for the next settle.
-    std::erase_if(due, [&bound](const Due& d) {
-      Poller& p = *d.poller;
-      if (p.next_ < bound) return false;
-      p.sim_.lower_floor(p.next_);
+    std::erase_if(due_, [this, &bound](const Due& d) {
+      if (d.poller->next_ < bound) return false;
+      lower_floor(d.poller->next_);
       return true;
     });
-    result = due.empty() ? Settle::kOk : credit_probes(due, bound);
+    result = due_.empty() ? Settle::kOk : credit_probes(bound);
   }
-  for (const Due& d : due) d.poller->sim_.lower_floor(d.poller->next_);
+  for (const Due& d : due_) lower_floor(d.poller->next_);
   return result;
 }
 
@@ -180,14 +176,11 @@ Simulation::Settle Simulation::settle(std::span<Simulation* const> sims,
 // of the later pollers' penultimate probes finds it, so a batch costs
 // its sort plus O(n) unless intervals differ; rank() is only a Debug
 // cross-check and the rare tie at the bound.
-Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
-                                             const EventQueue::Key& bound) {
+Simulation::Settle Simulation::credit_probes(const EventQueue::Key& bound) {
+  std::vector<Due>& due = due_;
   const std::size_t n = due.size();
-  // Every due poller mints from its own queue: the shard-local counter
-  // inside a window (one sim), the group-shared one in merged execution.
-  // Either way the k-th mint of the batch is tag_ahead(k) on the minting
-  // poller's queue.
-  const EventId first_tag = due.front().poller->sim_.queue_.tag_ahead(0);
+  // The k-th mint of the batch is tag_ahead(k) on this queue's counter.
+  const EventId first_tag = queue_.tag_ahead(0);
   // A tag minted before this batch sorts either below every batch tag
   // (same minting mode) or above all of them (the other mode).
   auto before_batch = [first_tag](EventId g) { return g < first_tag; };
@@ -226,9 +219,6 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     }
     return r;
   };
-  auto tag_at = [&](std::size_t k, std::uint64_t r) {
-    return due[k].poller->sim_.queue_.tag_ahead(r);
-  };
 
   // Probes per poller strictly before the bound.
   std::uint64_t total = 0;
@@ -246,7 +236,7 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
         ++c;
       } else if (birth == bound.birth_time) {
         const EventId tag = c == 0 ? p.next_.birth_tag
-                                   : tag_at(k, rank(k, c - 1));
+                                   : queue_.tag_ahead(rank(k, c - 1));
         if (tag < bound.birth_tag) ++c;
       }
     }
@@ -255,12 +245,7 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     total += c;
   }
 
-  std::uint64_t room = std::numeric_limits<std::uint64_t>::max();
-  for (const Due& d : due) {
-    const Simulation& s = d.poller->sim_;
-    room = std::min(room, s.event_limit_ - s.events_executed_);
-  }
-  if (total > room) {
+  if (total > event_limit_ - events_executed_) {
     // The safety valve may trip inside this batch: replay it probe by
     // probe, in key order, so the counts stop where stepping would have.
     for (std::uint64_t left = total; left > 0; --left) {
@@ -268,12 +253,11 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
       for (const Due& d : due) {
         if (d.poller->next_ < next->next_) next = d.poller;
       }
-      Simulation& s = next->sim_;
-      if (s.events_executed_ >= s.event_limit_) {
-        s.trip_limit("the run loop");
+      if (events_executed_ >= event_limit_) {
+        trip_limit("the run loop");
         return Settle::kLimit;
       }
-      s.skip_probe(*next);
+      skip_probe(*next);
     }
     return Settle::kOk;
   }
@@ -306,14 +290,13 @@ Simulation::Settle Simulation::credit_probes(std::vector<Due>& due,
     }
     assert(r == rank(k, d.probes - 1));
     later_penultimate = std::max(later_penultimate, d.last - p.interval_);
-    d.next = EventQueue::Key{d.last + p.interval_, d.last, tag_at(k, r)};
+    d.next = EventQueue::Key{d.last + p.interval_, d.last, queue_.tag_ahead(r)};
   }
   for (const Due& d : due) {
     Poller& p = *d.poller;
-    Simulation& s = p.sim_;
-    s.now_ = std::max(s.now_, d.next.birth_time);
-    s.queue_.credit(d.probes);
-    s.events_executed_ += d.probes;
+    now_ = std::max(now_, d.next.birth_time);
+    queue_.credit(d.probes);
+    events_executed_ += d.probes;
     p.next_ = d.next;
     p.probes_ += d.probes;
     p.skipped(d.probes);
@@ -335,34 +318,17 @@ bool Simulation::step() {
   return true;
 }
 
-Simulation::Step Simulation::advance(std::span<Simulation* const> sims,
-                                     SimTime cap) {
-  // One pass: the smallest heap key below the cap, and whether any
-  // poller is parked.
-  EventQueue::Key bound{cap, std::numeric_limits<SimTime>::min(), 0};
-  Simulation* next = nullptr;
-  bool parked = false;
-  for (Simulation* s : sims) {
-    parked = parked || !s->parked_.empty();
-    if (s->queue_.empty()) continue;
-    const EventQueue::Key top = s->queue_.next_key();
-    if (top < bound) {
-      bound = top;
-      next = s;
-    }
+Simulation::Step Simulation::advance(SimTime cap) {
+  switch (settle(EventQueue::Key::before(cap))) {
+    case Settle::kOk:
+      break;
+    case Settle::kStalled:
+      return Step::kStalled;
+    case Settle::kLimit:
+      return Step::kLimit;
   }
-  if (parked) {
-    switch (settle(sims, bound, next)) {
-      case Settle::kOk:
-        break;
-      case Settle::kStalled:
-        return Step::kStalled;
-      case Settle::kLimit:
-        return Step::kLimit;
-    }
-  }
-  if (next == nullptr) return Step::kNone;
-  return next->step() ? Step::kRan : Step::kLimit;
+  if (queue_.empty() || queue_.next_time() >= cap) return Step::kNone;
+  return step() ? Step::kRan : Step::kLimit;
 }
 
 std::uint64_t Simulation::run() {
@@ -394,7 +360,7 @@ bool Simulation::run_until_condition(const std::function<bool()>& predicate) {
 }
 
 Simulation::WindowResult Simulation::run_window(
-    const SimTime& cap, const std::function<bool()>* condition) {
+    const EventQueue::Key& cap, const std::function<bool()>* condition) {
   WindowResult out;
   const std::uint64_t before = events_executed_;
   EventQueue::Popped popped;
@@ -407,7 +373,7 @@ Simulation::WindowResult Simulation::run_window(
     if (events_executed_ >= event_limit_) {
       // Trip only when a sub-cap event is actually pending, exactly as
       // step() would have (the event stays queued).
-      if (queue_.empty() || queue_.next_time() >= cap) break;
+      if (queue_.empty() || !(queue_.next_key() < cap)) break;
       trip_limit("run_window");
       break;
     }

@@ -6,10 +6,10 @@
 // EventQueue. Standalone, run()/run_until() drive one Simulation
 // directly. A cluster gives every node its own Simulation as one shard
 // of a ShardGroup (sim/parallel.h), which calls run_window() for
-// parallel rounds and advance() over all shards for merged execution,
-// and moves the clock across synchronization fences with fence_now();
-// events crossing shards enter through schedule_admitted() carrying the
-// sender's birth stamp.
+// parallel rounds, reads send_bound() for their horizons, and moves the
+// clock across synchronization fences with fence_now(); events crossing
+// shards enter through schedule_admitted() carrying the sender's birth
+// stamp.
 //
 // Polling loops (Poller: host sim::PollUntil coroutines and GPU warp spin
 // loops, gpu/device.h) do not put their probes through the heap. After a
@@ -20,23 +20,20 @@
 // exact key; every other poller skips past the event in closed form,
 // credited with the probes, sequence numbers and event counts it would
 // have used, and its skipped() hook credits the model state each probe
-// would have touched (a GPU's counters and L2 LRU). Merged execution
-// settles the parked pollers of all shards together, against the
-// smallest heap key of the whole group. Poll predicates only read state
-// and state only changes inside real events, so the skipped probes could
-// not have seen anything else. Execution order, tags, counts and outputs
-// are identical to probing event by event. A settle batch costs its sort
-// plus O(1) per due poller when the intervals agree: each last probe's
-// merged-order rank is counted down from the batch end. Each Simulation
-// keeps a lower bound on its parked keys, so a settle skips the shards
-// none of whose parked probes precedes the bound.
+// would have touched (a GPU's counters and L2 LRU). Poll predicates only
+// read state and state only changes inside real events, so the skipped
+// probes could not have seen anything else. Execution order, tags,
+// counts and outputs are identical to probing event by event. A settle
+// batch costs its sort plus O(1) per due poller when the intervals
+// agree: each last probe's merged-order rank is counted down from the
+// batch end. Each Simulation keeps a lower bound on its parked keys, so
+// a settle that no parked probe precedes returns at once.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -179,10 +176,10 @@ class Simulation {
   void set_shard_tag(std::uint8_t tag) { queue_.set_owner_tag(tag); }
 
   /// Wires this shard to the group's shared scheduling counter and
-  /// toggles whether fresh tags consume it (serial coordinator context:
-  /// host code, merged execution) or the shard-local counter (parallel
-  /// rounds). Managed entirely by ShardGroup; see
-  /// EventQueue::set_shared_seq for the ordering rationale.
+  /// toggles whether fresh tags consume it (host code between rounds)
+  /// or the shard-local counter (parallel rounds). Managed entirely by
+  /// ShardGroup; see EventQueue::set_shared_seq for the ordering
+  /// rationale.
   void set_shared_births(std::uint64_t* seq) { queue_.set_shared_seq(seq); }
   void set_shared_births_active(bool on) { queue_.set_shared_active(on); }
 
@@ -205,28 +202,19 @@ class Simulation {
     queue_.schedule_admitted(when, birth_time, birth_tag, std::move(fn));
   }
 
-  /// Runs events with timestamps strictly below `cap`, parked pollers'
-  /// probes included (settled up to the cap). When `condition` is
-  /// non-null it is evaluated after every real event; execution stops
-  /// with fired=true the moment it turns true (the clock then reads the
-  /// firing event's timestamp). Monotone conditions only: once true it
-  /// must stay true until the group observes it.
+  /// Runs events whose keys are strictly below `cap` (Key::before(t)
+  /// admits every event before time t), parked pollers' probes included
+  /// (settled up to the cap). When `condition` is non-null it is
+  /// evaluated after every real event; execution stops with fired=true
+  /// the moment it turns true (the clock then reads the firing event's
+  /// timestamp, current_key() its key). Monotone conditions only: once
+  /// true it must stay true until the group observes it.
   struct WindowResult {
     std::uint64_t executed = 0;
     bool fired = false;
   };
-  WindowResult run_window(const SimTime& cap,
+  WindowResult run_window(const EventQueue::Key& cap,
                           const std::function<bool()>* condition);
-
-  /// One step of the merged order of `sims` (all one group's shards in
-  /// shared minting mode, or just one standalone Simulation): settles the
-  /// parked pollers of every sim together up to the smallest heap key
-  /// below `cap`, then executes that event. kNone: no heap event below
-  /// the cap is left (pollers are settled up to the cap); kStalled: no
-  /// heap event, no cap and no parked predicate holds (nothing is
-  /// reported); kLimit: an event limit tripped.
-  enum class Step { kRan, kNone, kStalled, kLimit };
-  static Step advance(std::span<Simulation* const> sims, SimTime cap);
 
   /// Ordering key of the next pending event, a parked probe included.
   /// Requires !idle().
@@ -242,6 +230,14 @@ class Simulation {
   SimTime next_time() const {
     return parked_.empty() ? queue_.next_time() : next_key().time;
   }
+
+  /// The earliest time this shard can execute a real event, and so the
+  /// earliest it can affect another shard: the heap top, or the next
+  /// probe of a parked poller whose predicate already holds (the largest
+  /// SimTime when there is neither). A false parked predicate reads only
+  /// this shard's state, so it can turn true only after a real event
+  /// here. Evaluates parked predicates: call it between windows only.
+  SimTime send_bound() const;
 
   /// Moves the clock forward to a group synchronization point without
   /// executing anything (never backwards).
@@ -276,14 +272,7 @@ class Simulation {
   /// credits the false ones past it. kStalled: no heap event, no cap
   /// and no predicate holds; kLimit: the event limit tripped.
   enum class Settle { kOk, kStalled, kLimit };
-  Settle settle(SimTime cap);
-
-  /// settle() over the parked pollers of every sim in `sims`, against
-  /// `bound` (the smallest heap key, or the cap). A pushed probe lowers
-  /// `bound` and makes its sim `next`, the one to step. Sims whose
-  /// parked floor is not below `bound` are not scanned.
-  static Settle settle(std::span<Simulation* const> sims,
-                       EventQueue::Key& bound, Simulation*& next);
+  Settle settle(const EventQueue::Key& cap);
 
   // settle() scratch: false pollers due before the bound, with the
   // probes they are credited and the key they park at afterwards.
@@ -295,20 +284,21 @@ class Simulation {
   };
 
   /// Credits every probe of the due pollers (all false, all parked
-  /// before `bound`, possibly on different sims) that precedes `bound`,
-  /// as if each had executed in key order on its own sim. Allocates
-  /// nothing: `due` is reused scratch and is sorted in place.
-  static Settle credit_probes(std::vector<Due>& due,
-                              const EventQueue::Key& bound);
+  /// before `bound`) that precedes `bound`, as if each had executed in
+  /// key order. Allocates nothing: `due_` is reused scratch and is
+  /// sorted in place.
+  Settle credit_probes(const EventQueue::Key& bound);
 
   /// Executes one probe of a false poller without the heap.
   void skip_probe(Poller& p);
 
-  /// advance() over this Simulation alone.
-  Step advance(SimTime cap) {
-    Simulation* self = this;
-    return advance(std::span<Simulation* const>(&self, 1), cap);
-  }
+  /// One step: settles the parked pollers up to the heap top below
+  /// `cap`, then executes it. kNone: no heap event below the cap is left
+  /// (pollers are settled up to the cap); kStalled: no heap event, no
+  /// cap and no parked predicate holds (nothing is reported); kLimit: the
+  /// event limit tripped.
+  enum class Step { kRan, kNone, kStalled, kLimit };
+  Step advance(SimTime cap);
 
   /// Pops and executes the heap top (requires a pending heap event).
   /// Returns false when the event limit tripped instead.
@@ -323,7 +313,7 @@ class Simulation {
   EventQueue queue_;
   RootHook roots_;  // list head of the live roots
   std::vector<Poller*> parked_;
-  std::vector<Due> due_;  // settle() scratch of the first sim settled
+  std::vector<Due> due_;  // settle() scratch
   // Lower bound on the parked pollers' next keys: park() lowers it, a
   // settle that scans this sim sets it exactly, and unpark() may leave
   // it stale (still a bound, it costs one scan).

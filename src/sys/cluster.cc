@@ -219,7 +219,7 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
     terminal.set_node_id(t);
     for (int d = 0; d < n; ++d) {
       if (d == t) continue;
-      const Route hop = first_hop(which, t, d);
+      const Route hop = route(which, t, d);
       if (hop.link == nullptr) continue;
       if (Status s = terminal.add_route(d, hop.link, hop.side); !s.is_ok()) {
         PG_ERROR("sys", "route fill: %s", s.message().c_str());
@@ -275,22 +275,7 @@ SimTime Cluster::sample_deadline() const {
   return sampling ? next_sample_ : std::numeric_limits<SimTime>::max();
 }
 
-bool Cluster::run_until(const std::function<bool()>& predicate) {
-  for (;;) {
-    switch (group_->run_until_global_before(predicate, sample_deadline())) {
-      case sim::ShardGroup::Outcome::kFired:
-        return true;
-      case sim::ShardGroup::Outcome::kStopped:
-        return false;
-      case sim::ShardGroup::Outcome::kDeadline:
-        break;
-    }
-    sample_telemetry();
-    next_sample_ += sample_every_;
-  }
-}
-
-bool Cluster::run_until_each(std::vector<sim::ShardCond> conds) {
+bool Cluster::run_until(std::vector<sim::ShardCond> conds) {
   for (;;) {
     // Conditions are monotone (the run_until_local contract), so
     // re-presenting already-fired ones across segments is harmless.
@@ -372,7 +357,12 @@ Node& Cluster::node(int i) {
   return *nodes_[static_cast<std::size_t>(i)];
 }
 
-Cluster::Route Cluster::first_hop(Backend b, int from, int to) const {
+net::NetworkLink* Cluster::link(Backend b) {
+  const auto& links = overlay(b).links;
+  return links.empty() ? nullptr : links.front().get();
+}
+
+Cluster::Route Cluster::route(Backend b, int from, int to) const {
   const auto& links = overlay(b).links;
   if (links.empty() || from == to) return Route{};
   if (from < 0 || from >= plan_.num_terminals || to < 0 ||
@@ -384,14 +374,6 @@ Cluster::Route Cluster::first_hop(Backend b, int from, int to) const {
   const net::LinkPlan& ep = plan_.edges[static_cast<std::size_t>(e)];
   return Route{links[static_cast<std::size_t>(e)].get(),
                ep.a == from ? 0 : 1};
-}
-
-Cluster::Route Cluster::extoll_route(int from, int to) const {
-  return first_hop(Backend::kExtoll, from, to);
-}
-
-Cluster::Route Cluster::ib_route(int from, int to) const {
-  return first_hop(Backend::kIb, from, to);
 }
 
 std::vector<Cluster::LinkReport> Cluster::link_reports(Backend b) const {

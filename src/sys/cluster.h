@@ -21,7 +21,8 @@
 // flight latencies as the conservative lookahead. cfg.threads only sets
 // the worker count; execution is deterministic and byte-identical for
 // any thread count. Host code drives the cluster through one facade
-// (now / run_until / run_until_each / run_for).
+// (now / run_until / run_for); every wait is a set of per-node
+// conditions, each reading state its node owns.
 //
 // Observability runs on the same engine: the cluster wires an
 // obs::ShardSinkHub into the group's sink hooks, so traced / metered /
@@ -93,18 +94,17 @@ class Cluster {
   /// handing back a dangling reference.
   Node& node(int i);
 
-  /// First link of each backend — the only link in the classic two-node
-  /// pair, which is what the two-node experiment drivers use.
-  net::NetworkLink* extoll_link() { return first_link(Backend::kExtoll); }
-  net::NetworkLink* ib_link() { return first_link(Backend::kIb); }
+  /// First link of backend `b` — the only link in the classic two-node
+  /// pair, which is what the two-node experiment drivers use; nullptr
+  /// when the backend is not enabled.
+  net::NetworkLink* link(Backend b);
 
-  /// First-hop egress from node `from` toward node `to`: the link the
-  /// frame leaves `from` on (the full path may relay through further
-  /// nodes or switches); {nullptr, 0} when `to` is unreachable (the
-  /// pair topology's disjoint pairs) or from == to.
+  /// First-hop egress on backend `b` from node `from` toward node `to`:
+  /// the link the frame leaves `from` on (the full path may relay
+  /// through further nodes or switches); {nullptr, 0} when `to` is
+  /// unreachable (the pair topology's disjoint pairs) or from == to.
   using Route = net::Port;
-  Route extoll_route(int from, int to) const;
-  Route ib_route(int from, int to) const;
+  Route route(Backend b, int from, int to) const;
 
   /// The wiring graph and per-vertex next-hop tables (shared by both
   /// backends — they wire the same shape). net::path_hops(fabric_plan(),
@@ -148,17 +148,14 @@ class Cluster {
   /// The cluster clock: the group's last synchronization fence.
   SimTime now() const { return group_->now(); }
 
-  /// Runs until `predicate` holds; returns false if the event queue
-  /// drained or the event limit tripped first. The predicate may read
-  /// state anywhere in the cluster; it runs on the exact merged-sequential
-  /// path.
-  bool run_until(const std::function<bool()>& predicate);
-
-  /// Runs until every per-node condition has fired (conds index nodes =
-  /// shards; monotone, node-local predicates only). Equivalent to
-  /// run_until(AND of all), but executes node windows in parallel — use
-  /// this for the hot multi-node phase loops.
-  bool run_until_each(std::vector<sim::ShardCond> conds);
+  /// Runs until every per-node condition has fired, stopping where one
+  /// serial run would stop on the AND of them; returns false if the
+  /// cluster drained, deadlocked or tripped the event limit first.
+  /// `conds` index nodes (= shards), at most one per node. Each
+  /// predicate must be monotone and read only state its node owns (it is
+  /// evaluated on the thread running that node's window): a trigger its
+  /// node fires, a counter its node's events advance, its memory.
+  bool run_until(std::vector<sim::ShardCond> conds);
 
   /// Runs events for `d` of simulated time and advances the clock to
   /// now() + d.
@@ -175,7 +172,6 @@ class Cluster {
   /// node endpoints, switch ports for switch endpoints, and the next-hop
   /// fill into terminals and switches.
   void wire_backend(Backend which, const net::NetConfig& net_cfg);
-  Route first_hop(Backend b, int from, int to) const;
 
   /// One backend's links (in plan edge order) and switch objects.
   struct Overlay {
@@ -185,10 +181,6 @@ class Cluster {
   Overlay& overlay(Backend b) { return overlays_[static_cast<int>(b)]; }
   const Overlay& overlay(Backend b) const {
     return overlays_[static_cast<int>(b)];
-  }
-  net::NetworkLink* first_link(Backend b) {
-    const auto& links = overlay(b).links;
-    return links.empty() ? nullptr : links.front().get();
   }
 
   /// The sample boundary the facade must pause at next: next_sample_

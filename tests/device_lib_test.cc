@@ -27,7 +27,7 @@ struct Harness {
   bool run_kernel(const Program& prog) {
     bool done = false;
     n0.gpu().launch({.program = &prog, .params = {}}, [&] { done = true; });
-    const bool ok = cluster.run_until([&] { return done; });
+    const bool ok = cluster.run_until({{0, [&] { return done; }}});
     cluster.run_for(microseconds(100));
     return ok;
   }
@@ -84,7 +84,7 @@ TEST(DeviceLib, PollEqualsSeesDmaWrite) {
     std::uint8_t bytes[8] = {99, 0, 0, 0, 0, 0, 0, 0};
     h.n0.gpu().inbound_write(flag, bytes);
   });
-  ASSERT_TRUE(h.cluster.run_until([&] { return done; }));
+  ASSERT_TRUE(h.cluster.run_until({{0, [&] { return done; }}}));
   EXPECT_GE(h.cluster.now(), microseconds(40));
 }
 

@@ -83,8 +83,8 @@ TEST(Extoll, HostControlledPutDeliversGpuToGpu) {
   f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
   f.n0.cpu().sim().spawn(port0->wait_requester(f.n0.cpu()), &req_done);
   f.n1.cpu().sim().spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
-  ASSERT_TRUE(f.cluster.run_until(
-      [&] { return req_done.fired() && cmp_done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return req_done.fired(); }},
+                                   {1, [&] { return cmp_done.fired(); }}}));
 
   std::vector<std::uint8_t> got(payload.size());
   f.n1.memory().read(dst, got);
@@ -120,7 +120,9 @@ TEST(Extoll, PutLandsInOrderSoLastByteSignalsCompletion) {
   // be correct.
   const std::uint8_t last = payload.back();
   bool checked = false;
-  f.cluster.run_until([&] {
+  // Node 1 owns the destination memory: its condition runs after each of
+  // its events.
+  f.cluster.run_until({{1, [&] {
     std::uint8_t b = 0;
     f.n1.memory().read(dst + size - 1, {&b, 1});
     if (b == last) {
@@ -131,7 +133,7 @@ TEST(Extoll, PutLandsInOrderSoLastByteSignalsCompletion) {
       return true;
     }
     return false;
-  });
+  }}});
   EXPECT_TRUE(checked);
 }
 
@@ -160,7 +162,7 @@ TEST(Extoll, GetPullsRemoteData) {
   sim::Trigger done;
   f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
   f.n0.cpu().sim().spawn(port0->wait_completer(f.n0.cpu()), &done);
-  ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return done.fired(); }}}));
 
   std::vector<std::uint8_t> got(payload.size());
   f.n0.memory().read(local_dst, got);
@@ -203,8 +205,8 @@ TEST(Extoll, PropertyRandomPutSizesAndOffsets) {
     f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
     f.n0.cpu().sim().spawn(port0->wait_requester(f.n0.cpu()), &req_done);
     f.n1.cpu().sim().spawn(port1->wait_completer(f.n1.cpu()), &cmp_done);
-    ASSERT_TRUE(f.cluster.run_until(
-        [&] { return req_done.fired() && cmp_done.fired(); }))
+    ASSERT_TRUE(f.cluster.run_until({{0, [&] { return req_done.fired(); }},
+                                     {1, [&] { return cmp_done.fired(); }}}))
         << "iteration " << iter;
 
     std::vector<std::uint8_t> got(size);

@@ -167,10 +167,11 @@ TEST(Routes, TwoNodeRingKeepsBothDirectionsOnTheFirstLink) {
   cfg.topology = net::Topology::kRing;
   sys::Cluster cluster(cfg);
   ASSERT_EQ(cluster.fabric_plan().edges.size(), 2u);
-  EXPECT_EQ(cluster.extoll_route(0, 1).link, cluster.extoll_link());
-  EXPECT_EQ(cluster.extoll_route(1, 0).link, cluster.extoll_link());
-  EXPECT_EQ(cluster.extoll_route(0, 1).side, 0);
-  EXPECT_EQ(cluster.extoll_route(1, 0).side, 1);
+  net::NetworkLink* const link = cluster.link(sys::Backend::kExtoll);
+  EXPECT_EQ(cluster.route(sys::Backend::kExtoll, 0, 1).link, link);
+  EXPECT_EQ(cluster.route(sys::Backend::kExtoll, 1, 0).link, link);
+  EXPECT_EQ(cluster.route(sys::Backend::kExtoll, 0, 1).side, 0);
+  EXPECT_EQ(cluster.route(sys::Backend::kExtoll, 1, 0).side, 1);
 }
 
 TEST(TwinLinks, EachParallelLinkKeepsItsOwnLabelAndUtilization) {
@@ -233,7 +234,7 @@ TEST(DuplicateRoutes, ExtollAddRouteRejectsSecondBinding) {
   sys::Cluster cluster(cfg);
   // The cluster's route pass already bound node 1; any re-registration
   // is a hard error, even for the same next hop.
-  const sys::Cluster::Route r = cluster.extoll_route(0, 1);
+  const sys::Cluster::Route r = cluster.route(sys::Backend::kExtoll, 0, 1);
   ASSERT_NE(r.link, nullptr);
   const Status s =
       cluster.node(0).extoll().terminal().add_route(1, r.link, r.side);
@@ -246,7 +247,7 @@ TEST(DuplicateRoutes, IbAddRouteRejectsSecondBinding) {
   cfg.num_nodes = 4;
   cfg.topology = net::Topology::kRing;
   sys::Cluster cluster(cfg);
-  const sys::Cluster::Route r = cluster.ib_route(0, 1);
+  const sys::Cluster::Route r = cluster.route(sys::Backend::kIb, 0, 1);
   ASSERT_NE(r.link, nullptr);
   EXPECT_EQ(
       cluster.node(0).hca().terminal().add_route(1, r.link, r.side).code(),
@@ -263,7 +264,7 @@ TEST(DuplicateRoutes, RoutedConnectQpRejectsReRouting) {
   auto eb = putget::IbHostEndpoint::create(cluster.node(1), opts);
   ASSERT_TRUE(ea.is_ok());
   ASSERT_TRUE(eb.is_ok());
-  const sys::Cluster::Route r = cluster.ib_route(0, 1);
+  const sys::Cluster::Route r = cluster.route(sys::Backend::kIb, 0, 1);
   ASSERT_TRUE(cluster.node(0)
                   .hca()
                   .connect_qp(ea->qp().qpn, eb->qp().qpn, r.link, r.side, 1)
@@ -326,8 +327,8 @@ void start_transfers(
       auto ea = putget::IbHostEndpoint::create(n0, opts);
       auto eb = putget::IbHostEndpoint::create(nd, opts);
       ASSERT_TRUE(ea.is_ok() && eb.is_ok());
-      const sys::Cluster::Route ra = cluster.ib_route(0, d);
-      const sys::Cluster::Route rb = cluster.ib_route(d, 0);
+      const sys::Cluster::Route ra = cluster.route(sys::Backend::kIb, 0, d);
+      const sys::Cluster::Route rb = cluster.route(sys::Backend::kIb, d, 0);
       ASSERT_TRUE(
           n0.hca()
               .connect_qp(ea->qp().qpn, eb->qp().qpn, ra.link, ra.side, d)
@@ -428,10 +429,10 @@ TEST(FirstHop, PairTopologyReturnsNullAcrossPairs) {
   cfg.num_nodes = 4;
   cfg.topology = net::Topology::kPair;
   sys::Cluster cluster(cfg);
-  EXPECT_NE(cluster.extoll_route(0, 1).link, nullptr);
-  EXPECT_EQ(cluster.extoll_route(0, 2).link, nullptr);
-  EXPECT_EQ(cluster.ib_route(1, 2).link, nullptr);
-  EXPECT_EQ(cluster.extoll_route(2, 2).link, nullptr);
+  EXPECT_NE(cluster.route(sys::Backend::kExtoll, 0, 1).link, nullptr);
+  EXPECT_EQ(cluster.route(sys::Backend::kExtoll, 0, 2).link, nullptr);
+  EXPECT_EQ(cluster.route(sys::Backend::kIb, 1, 2).link, nullptr);
+  EXPECT_EQ(cluster.route(sys::Backend::kExtoll, 2, 2).link, nullptr);
 }
 
 TEST(FirstHop, RingGivesEveryPairAnEgress) {
@@ -442,7 +443,7 @@ TEST(FirstHop, RingGivesEveryPairAnEgress) {
   for (int from = 0; from < 6; ++from) {
     for (int to = 0; to < 6; ++to) {
       if (from == to) continue;
-      EXPECT_NE(cluster.extoll_route(from, to).link, nullptr)
+      EXPECT_NE(cluster.route(sys::Backend::kExtoll, from, to).link, nullptr)
           << from << "->" << to;
     }
   }

@@ -45,7 +45,7 @@ TEST(GpuAware, WarpPostProducesIdenticalWqe) {
   n0.gpu().launch({.program = &prog.value(), .threads_per_block = 8,
                    .params = {}},
                   [&] { done = true; });
-  ASSERT_TRUE(cluster.run_until([&] { return done; }));
+  ASSERT_TRUE(cluster.run_until({{0, [&] { return done; }}}));
   cluster.run_for(microseconds(100));
 
   std::uint8_t bytes[ib::kSendWqeBytes];
@@ -157,7 +157,7 @@ TEST(GpuAware, PreswappedPostIsCheaperAndEquivalent) {
     bool done = false;
     n0.gpu().launch({.program = &prog.value(), .params = {}},
                     [&] { done = true; });
-    ASSERT_TRUE(cluster.run_until([&] { return done; }));
+    ASSERT_TRUE(cluster.run_until({{0, [&] { return done; }}}));
     cluster.run_for(microseconds(100));
     std::uint8_t bytes[ib::kSendWqeBytes];
     n0.memory().read(pair->ep0.qp().sq_buffer, bytes);

@@ -139,8 +139,8 @@ TEST(Sys, TestbedPresetsSelectFabrics) {
   sys::Cluster ext(sys::extoll_testbed());
   EXPECT_TRUE(ext.node(0).has_extoll());
   EXPECT_FALSE(ext.node(0).has_ib());
-  EXPECT_NE(ext.extoll_link(), nullptr);
-  EXPECT_EQ(ext.ib_link(), nullptr);
+  EXPECT_NE(ext.link(sys::Backend::kExtoll), nullptr);
+  EXPECT_EQ(ext.link(sys::Backend::kIb), nullptr);
 
   sys::Cluster ib(sys::ib_testbed());
   EXPECT_FALSE(ib.node(0).has_extoll());
@@ -179,7 +179,7 @@ TEST(Sys, ClusterIsDeterministic) {
     wr.src_nla = *s;
     wr.dst_nla = *d;
     n0.extoll().post_work_request(wr);
-    cluster.run_until([] { return false; });  // run until drained
+    cluster.run_until({{0, [] { return false; }}});  // run until drained
     return std::pair<std::uint64_t, SimTime>(cluster.events_executed(),
                                              cluster.now());
   };

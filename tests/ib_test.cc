@@ -135,7 +135,7 @@ TEST(Ib, RdmaWriteDeliversAndCompletes) {
   sim::Trigger done;
   f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe));
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
-  ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return done.fired(); }}}));
 
   EXPECT_EQ(cqe.status, WcStatus::kSuccess);
   EXPECT_EQ(cqe.wr_id, 1u);
@@ -168,7 +168,7 @@ TEST(Ib, RdmaReadPullsRemoteData) {
   sim::Trigger done;
   f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe));
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
-  ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return done.fired(); }}}));
   EXPECT_EQ(cqe.status, WcStatus::kSuccess);
   std::vector<std::uint8_t> got(payload.size());
   f.n0.memory().read(local, got);
@@ -204,8 +204,8 @@ TEST(Ib, SendRecvMatchesPostedReceive) {
   f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe));
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &send_cqe), &send_done);
   f.n1.cpu().sim().spawn(f.ep1->wait_cqe(f.n1.cpu(), &recv_cqe), &recv_done);
-  ASSERT_TRUE(f.cluster.run_until(
-      [&] { return send_done.fired() && recv_done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return send_done.fired(); }},
+                                   {1, [&] { return recv_done.fired(); }}}));
 
   EXPECT_EQ(send_cqe.status, WcStatus::kSuccess);
   EXPECT_EQ(recv_cqe.status, WcStatus::kSuccess);
@@ -234,7 +234,7 @@ TEST(Ib, SendWithoutReceiveFailsRnr) {
   sim::Trigger done;
   f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe));
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
-  ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return done.fired(); }}}));
   EXPECT_EQ(cqe.status, WcStatus::kRnrError);
   EXPECT_EQ(f.n1.hca().rnr_errors(), 1u);
 }
@@ -269,8 +269,8 @@ TEST(Ib, WriteWithImmediateCompletesBothSides) {
   f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe));
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &send_cqe), &send_done);
   f.n1.cpu().sim().spawn(f.ep1->wait_cqe(f.n1.cpu(), &recv_cqe), &recv_done);
-  ASSERT_TRUE(f.cluster.run_until(
-      [&] { return send_done.fired() && recv_done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return send_done.fired(); }},
+                                   {1, [&] { return recv_done.fired(); }}}));
   EXPECT_EQ(send_cqe.status, WcStatus::kSuccess);
   EXPECT_EQ(recv_cqe.status, WcStatus::kSuccess);
   EXPECT_EQ(recv_cqe.imm, 0x1234u);
@@ -299,7 +299,7 @@ TEST(Ib, ProtectionErrorOnBadRkey) {
   sim::Trigger done;
   f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe));
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
-  ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return done.fired(); }}}));
   EXPECT_EQ(cqe.status, WcStatus::kProtectionError);
   EXPECT_EQ(f.n1.hca().protection_errors(), 1u);
 }
@@ -375,11 +375,11 @@ TEST(Ib, ManyMessagesAllDeliveredInOrder) {
     sim::Trigger posted;
     f.n0.cpu().sim().spawn(f.ep0->post_send(f.n0.cpu(), wqe), &posted);
     // Drain the posting coroutine before reusing the stack slot.
-    f.cluster.run_until([&] { return posted.fired(); });
+    f.cluster.run_until({{0, [&] { return posted.fired(); }}});
   }
   sim::Trigger done;
   f.n0.cpu().sim().spawn(f.ep0->wait_cqe(f.n0.cpu(), &cqe), &done);
-  ASSERT_TRUE(f.cluster.run_until([&] { return done.fired(); }));
+  ASSERT_TRUE(f.cluster.run_until({{0, [&] { return done.fired(); }}}));
   EXPECT_EQ(cqe.wr_id, static_cast<std::uint64_t>(kMessages - 1));
   // After the signaled last message completes, every earlier write must
   // be in place (RC ordering).

@@ -266,6 +266,30 @@ TEST(NotifyParity, WaitAnyReturnsFirstPostedOnBothFabrics) {
   }
 }
 
+// Local completion happens on an op's source node, and a wait is a
+// condition on one node: a set whose ops come from two nodes is refused
+// before anything runs, and its ops still complete one by one.
+TEST(NotifyParity, WaitAnyRejectsOpsFromTwoSourceNodes) {
+  for (RmaBackend backend : kBackends) {
+    NotifyRig rig = NotifyRig::make(backend);
+    ASSERT_NE(rig.domain, nullptr);
+    auto a = rig.domain->post_put(0, 1, rig.at(0, 256), rig.at(1, 512), 8,
+                                  Completion::kNotification);
+    auto b = rig.domain->post_put(1, 0, rig.at(1, 256), rig.at(0, 512), 8,
+                                  Completion::kNotification);
+    ASSERT_TRUE(a.is_ok() && b.is_ok());
+    const SimTime before = rig.cluster->now();
+    EXPECT_EQ(rig.domain->wait_any({*a, *b}), -1)
+        << sys::backend_name(backend);
+    EXPECT_EQ(rig.cluster->now(), before);
+    EXPECT_FALSE(rig.domain->done_local(*a));
+    EXPECT_TRUE(rig.domain->wait_local(*a));
+    EXPECT_TRUE(rig.domain->wait_local(*b));
+    EXPECT_TRUE(rig.domain->quiet(0).is_ok());
+    EXPECT_TRUE(rig.domain->quiet(1).is_ok());
+  }
+}
+
 // A wait returns on the event that satisfies it: the retired pump is still
 // parked, and on IB the post_recv replenishing the consumed receive is
 // still in flight. Destroying the cluster frees both frames (under ASan,

@@ -6,6 +6,8 @@
 // output across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -16,6 +18,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "shmem/workloads.h"
+#include "sim/coro.h"
 #include "sim/parallel.h"
 #include "sim/simulation.h"
 #include "sys/cluster.h"
@@ -169,19 +172,161 @@ TEST(ShardGroup, RunUntilLocalDrainedReturnsFalse) {
   EXPECT_FALSE(t.group.run_until_local({{1, [&] { return never; }}}));
 }
 
-TEST(ShardGroup, RunUntilGlobalMatchesMergedOrder) {
+TEST(ShardGroup, RunUntilLocalMatchesMergedOrder) {
   TwoShards t(2);
-  int count = 0;
+  int count_a = 0, count_b = 0;
   for (int i = 1; i <= 5; ++i) {
-    t.a.schedule(nanoseconds(100 * i), [&] { ++count; });
-    t.b.schedule(nanoseconds(100 * i + 50), [&] { ++count; });
+    t.a.schedule(nanoseconds(100 * i), [&] { ++count_a; });
+    t.b.schedule(nanoseconds(100 * i + 50), [&] { ++count_b; });
   }
-  const bool ok = t.group.run_until_global([&] { return count == 4; });
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(count, 4);
-  // Events interleave a,b,a,b by timestamp: the 4th is b's at 250.
+  // Only b waits. Events interleave a,b,a,b by timestamp: b's second
+  // fires at 250, so a must have run exactly its first two.
+  EXPECT_TRUE(t.group.run_until_local({{1, [&] { return count_b == 2; }}}));
+  EXPECT_EQ(count_a, 2);
+  EXPECT_EQ(count_b, 2);
   EXPECT_EQ(t.group.now(), nanoseconds(250));
   EXPECT_EQ(t.a.now(), nanoseconds(250));  // fenced
+}
+
+// The wait stops where one serial run stops: in key order, not just in
+// time. a does not wait; its event at 300 ns born at 0 precedes b's
+// firing event at 300 ns (born at 100 ns) and must have run when the
+// wait returns, while its event at 300 ns born at 200 ns follows it and
+// must not have.
+TEST(ShardGroup, RunUntilLocalRunsSameTimeEventsBeforeTheFiringOne) {
+  for (int workers : {1, 2}) {
+    TwoShards t(workers);
+    bool early = false, late = false, fired = false;
+    t.a.schedule_at(nanoseconds(300), [&] { early = true; });
+    t.a.schedule(nanoseconds(200), [&] {
+      t.a.schedule_at(nanoseconds(300), [&] { late = true; });
+    });
+    t.b.schedule(nanoseconds(100), [&] {
+      t.b.schedule_at(nanoseconds(300), [&] { fired = true; });
+    });
+    EXPECT_TRUE(t.group.run_until_local({{1, [&] { return fired; }}}));
+    EXPECT_TRUE(early) << "workers=" << workers;
+    EXPECT_FALSE(late) << "workers=" << workers;
+    EXPECT_EQ(t.group.now(), nanoseconds(300));
+    t.group.run();
+    EXPECT_TRUE(late) << "workers=" << workers;
+  }
+}
+
+// A shard that is not waiting posts the event that fires another
+// shard's wait. It must stop at that event's time, not one lookahead
+// later: b is drained, so neither a horizon nor b's send bound holds a
+// back, and a's own event at 180 ns lies between the arrival (150 ns)
+// and arrival + lookahead.
+TEST(ShardGroup, RunUntilLocalStopsNonWaiterAtPostThatFiresTheWait) {
+  for (int workers : {1, 2}) {
+    TwoShards t(workers);
+    bool arrived = false;
+    SimTime a_late = -1;
+    t.a.schedule(nanoseconds(50), [&] {
+      const sim::Simulation::Birth birth = t.a.take_birth();
+      t.group.post(0, 1, t.a.now() + nanoseconds(100), birth.time, birth.tag,
+                   [&] { arrived = true; });
+    });
+    t.a.schedule(nanoseconds(180), [&] { a_late = t.a.now(); });
+    EXPECT_TRUE(t.group.run_until_local({{1, [&] { return arrived; }}}));
+    EXPECT_EQ(t.group.now(), nanoseconds(150)) << "workers=" << workers;
+    EXPECT_EQ(a_late, -1) << "workers=" << workers;
+    t.group.run();
+    EXPECT_EQ(a_late, nanoseconds(180)) << "workers=" << workers;
+  }
+}
+
+sim::CoTask wait_flag(sim::Simulation& sim, const bool& flag,
+                      std::function<void()> then) {
+  co_await sim::PollUntil{sim, [&flag] { return flag; }, nanoseconds(10)};
+  then();
+}
+
+// A horizon counts send bounds: a shard whose only pending work is a
+// parked poller with a false predicate cannot send anything before its
+// next real event, so it must not cut its neighbour's windows at every
+// probe. A 2000-event chain (10 ns apart, lookahead 100 ns) next to such
+// a poller runs in a constant number of rounds; counting every probe
+// cut it into 400.
+TEST(ShardGroup, FalseParkedPollerDoesNotCutOtherShardsWindows) {
+  for (int workers : {1, 2}) {
+    TwoShards t(workers);
+    bool flag = false;
+    bool resumed = false;
+    t.b.spawn(wait_flag(t.b, flag, [&] { resumed = true; }));
+    constexpr int kChain = 2000;
+    int links = 0;
+    std::function<void()> link = [&] {
+      if (++links < kChain) t.a.schedule(nanoseconds(10), link);
+    };
+    t.a.schedule(nanoseconds(10), link);
+    const std::uint64_t before = t.group.rounds();
+    EXPECT_TRUE(
+        t.group.run_until_local({{0, [&] { return links == kChain; }}}));
+    EXPECT_LE(t.group.rounds() - before, 3u) << "workers=" << workers;
+    EXPECT_EQ(t.group.now(), nanoseconds(10) * kChain);
+    // The poller was credited its probes up to the fence.
+    EXPECT_EQ(t.b.now(), nanoseconds(10) * kChain);
+    flag = true;
+    t.group.run();
+    EXPECT_TRUE(resumed);
+  }
+}
+
+// Host code between two waits makes a parked predicate true. The send
+// bound is re-read at the next wait, so the probe that now succeeds caps
+// the other shard's window: b, busy with a 10 ns chain, must not run past
+// the event the probe posts to it. Each shard logs its events in
+// execution order, which must not depend on the worker count.
+using ShardLogs = std::array<std::vector<std::string>, 2>;
+
+ShardLogs run_flipped_poller(int workers) {
+  TwoShards t(workers);
+  ShardLogs log;
+  auto note = [&log](int shard, const char* what, SimTime at) {
+    log[static_cast<std::size_t>(shard)].push_back(std::string(what) + "@" +
+                                                   std::to_string(at));
+  };
+  bool flag = false;
+  bool arrived = false;
+  t.a.spawn(wait_flag(t.a, flag, [&] {
+    note(0, "probe", t.a.now());
+    const sim::Simulation::Birth birth = t.a.take_birth();
+    t.group.post(0, 1, t.a.now() + nanoseconds(100), birth.time, birth.tag,
+                 [&] {
+                   note(1, "post", t.b.now());
+                   arrived = true;
+                 });
+  }));
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    note(1, "tick", t.b.now());
+    if (++ticks < 100) t.b.schedule(nanoseconds(10), tick);
+  };
+  t.b.schedule(nanoseconds(5), tick);
+  EXPECT_TRUE(t.group.run_until_local({{1, [&] { return ticks == 10; }}}));
+  EXPECT_EQ(t.group.now(), nanoseconds(95));
+  flag = true;  // host code: the parked probe at 100 ns now succeeds
+  EXPECT_TRUE(t.group.run_until_local({{1, [&] { return arrived; }}}));
+  EXPECT_EQ(t.group.now(), nanoseconds(200));
+  t.group.run();
+  return log;
+}
+
+TEST(ShardGroup, HostFlippedPredicateCapsTheOtherShard) {
+  const ShardLogs ref = run_flipped_poller(1);
+  EXPECT_EQ(ref[0], std::vector<std::string>{"probe@100000"});
+  // The probe at 100 ns posts for 200 ns; b's ticks at 195 and 205 ns
+  // bracket the arrival.
+  const std::vector<std::string>& b = ref[1];
+  const auto at = [&b](const std::string& e) {
+    return std::find(b.begin(), b.end(), e) - b.begin();
+  };
+  ASSERT_LT(at("post@200000"), static_cast<long>(b.size()));
+  EXPECT_EQ(at("tick@195000") + 1, at("post@200000"));
+  EXPECT_EQ(at("tick@205000"), at("post@200000") + 1);
+  EXPECT_EQ(run_flipped_poller(2), ref);
 }
 
 TEST(ShardGroup, RunUntilTimeExecutesInclusiveDeadline) {

@@ -810,10 +810,6 @@ std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
       ok = group.run_until_local({{0, [&] { return done[0] == 2; }},
                                   {1, [&] { return done[1] == 2; }}});
       break;
-    case 2:
-      ok = group.run_until_global(
-          [&] { return done[0] == 2 && done[1] == 2; });
-      break;
   }
   EXPECT_TRUE(ok);
   EXPECT_EQ(done[0], 2);
@@ -824,7 +820,7 @@ std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
 }
 
 TEST(ParkedPoll, ShardedPairMatchesAtOneAndFourWorkers) {
-  for (int driver : {0, 1, 2}) {
+  for (int driver : {0, 1}) {
     const auto ref = run_sharded_polls<ExplicitPoll>(1, driver);
     for (int workers : {1, 4}) {
       EXPECT_EQ(run_sharded_polls<ExplicitPoll>(workers, driver), ref)
@@ -863,7 +859,7 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     EXPECT_TRUE(done.fired());
     EXPECT_EQ(when, nanoseconds(40));
   }
-  for (int driver : {0, 1, 2}) {
+  for (int driver : {0, 1}) {
     Simulation a, b;
     a.set_shard_tag(0);
     b.set_shard_tag(1);
@@ -881,9 +877,6 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
         break;
       case 1:
         EXPECT_FALSE(group.run_until_local({{1, resumed}}));
-        break;
-      case 2:
-        EXPECT_FALSE(group.run_until_global(resumed));
         break;
     }
     EXPECT_TRUE(group.event_limit_hit()) << "driver " << driver;
@@ -994,222 +987,6 @@ TEST(ParkedPoll, EventLimitStopsInsideSkippedProbes) {
   for (std::uint64_t limit : {1u, 7u, 40u}) {
     EXPECT_EQ(run_until_limit<PollUntil>(limit),
               run_until_limit<ExplicitPoll>(limit))
-        << "limit " << limit;
-  }
-}
-
-// --- Merged execution: parked pollers on several shards at once -----------
-
-// A two-shard group driven only by merged execution (run_until_global):
-// every poller, write relay and cross-shard post runs on the coordinator,
-// so the parked pollers of both shards are settled as one batch before
-// each real event. Poller i lives on shard shards[i]; write f is relayed
-// by shard relays[f] and lands on the shard of the first poller waiting
-// on flag f (through group.post when that is the other shard).
-struct GroupScenario {
-  PollScenario sc;
-  std::vector<int> shards;  // per poller
-  std::vector<int> relays;  // per write
-};
-
-// Everything observable about a merged run, per shard, plus every
-// segment boundary (run_until_global_before) when segmented.
-struct GroupTrace {
-  std::array<PollTrace, 2> shard;
-  std::vector<KeyTuple> boundaries;
-  bool operator==(const GroupTrace&) const = default;
-};
-
-template <class Poll>
-GroupTrace run_group_scenario(const GroupScenario& g, SimDuration segment,
-                              std::uint64_t limit =
-                                  std::numeric_limits<std::uint64_t>::max()) {
-  const PollScenario& sc = g.sc;
-  Simulation a, b;
-  a.set_shard_tag(0);
-  b.set_shard_tag(1);
-  a.set_event_limit(limit);
-  b.set_event_limit(limit);
-  ShardGroup group({&a, &b}, ShardGroup::Options{1, nanoseconds(100), 16});
-  Simulation* sims[2] = {&a, &b};
-  GroupTrace tr;
-  std::vector<char> flags(static_cast<std::size_t>(sc.num_flags), 0);
-  std::vector<int> flag_shard(static_cast<std::size_t>(sc.num_flags), 0);
-  for (std::size_t i = 0; i < sc.pollers.size(); ++i) {
-    for (int f : sc.pollers[i].flags) {
-      flag_shard[static_cast<std::size_t>(f)] = g.shards[i];
-    }
-  }
-  int done = 0;
-  auto schedule_writes = [&] {
-    for (std::size_t w = 0; w < sc.writes.size(); ++w) {
-      const WriteSpec ws = sc.writes[w];
-      const int src = g.relays[w];
-      const int dst = flag_shard[static_cast<std::size_t>(ws.flag)];
-      sims[src]->schedule_at(0, [&, ws, src, dst] {
-        sims[src]->schedule_at(ws.at - ws.delay, [&, ws, src, dst] {
-          auto write = [&, ws, dst] {
-            flags[static_cast<std::size_t>(ws.flag)] = 1;
-            tr.shard[dst].keys.push_back(tuple_of(sims[dst]->current_key()));
-          };
-          if (src == dst) {
-            sims[src]->schedule(ws.delay, write);
-            return;
-          }
-          const Simulation::Birth birth = sims[src]->take_birth();
-          group.post(src, dst, sims[src]->now() + ws.delay, birth.time,
-                     birth.tag, write);
-        });
-      });
-    }
-  };
-  if (sc.writes_first) schedule_writes();
-  for (std::size_t i = 0; i < sc.pollers.size(); ++i) {
-    const PollerSpec p = sc.pollers[i];
-    const int s = g.shards[i];
-    sims[s]->schedule_at(p.start, [&, p, s] {
-      sims[s]->spawn(poll_flags<Poll>(*sims[s], flags, p.flags, p.interval,
-                                      p.cost, tr.shard[s], done));
-    });
-  }
-  if (!sc.writes_first) schedule_writes();
-  const int loops = static_cast<int>(sc.pollers.size());
-  const auto all_done = [&done, loops] { return done == loops; };
-  if (segment == 0) {
-    EXPECT_EQ(group.run_until_global(all_done),
-              limit == std::numeric_limits<std::uint64_t>::max());
-  } else {
-    const std::uint64_t max_n = max_segments(sc, segment);
-    for (SimTime deadline = segment;; deadline += segment) {
-      if (static_cast<std::uint64_t>(deadline / segment) > max_n) {
-        ADD_FAILURE() << "segmented drive still busy after " << max_n
-                      << " segments";
-        break;
-      }
-      const auto out = group.run_until_global_before(all_done, deadline);
-      tr.boundaries.push_back({group.now(),
-                               static_cast<SimTime>(a.events_executed()),
-                               b.events_executed()});
-      for (Simulation* s : sims) {
-        if (!s->idle()) tr.boundaries.push_back(tuple_of(s->next_key()));
-      }
-      if (out != ShardGroup::Outcome::kDeadline) {
-        EXPECT_EQ(out, ShardGroup::Outcome::kFired);
-        break;
-      }
-    }
-  }
-  tr.shard[0].snapshot(a);
-  tr.shard[1].snapshot(b);
-  if (limit != std::numeric_limits<std::uint64_t>::max()) {
-    EXPECT_TRUE(group.event_limit_hit());
-    // Let every loop finish, so no coroutine is left suspended.
-    a.set_event_limit(std::numeric_limits<std::uint64_t>::max());
-    b.set_event_limit(std::numeric_limits<std::uint64_t>::max());
-    EXPECT_TRUE(group.run_until_global(all_done));
-  }
-  EXPECT_EQ(done, loops);
-  return tr;
-}
-
-void expect_group_matches_explicit(const GroupScenario& g) {
-  for (SimDuration seg : {SimDuration{0}, nanoseconds(70)}) {
-    EXPECT_EQ(run_group_scenario<PollUntil>(g, seg),
-              run_group_scenario<ExplicitPoll>(g, seg))
-        << "segment " << seg;
-  }
-}
-
-TEST(ParkedPoll, MergedDriverCreditsBothShardsAtOnce) {
-  // Two loops per shard, all parked together for most of the run: the
-  // 60 ns and 40 ns lattices meet every 120 ns, same-phase pollers
-  // share every probe time, and writes land on lattice points from
-  // either shard.
-  GroupScenario g;
-  g.sc.num_flags = 5;
-  g.sc.pollers = {{0, nanoseconds(60), nanoseconds(60), {0, 1}},
-                  {0, nanoseconds(40), 0, {2}},
-                  {0, nanoseconds(60), 0, {3}},
-                  {nanoseconds(120), nanoseconds(40), nanoseconds(40), {4}}};
-  g.shards = {0, 1, 0, 1};
-  g.sc.writes = {{nanoseconds(360), nanoseconds(60), 0},
-                 {nanoseconds(600), nanoseconds(120), 1},
-                 {nanoseconds(480), nanoseconds(40), 2},
-                 {nanoseconds(1200), nanoseconds(300), 3},
-                 {nanoseconds(2040), nanoseconds(20), 4}};
-  g.relays = {1, 0, 0, 1, 0};
-  for (bool first : {true, false}) {
-    g.sc.writes_first = first;
-    expect_group_matches_explicit(g);
-  }
-}
-
-TEST(ParkedPoll, MergedDriverRandomScenariosMatchExplicitProbes) {
-  Rng rng(20261018);
-  for (int round = 0; round < 40; ++round) {
-    GroupScenario g;
-    PollScenario& sc = g.sc;
-    const int loops = 2 + static_cast<int>(rng.next_below(4));
-    const SimDuration intervals[] = {nanoseconds(20), nanoseconds(40),
-                                     nanoseconds(60), nanoseconds(90)};
-    for (int l = 0; l < loops; ++l) {
-      PollerSpec p;
-      p.start = nanoseconds(10) * static_cast<SimTime>(rng.next_below(12));
-      p.interval = intervals[rng.next_below(4)];
-      p.cost = rng.next_below(2) != 0 ? p.interval : 0;
-      const int waits = 1 + static_cast<int>(rng.next_below(3));
-      for (int w = 0; w < waits; ++w) p.flags.push_back(sc.num_flags++);
-      sc.pollers.push_back(p);
-      // Both shards always hold at least one loop.
-      g.shards.push_back(l < 2 ? l : static_cast<int>(rng.next_below(2)));
-    }
-    for (int f = 0; f < sc.num_flags; ++f) {
-      const SimTime at =
-          nanoseconds(10) * static_cast<SimTime>(1 + rng.next_below(150));
-      const SimDuration delay = std::min<SimDuration>(
-          at, nanoseconds(10) * static_cast<SimTime>(rng.next_below(12)));
-      sc.writes.push_back({at, delay, f});
-      g.relays.push_back(static_cast<int>(rng.next_below(2)));
-    }
-    sc.writes_first = rng.next_below(2) != 0;
-    SCOPED_TRACE("round " + std::to_string(round));
-    expect_group_matches_explicit(g);
-  }
-}
-
-TEST(ParkedPoll, MergedDriverWideBatchesMatchExplicitProbes) {
-  // wide_scenario's loops spread over both shards: each merged settle
-  // credits one wide batch whose pollers mint from either shard.
-  Rng rng(20261020);
-  for (int round = 0; round < 6; ++round) {
-    GroupScenario g;
-    g.sc = wide_scenario(rng);
-    for (std::size_t i = 0; i < g.sc.pollers.size(); ++i) {
-      g.shards.push_back(i < 2 ? static_cast<int>(i)
-                               : static_cast<int>(rng.next_below(2)));
-    }
-    for (std::size_t w = 0; w < g.sc.writes.size(); ++w) {
-      g.relays.push_back(static_cast<int>(rng.next_below(2)));
-    }
-    SCOPED_TRACE("round " + std::to_string(round) + ", " +
-                 std::to_string(g.sc.pollers.size()) + " loops");
-    expect_group_matches_explicit(g);
-  }
-}
-
-TEST(ParkedPoll, MergedEventLimitStopsInsideBatchAcrossShards) {
-  // One loop per shard (20 ns and 30 ns), both parked until a write at
-  // 5 us: every settle credits one batch across both shards, and each
-  // limit trips inside one.
-  GroupScenario g;
-  g.sc.num_flags = 2;
-  g.sc.pollers = {{0, nanoseconds(20), 0, {0}}, {0, nanoseconds(30), 0, {1}}};
-  g.shards = {0, 1};
-  g.sc.writes = {{microseconds(5), 0, 0}, {microseconds(5), 0, 1}};
-  g.relays = {0, 1};
-  for (std::uint64_t limit : {1u, 7u, 40u}) {
-    EXPECT_EQ(run_group_scenario<PollUntil>(g, 0, limit),
-              run_group_scenario<ExplicitPoll>(g, 0, limit))
         << "limit " << limit;
   }
 }
