@@ -149,7 +149,7 @@ std::uint64_t ShardGroup::run_round() {
   in_round_ = false;
   std::uint64_t executed = 0;
   for (const Slot& s : slots_) executed += s.result.executed;
-  if (executed == 0 && !any_limit_hit()) report_stall();
+  if (executed == 0 && !budget_spent()) report_stall();
   return executed;
 }
 
@@ -164,7 +164,7 @@ void ShardGroup::post(int src, int dst, SimTime when, SimTime birth_time,
   }
   Slot& from = slots_[static_cast<std::size_t>(src)];
   // A shard that is not waiting must not run past an unfired waiter's
-  // firing event, and this event may be it (run_until_local).
+  // firing event, and this event may be it (run).
   const bool to_waiter =
       from.cond == nullptr &&
       slots_[static_cast<std::size_t>(dst)].cond != nullptr;
@@ -222,17 +222,11 @@ ShardGroup::Frontier ShardGroup::frontier() {
   return f;
 }
 
-bool ShardGroup::any_limit_hit() const {
-  for (Simulation* s : shards_) {
-    if (s->event_limit_hit()) return true;
+bool ShardGroup::budget_spent() const {
+  for (const Simulation* s : shards_) {
+    if (s->event_budget_spent()) return true;
   }
   return false;
-}
-
-bool ShardGroup::deadlocked(const Frontier& f) {
-  if (f.next.time == kNever || f.min1 != kNever) return false;
-  report_stall();
-  return true;
 }
 
 void ShardGroup::report_stall() {
@@ -246,12 +240,8 @@ void ShardGroup::fence_all(SimTime t) {
   if (t > now_) now_ = t;
 }
 
-bool ShardGroup::run_until_local(std::vector<ShardCond> conds) {
-  return run_until_local_before(std::move(conds), kNever) == Outcome::kFired;
-}
-
-ShardGroup::Outcome ShardGroup::run_until_local_before(
-    std::vector<ShardCond> conds, SimTime deadline) {
+ShardGroup::Outcome ShardGroup::run(const std::vector<ShardCond>& conds,
+                                    SimTime deadline) {
   // Events exactly at the deadline run (run_window caps are exclusive).
   const SimTime cap_bound = deadline == kNever ? kNever : deadline + 1;
   const int n = num_shards();
@@ -280,12 +270,24 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       ++unfired;
     }
   }
-  while (unfired > 0) {
+  while (conds.empty() || unfired > 0) {
     drain_channels();
     const Frontier f = frontier();
-    if (f.next.time == kNever || deadlocked(f)) {
-      merge_sinks();
-      return Outcome::kStopped;  // drained with predicates unmet
+    // No shard can send: the group drained, or deadlocked on parked
+    // pollers whose predicates are all false, and no event will ever run
+    // again. That stops the loop only where it could otherwise never end:
+    // a condition is unfired, or there is no deadline. With no conditions
+    // and a finite deadline the rounds below credit the parked probes up
+    // to the deadline, and the deadline exit ends the run.
+    if (f.min1 == kNever && (unfired > 0 || deadline == kNever)) {
+      if (f.next.time != kNever) report_stall();
+      // The stop fences at the latest shard clock, but no shard's clock
+      // may pass one of its own parked probe keys (a later run, after
+      // host code made a predicate true, would pop that probe in its
+      // past): settle every shard's pollers up to that clock first. A
+      // run without conditions to that deadline does exactly this.
+      run({}, latest_clock());
+      return Outcome::kStopped;
     }
     if (f.next.time > deadline) {
       // Every event up to the boundary ran without the wait completing:
@@ -320,7 +322,7 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
         s.cond = nullptr;
       }
     }
-    run_round();
+    const std::uint64_t ran = run_round();
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[static_cast<std::size_t>(i)];
       Wait& w = waits[static_cast<std::size_t>(i)];
@@ -330,10 +332,7 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
         --unfired;
       }
     }
-    if (any_limit_hit()) {
-      merge_sinks();
-      return Outcome::kStopped;
-    }
+    if (ran == 0 || budget_spent()) return stop();
   }
   // The wait completes on the last firing event, at key k* and time t*.
   Key k_star = Key::before(now_);
@@ -353,57 +352,25 @@ ShardGroup::Outcome ShardGroup::run_until_local_before(
       s.cap = std::min(Key::before(horizon_for(f, i)), k_star);
       s.cond = nullptr;
     }
-    run_round();
-    if (any_limit_hit()) {
-      merge_sinks();
-      return Outcome::kStopped;
-    }
+    if (run_round() == 0 || budget_spent()) return stop();
   }
   fence_all(k_star.time);
   merge_sinks();
   return Outcome::kFired;
 }
 
-std::uint64_t ShardGroup::run_until_time(SimTime deadline) {
-  std::uint64_t executed = 0;
-  const int n = num_shards();
-  for (;;) {
-    drain_channels();
-    const Frontier f = frontier();
-    if (f.next.time > deadline) break;  // kNever included
-    for (int i = 0; i < n; ++i) {
-      Slot& s = slots_[static_cast<std::size_t>(i)];
-      s.cap = Key::before(std::min(horizon_for(f, i), deadline + 1));
-      s.cond = nullptr;
-    }
-    executed += run_round();
-    if (any_limit_hit()) break;
-  }
-  fence_all(deadline);
-  merge_sinks();
-  return executed;
+SimTime ShardGroup::latest_clock() const {
+  SimTime end = now_;
+  for (const Simulation* s : shards_) end = std::max(end, s->now());
+  return end;
 }
 
-std::uint64_t ShardGroup::run() {
-  std::uint64_t executed = 0;
-  SimTime end = now_;
-  const int n = num_shards();
-  for (;;) {
-    drain_channels();
-    const Frontier f = frontier();
-    if (f.next.time == kNever || deadlocked(f)) break;
-    for (int i = 0; i < n; ++i) {
-      Slot& s = slots_[static_cast<std::size_t>(i)];
-      s.cap = Key::before(horizon_for(f, i));
-      s.cond = nullptr;
-    }
-    executed += run_round();
-    if (any_limit_hit()) break;
-  }
-  for (Simulation* s : shards_) end = std::max(end, s->now());
-  fence_all(end);
+ShardGroup::Outcome ShardGroup::stop() {
+  // A stalled round or a spent event budget: nothing more may run, and
+  // the clocks are only brought to one reading.
+  fence_all(latest_clock());
   merge_sinks();
-  return executed;
+  return Outcome::kStopped;
 }
 
 std::uint64_t ShardGroup::total_scheduled() const {
@@ -418,6 +385,11 @@ std::uint64_t ShardGroup::events_executed() const {
   return total;
 }
 
-bool ShardGroup::event_limit_hit() const { return any_limit_hit(); }
+bool ShardGroup::event_limit_hit() const {
+  for (const Simulation* s : shards_) {
+    if (s->event_limit_hit()) return true;
+  }
+  return false;
+}
 
 }  // namespace pg::sim

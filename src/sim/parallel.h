@@ -33,13 +33,19 @@
 // interval. Drained, deadline and catch-up checks still count every
 // pending probe (next_key()).
 //
-// The host-side control loop stops *exactly* where one serial run
-// would: run_until_local() lets each waiting shard pause on the event
-// that fires its (monotone, shard-local) predicate while non-waiting
-// shards are capped below every unfired waiter's send bound, then
-// runs every event ordered before the last firing event (same-time ones
-// included) and fences all clocks at its time t*. Every wait a host
-// program makes is such a set of per-node conditions.
+// One loop drives every run: run(conds, deadline) is a wait on
+// per-shard conditions with an optional deadline. With conditions it
+// stops *exactly* where one serial run would: each waiting shard pauses
+// on the event that fires its (monotone, shard-local) predicate while
+// non-waiting shards are capped below every unfired waiter's send bound,
+// then every event ordered before the last firing event (same-time ones
+// included) runs and all clocks fence at its time t*. Every wait a host
+// program makes is such a set of per-node conditions. Without
+// conditions the loop runs to the deadline or until the group drains.
+// Every exit fences all clocks at one instant: t*, the deadline, or on
+// a stop the latest shard clock. A drained or deadlocked stop credits
+// the parked probes up to that clock first, so no shard's clock passes
+// one of its own parked probes and a later run resumes them in order.
 //
 // Every sys::Cluster runs on a ShardGroup, one shard per node, at every
 // worker count: there is no other engine.
@@ -59,7 +65,7 @@
 
 namespace pg::sim {
 
-/// A per-shard stop condition for ShardGroup::run_until_local. The wait
+/// A per-shard stop condition for ShardGroup::run. The wait
 /// completes when every listed shard's predicate has fired. Predicates
 /// must be monotone (once true, stay true) and must only read state
 /// owned by their shard: they are evaluated on the thread executing
@@ -71,6 +77,9 @@ struct ShardCond {
 
 class ShardGroup {
  public:
+  /// "No deadline": later than every event.
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
   struct Options {
     int workers = 1;           // execution threads (incl. the caller)
     SimDuration lookahead = 0; // min cross-shard latency; must be > 0
@@ -105,30 +114,27 @@ class ShardGroup {
   /// In a round it also lowers `src`'s window cap to `when` + lookahead:
   /// the event can wake a drained shard whose reply lands no earlier,
   /// and `src` must not have run past it. When `dst` is an unfired
-  /// waiter of run_until_local and `src` is not, the cap drops to `when`:
-  /// the event may fire the wait.
+  /// waiter of run() and `src` is not, the cap drops to `when`: the event
+  /// may fire the wait.
   void post(int src, int dst, SimTime when, SimTime birth_time,
             EventId birth_tag, EventFn fn);
 
   /// Runs until every condition has fired, exactly like one serial run
   /// stopping on a global AND of the predicates: every event that the
   /// last firing event follows in key order runs, on every shard, and
-  /// none after it; then every clock is fenced at its time t*. Returns
-  /// false if the group drained, deadlocked on parked pollers or an
-  /// event limit tripped first.
-  bool run_until_local(std::vector<ShardCond> conds);
-
-  /// Deadline-segmented variant backing the sim-time telemetry sampler
-  /// (sys/Cluster): identical event execution, but the wait additionally
-  /// stops once every event with timestamp <= `deadline` has run,
-  /// fencing all clocks at the deadline. kFired = every condition fired
-  /// (fenced at t*, exactly like the unsegmented call); kDeadline = the
-  /// boundary was reached first; kStopped = drained / event limit with
-  /// conditions unmet. Conditions must be monotone, so re-issuing the
-  /// same wait after a kDeadline return resumes it losslessly.
+  /// none after it; then every clock is fenced at its time t* (kFired).
+  /// No event after `deadline` runs: once every event up to it ran with
+  /// a condition unfired, or with no conditions at all, the clocks fence
+  /// at the deadline (kDeadline). Conditions are
+  /// monotone, so re-issuing the same wait after kDeadline resumes it
+  /// losslessly, and segmenting a run at deadlines changes no event's
+  /// order. kStopped: the group drained or deadlocked on parked pollers
+  /// with a condition unfired or no deadline, a round stalled, or an
+  /// event limit tripped; the clocks fence at the latest shard clock.
+  /// With no conditions and no deadline the run ends only that way.
   enum class Outcome { kFired, kDeadline, kStopped };
-  Outcome run_until_local_before(std::vector<ShardCond> conds,
-                                 SimTime deadline);
+  Outcome run(const std::vector<ShardCond>& conds = {},
+              SimTime deadline = kNever);
 
   /// Observability shard-sink hooks (see obs/shard_sink.h). `bind` runs
   /// on the thread about to execute shard i's window, `unbind` when the
@@ -142,14 +148,6 @@ class ShardGroup {
     std::function<void()> merge;
   };
   void set_sink_hooks(SinkHooks hooks) { hooks_ = std::move(hooks); }
-
-  /// Runs events with timestamps <= deadline in parallel rounds, then
-  /// fences every clock at the deadline.
-  std::uint64_t run_until_time(SimTime deadline);
-
-  /// Drains every shard (or stops on a deadlock, see deadlocked());
-  /// fences all clocks at the last event time.
-  std::uint64_t run();
 
   std::uint64_t total_scheduled() const;
   std::uint64_t events_executed() const;
@@ -179,8 +177,6 @@ class ShardGroup {
     const std::function<bool()>* cond = nullptr;
     Simulation::WindowResult result;
   };
-
-  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   /// Moves every queued cross-shard event into its destination shard,
   /// in global birth-key order. Coordinator only, between rounds.
@@ -216,7 +212,8 @@ class ShardGroup {
   /// Executes one synchronization round: slots' caps/conds must be
   /// published; blocks until every shard's window completed. Returns the
   /// events executed; a round that executes none would repeat for ever,
-  /// so it reports the stall (tripping the limit flag callers check).
+  /// so it reports the stall (tripping the limit flag callers check) and
+  /// run() stops.
   std::uint64_t run_round();
 
   /// Claims and executes windows until none are left this round. Shards
@@ -227,20 +224,23 @@ class ShardGroup {
 
   void worker_main();
 
-  /// True when any shard tripped its event-storm limit.
-  bool any_limit_hit() const;
-
-  /// True (and reported) when work is pending under `f` but no shard
-  /// can send: no heap event and no parked poller's predicate holds
-  /// anywhere, so nothing can ever run again. Coordinator only, on a
-  /// frontier taken after drain_channels().
-  bool deadlocked(const Frontier& f);
+  /// True when any shard spent its event budget (a storm guard): each
+  /// run then stops after its first round.
+  bool budget_spent() const;
 
   /// Simulation::report_stall on every shard with pending work.
   void report_stall();
 
   /// Fences every shard clock (and the group clock) at `t`.
   void fence_all(SimTime t);
+
+  /// The latest shard clock (at least the group clock): where a stopped
+  /// run fences.
+  SimTime latest_clock() const;
+
+  /// Ends a run that may go no further (kStopped): fences every clock at
+  /// the latest shard clock.
+  Outcome stop();
 
   /// Folds deferred observability records into the global sinks. Legal
   /// only between rounds (coordinator context).

@@ -304,58 +304,24 @@ Simulation::Settle Simulation::credit_probes(const EventQueue::Key& bound) {
   return Settle::kOk;
 }
 
-bool Simulation::step() {
-  if (events_executed_ >= event_limit_) {
-    trip_limit("run");
-    return false;
-  }
-  auto popped = queue_.pop();
-  if (popped.time < now_) time_travel(popped.time);
-  now_ = popped.time;
-  current_key_ = EventQueue::Key{popped.time, popped.birth_time, popped.id};
-  ++events_executed_;
-  popped.fn();
-  return true;
-}
-
-Simulation::Step Simulation::advance(SimTime cap) {
-  switch (settle(EventQueue::Key::before(cap))) {
-    case Settle::kOk:
-      break;
-    case Settle::kStalled:
-      return Step::kStalled;
-    case Settle::kLimit:
-      return Step::kLimit;
-  }
-  if (queue_.empty() || queue_.next_time() >= cap) return Step::kNone;
-  return step() ? Step::kRan : Step::kLimit;
-}
-
 std::uint64_t Simulation::run() {
-  const std::uint64_t before = events_executed_;
-  Step s;
-  while ((s = advance(kNoCap)) == Step::kRan) {
-  }
-  if (s == Step::kStalled) report_stall("run");
-  return events_executed_ - before;
+  const std::uint64_t executed = run_window(kUncapped, nullptr).executed;
+  if (stalled()) report_stall("run");
+  return executed;
 }
 
 std::uint64_t Simulation::run_until(SimTime deadline) {
-  const std::uint64_t before = events_executed_;
-  const SimTime cap = cap_after(deadline);
-  while (advance(cap) == Step::kRan) {
-  }
-  if (now_ < deadline) now_ = deadline;
-  return events_executed_ - before;
+  const std::uint64_t executed =
+      run_window(EventQueue::Key::before(cap_after(deadline)), nullptr)
+          .executed;
+  fence_now(deadline);
+  return executed;
 }
 
 bool Simulation::run_until_condition(const std::function<bool()>& predicate) {
   if (predicate()) return true;
-  Step s;
-  while ((s = advance(kNoCap)) == Step::kRan) {
-    if (predicate()) return true;
-  }
-  if (s == Step::kStalled) report_stall("run_until_condition");
+  if (run_window(kUncapped, &predicate).fired) return true;
+  if (stalled()) report_stall("run_until_condition");
   return predicate();
 }
 
@@ -364,17 +330,17 @@ Simulation::WindowResult Simulation::run_window(
   WindowResult out;
   const std::uint64_t before = events_executed_;
   EventQueue::Popped popped;
-  // Hot path of every parallel round: inspect-and-pop fused into one
-  // queue call instead of the next_time()/step() double scan.
+  // The only loop that pops events, for every run (standalone runs and
+  // parallel rounds alike): inspect-and-pop fused into one queue call.
   for (;;) {
-    // A stall (only parked pollers, no cap) is the group's to diagnose:
+    // A stall (only parked pollers, no cap) is the caller's to diagnose:
     // another shard may still send this one an event.
     if (settle(cap) != Settle::kOk) break;
     if (events_executed_ >= event_limit_) {
-      // Trip only when a sub-cap event is actually pending, exactly as
-      // step() would have (the event stays queued).
+      // Trip only when a sub-cap event is actually pending (the event
+      // stays queued).
       if (queue_.empty() || !(queue_.next_key() < cap)) break;
-      trip_limit("run_window");
+      trip_limit("the run loop");
       break;
     }
     if (!queue_.pop_if_before(cap, &popped)) break;

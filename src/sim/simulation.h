@@ -3,18 +3,19 @@
 // Every model component holds a Simulation& and expresses behaviour as
 // events (schedule / schedule_at). A Simulation executes on one thread
 // at a time; determinism comes from the birth-key total order in
-// EventQueue. Standalone, run()/run_until() drive one Simulation
-// directly. A cluster gives every node its own Simulation as one shard
-// of a ShardGroup (sim/parallel.h), which calls run_window() for
-// parallel rounds, reads send_bound() for their horizons, and moves the
-// clock across synchronization fences with fence_now(); events crossing
-// shards enter through schedule_admitted() carrying the sender's birth
-// stamp.
+// EventQueue. run_window() is the one loop that pops events: standalone,
+// run(), run_until() and run_until_condition() wrap it, adding only the
+// stall report and the clock advance. A cluster gives every node its own
+// Simulation as one shard of a ShardGroup (sim/parallel.h), which calls
+// run_window() for parallel rounds, reads send_bound() for their
+// horizons, and moves the clock across synchronization fences with
+// fence_now(); events crossing shards enter through schedule_admitted()
+// carrying the sender's birth stamp.
 //
 // Polling loops (Poller: host sim::PollUntil coroutines and GPU warp spin
 // loops, gpu/device.h) do not put their probes through the heap. After a
 // false probe a poller *parks*, holding the birth key its next probe
-// would have had. Before every real event the run loops evaluate each
+// would have had. Before every real event the run loop evaluates each
 // parked predicate whose next probe precedes that event, once: a poller
 // whose predicate holds gets its probe pushed into the heap under that
 // exact key; every other poller skips past the event in closed form,
@@ -162,11 +163,14 @@ class Simulation {
   /// the same experiment must agree on it exactly).
   std::uint64_t total_scheduled() const { return queue_.total_scheduled(); }
 
-  /// Safety valve: run() aborts (with an assertion in debug builds, by
-  /// returning in release builds) after this many events. Guards against
-  /// accidental event storms in model bugs.
+  /// Safety valve: every run stops, reporting the trip, after this many
+  /// events. Guards against accidental event storms in model bugs.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
+  /// The limit tripped or a deadlock was reported: the run failed.
   bool event_limit_hit() const { return event_limit_hit_; }
+  /// The event budget is spent: the next event this shard would run
+  /// trips the limit instead.
+  bool event_budget_spent() const { return events_executed_ >= event_limit_; }
 
   // --- Sharded execution surface (driven by sim::ShardGroup) ---------
 
@@ -255,6 +259,9 @@ class Simulation {
     return deadline == kNoCap ? kNoCap : deadline + 1;
   }
 
+  /// The window cap of a run without a deadline.
+  static constexpr EventQueue::Key kUncapped = EventQueue::Key::before(kNoCap);
+
   /// An upper bound on every key: the floor of a sim with nothing parked.
   static constexpr EventQueue::Key kNoKey{
       std::numeric_limits<SimTime>::max(), std::numeric_limits<SimTime>::max(),
@@ -291,18 +298,6 @@ class Simulation {
 
   /// Executes one probe of a false poller without the heap.
   void skip_probe(Poller& p);
-
-  /// One step: settles the parked pollers up to the heap top below
-  /// `cap`, then executes it. kNone: no heap event below the cap is left
-  /// (pollers are settled up to the cap); kStalled: no heap event, no
-  /// cap and no parked predicate holds (nothing is reported); kLimit: the
-  /// event limit tripped.
-  enum class Step { kRan, kNone, kStalled, kLimit };
-  Step advance(SimTime cap);
-
-  /// Pops and executes the heap top (requires a pending heap event).
-  /// Returns false when the event limit tripped instead.
-  bool step();
 
   void trip_limit(const char* who);
 

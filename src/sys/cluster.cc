@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <string>
 
@@ -267,41 +266,38 @@ sim::Simulation& Cluster::node_sim(int i) {
 // min(goal, next boundary), and at each boundary — a fence, so the
 // merged sinks are current — record one telemetry row. Without sampling
 // the boundary is "never", so each call runs to its goal in one
-// segment. The *_before primitives guarantee segmentation never changes
-// which events execute or in what order, only where the engine pauses.
+// segment. ShardGroup::run guarantees segmentation never changes which
+// events execute or in what order, only where the engine pauses.
 
 SimTime Cluster::sample_deadline() const {
   const bool sampling = sample_every_ > 0 && obs::timeseries() != nullptr;
-  return sampling ? next_sample_ : std::numeric_limits<SimTime>::max();
+  return sampling ? next_sample_ : sim::ShardGroup::kNever;
+}
+
+sim::ShardGroup::Outcome Cluster::run_segmented(
+    const std::vector<sim::ShardCond>& conds, SimTime goal) {
+  for (;;) {
+    const SimTime sample_at = sample_deadline();
+    const SimTime boundary = std::min(goal, sample_at);
+    // Conditions are monotone (the ShardGroup::run contract), so
+    // re-presenting already-fired ones across segments is harmless.
+    const sim::ShardGroup::Outcome out = group_->run(conds, boundary);
+    if (out != sim::ShardGroup::Outcome::kDeadline) return out;
+    if (boundary == sample_at) {
+      sample_telemetry();
+      next_sample_ += sample_every_;
+    }
+    if (boundary == goal) return out;
+  }
 }
 
 bool Cluster::run_until(std::vector<sim::ShardCond> conds) {
-  for (;;) {
-    // Conditions are monotone (the run_until_local contract), so
-    // re-presenting already-fired ones across segments is harmless.
-    switch (group_->run_until_local_before(conds, sample_deadline())) {
-      case sim::ShardGroup::Outcome::kFired:
-        return true;
-      case sim::ShardGroup::Outcome::kStopped:
-        return false;
-      case sim::ShardGroup::Outcome::kDeadline:
-        break;
-    }
-    sample_telemetry();
-    next_sample_ += sample_every_;
-  }
+  return conds.empty() ||
+         run_segmented(conds, sim::ShardGroup::kNever) ==
+             sim::ShardGroup::Outcome::kFired;
 }
 
-std::uint64_t Cluster::run_for(SimDuration d) {
-  const SimTime goal = now() + d;
-  std::uint64_t executed = 0;
-  while (sample_deadline() <= goal) {
-    executed += group_->run_until_time(next_sample_);
-    sample_telemetry();
-    next_sample_ += sample_every_;
-  }
-  return executed + group_->run_until_time(goal);
-}
+void Cluster::run_for(SimDuration d) { run_segmented({}, now() + d); }
 
 void Cluster::sample_telemetry() {
   obs::TimeSeries* ts = obs::timeseries();

@@ -159,7 +159,7 @@ class Cluster {
 
   /// Runs events for `d` of simulated time and advances the clock to
   /// now() + d.
-  std::uint64_t run_for(SimDuration d);
+  void run_for(SimDuration d);
 
   /// Determinism fingerprint: total events ever scheduled, summed over
   /// shards.
@@ -187,6 +187,10 @@ class Cluster {
   /// when a positive interval was configured and a TimeSeries is
   /// attached, otherwise never (the largest SimTime).
   SimTime sample_deadline() const;
+  /// The one run loop behind run_until and run_for: ShardGroup::run up to
+  /// `goal`, paused at every sample boundary to record a telemetry row.
+  sim::ShardGroup::Outcome run_segmented(
+      const std::vector<sim::ShardCond>& conds, SimTime goal);
   /// Records one telemetry row at the current (fenced) clock: per-link
   /// utilization / queue depth, per-backend delivery counts and message
   /// rate over the last interval, flow end-to-end and stage quantiles.

@@ -93,6 +93,35 @@ TEST(Extoll, HostControlledPutDeliversGpuToGpu) {
   EXPECT_EQ(f.n0.extoll().protocol_violations(), 0u);
 }
 
+// A wait that can never complete stops once the put has drained, and
+// leaves every clock at one instant: the cluster clock and both nodes'
+// clocks agree, instead of the cluster reading its previous fence.
+TEST(Extoll, FailedWaitFencesEveryClock) {
+  ExtollFixture f;
+  auto port0 = ExtollHostPort::open(f.n0.extoll(), 0);
+  ASSERT_TRUE(port0.is_ok());
+  const mem::Addr src = f.n0.gpu_heap().alloc(4 * KiB);
+  const mem::Addr dst = f.n1.gpu_heap().alloc(4 * KiB);
+  auto src_nla =
+      f.n0.extoll().register_memory(src, 4 * KiB, mem::Access::kRead);
+  auto dst_nla =
+      f.n1.extoll().register_memory(dst, 4 * KiB, mem::Access::kWrite);
+  ASSERT_TRUE(src_nla.is_ok() && dst_nla.is_ok());
+  WorkRequest wr;
+  wr.cmd = RmaCmd::kPut;
+  wr.port = 0;
+  wr.size = 4 * KiB;
+  wr.src_nla = *src_nla;
+  wr.dst_nla = *dst_nla;
+  f.n0.cpu().sim().spawn(port0->post(f.n0.cpu(), wr));
+
+  EXPECT_FALSE(f.cluster.run_until({{0, [] { return false; }}}));
+  EXPECT_EQ(f.n1.extoll().puts_completed(), 1u);
+  EXPECT_GT(f.cluster.now(), 0);
+  EXPECT_EQ(f.cluster.node_sim(0).now(), f.cluster.now());
+  EXPECT_EQ(f.cluster.node_sim(1).now(), f.cluster.now());
+}
+
 TEST(Extoll, PutLandsInOrderSoLastByteSignalsCompletion) {
   // The pollOnGPU optimization depends on in-order delivery: when the
   // last payload byte is visible, everything before it must be too.

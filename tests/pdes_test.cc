@@ -29,6 +29,8 @@ namespace {
 
 // --- ShardGroup unit tests over bare Simulations ---------------------------
 
+using Outcome = sim::ShardGroup::Outcome;
+
 struct TwoShards {
   sim::Simulation a, b;
   sim::ShardGroup group;
@@ -95,7 +97,7 @@ TEST(ShardGroup, LoneShardStopsBeforeRepliesToItsOwnPosts) {
     if (driver == 0) {
       t.group.run();
     } else {
-      t.group.run_until_time(nanoseconds(2000));
+      t.group.run({}, nanoseconds(2000));
     }
     EXPECT_EQ(on_a, (std::vector<SimTime>{nanoseconds(250),
                                            nanoseconds(1000)}))
@@ -141,8 +143,9 @@ TEST(ShardGroup, RunUntilLocalStopsEveryShardAtLastFire) {
     // returns (the sequential engine would stop at the last fire).
     t.a.schedule(nanoseconds(2000), [&] { a_seen_past_fire = t.a.now(); });
     t.b.schedule(nanoseconds(700), [&] { fire_b = true; });
-    const bool ok = t.group.run_until_local(
-        {{0, [&] { return fire_a; }}, {1, [&] { return fire_b; }}});
+    const bool ok = t.group.run({{0, [&] { return fire_a; }},
+                                 {1, [&] { return fire_b; }}}) ==
+                    Outcome::kFired;
     EXPECT_TRUE(ok) << "workers=" << workers;
     EXPECT_TRUE(fire_a && fire_b);
     EXPECT_EQ(a_seen_past_fire, -1) << "workers=" << workers;
@@ -159,7 +162,8 @@ TEST(ShardGroup, RunUntilLocalAlreadyTrueReturnsWithoutExecuting) {
   TwoShards t(2);
   int ran = 0;
   t.a.schedule(nanoseconds(10), [&] { ++ran; });
-  const bool ok = t.group.run_until_local({{0, [] { return true; }}});
+  const bool ok =
+      t.group.run({{0, [] { return true; }}}) == Outcome::kFired;
   EXPECT_TRUE(ok);
   EXPECT_EQ(ran, 0);
   EXPECT_EQ(t.group.now(), 0);
@@ -169,7 +173,7 @@ TEST(ShardGroup, RunUntilLocalDrainedReturnsFalse) {
   TwoShards t(2);
   bool never = false;
   t.a.schedule(nanoseconds(10), [] {});
-  EXPECT_FALSE(t.group.run_until_local({{1, [&] { return never; }}}));
+  EXPECT_EQ(t.group.run({{1, [&] { return never; }}}), Outcome::kStopped);
 }
 
 TEST(ShardGroup, RunUntilLocalMatchesMergedOrder) {
@@ -181,7 +185,7 @@ TEST(ShardGroup, RunUntilLocalMatchesMergedOrder) {
   }
   // Only b waits. Events interleave a,b,a,b by timestamp: b's second
   // fires at 250, so a must have run exactly its first two.
-  EXPECT_TRUE(t.group.run_until_local({{1, [&] { return count_b == 2; }}}));
+  EXPECT_EQ(t.group.run({{1, [&] { return count_b == 2; }}}), Outcome::kFired);
   EXPECT_EQ(count_a, 2);
   EXPECT_EQ(count_b, 2);
   EXPECT_EQ(t.group.now(), nanoseconds(250));
@@ -204,7 +208,7 @@ TEST(ShardGroup, RunUntilLocalRunsSameTimeEventsBeforeTheFiringOne) {
     t.b.schedule(nanoseconds(100), [&] {
       t.b.schedule_at(nanoseconds(300), [&] { fired = true; });
     });
-    EXPECT_TRUE(t.group.run_until_local({{1, [&] { return fired; }}}));
+    EXPECT_EQ(t.group.run({{1, [&] { return fired; }}}), Outcome::kFired);
     EXPECT_TRUE(early) << "workers=" << workers;
     EXPECT_FALSE(late) << "workers=" << workers;
     EXPECT_EQ(t.group.now(), nanoseconds(300));
@@ -229,7 +233,7 @@ TEST(ShardGroup, RunUntilLocalStopsNonWaiterAtPostThatFiresTheWait) {
                    [&] { arrived = true; });
     });
     t.a.schedule(nanoseconds(180), [&] { a_late = t.a.now(); });
-    EXPECT_TRUE(t.group.run_until_local({{1, [&] { return arrived; }}}));
+    EXPECT_EQ(t.group.run({{1, [&] { return arrived; }}}), Outcome::kFired);
     EXPECT_EQ(t.group.now(), nanoseconds(150)) << "workers=" << workers;
     EXPECT_EQ(a_late, -1) << "workers=" << workers;
     t.group.run();
@@ -262,8 +266,8 @@ TEST(ShardGroup, FalseParkedPollerDoesNotCutOtherShardsWindows) {
     };
     t.a.schedule(nanoseconds(10), link);
     const std::uint64_t before = t.group.rounds();
-    EXPECT_TRUE(
-        t.group.run_until_local({{0, [&] { return links == kChain; }}}));
+    EXPECT_EQ(t.group.run({{0, [&] { return links == kChain; }}}),
+              Outcome::kFired);
     EXPECT_LE(t.group.rounds() - before, 3u) << "workers=" << workers;
     EXPECT_EQ(t.group.now(), nanoseconds(10) * kChain);
     // The poller was credited its probes up to the fence.
@@ -305,10 +309,10 @@ ShardLogs run_flipped_poller(int workers) {
     if (++ticks < 100) t.b.schedule(nanoseconds(10), tick);
   };
   t.b.schedule(nanoseconds(5), tick);
-  EXPECT_TRUE(t.group.run_until_local({{1, [&] { return ticks == 10; }}}));
+  EXPECT_EQ(t.group.run({{1, [&] { return ticks == 10; }}}), Outcome::kFired);
   EXPECT_EQ(t.group.now(), nanoseconds(95));
   flag = true;  // host code: the parked probe at 100 ns now succeeds
-  EXPECT_TRUE(t.group.run_until_local({{1, [&] { return arrived; }}}));
+  EXPECT_EQ(t.group.run({{1, [&] { return arrived; }}}), Outcome::kFired);
   EXPECT_EQ(t.group.now(), nanoseconds(200));
   t.group.run();
   return log;
@@ -335,7 +339,7 @@ TEST(ShardGroup, RunUntilTimeExecutesInclusiveDeadline) {
   t.a.schedule(nanoseconds(100), [&] { ++count; });
   t.b.schedule(nanoseconds(200), [&] { ++count; });
   t.b.schedule(nanoseconds(201), [&] { ++count; });
-  t.group.run_until_time(nanoseconds(200));
+  t.group.run({}, nanoseconds(200));
   EXPECT_EQ(count, 2);  // the event exactly at the deadline ran
   EXPECT_EQ(t.group.now(), nanoseconds(200));
   t.group.run();

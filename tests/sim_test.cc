@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -801,15 +802,31 @@ std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
       });
     }
   }
+  const std::vector<ShardCond> both = {{0, [&] { return done[0] == 2; }},
+                                       {1, [&] { return done[1] == 2; }}};
+  using Outcome = ShardGroup::Outcome;
   bool ok = true;
   switch (driver) {
     case 0:
       group.run();
       break;
     case 1:
-      ok = group.run_until_local({{0, [&] { return done[0] == 2; }},
-                                  {1, [&] { return done[1] == 2; }}});
+      ok = group.run(both) == Outcome::kFired;
       break;
+    case 2: {
+      // The same wait cut at fixed deadlines, re-issued after each one:
+      // a kDeadline return fences every clock at the boundary.
+      Outcome out;
+      for (SimTime until = nanoseconds(70);
+           (out = group.run(both, until)) == Outcome::kDeadline;
+           until += nanoseconds(70)) {
+        EXPECT_EQ(group.now(), until);
+        EXPECT_EQ(a.now(), until);
+        EXPECT_EQ(b.now(), until);
+      }
+      ok = out == Outcome::kFired;
+      break;
+    }
   }
   EXPECT_TRUE(ok);
   EXPECT_EQ(done[0], 2);
@@ -820,8 +837,10 @@ std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
 }
 
 TEST(ParkedPoll, ShardedPairMatchesAtOneAndFourWorkers) {
-  for (int driver : {0, 1}) {
-    const auto ref = run_sharded_polls<ExplicitPoll>(1, driver);
+  for (int driver : {0, 1, 2}) {
+    // Segmenting the wait at deadlines (2) changes nothing it runs (1).
+    const auto ref =
+        run_sharded_polls<ExplicitPoll>(1, driver == 2 ? 1 : driver);
     for (int workers : {1, 4}) {
       EXPECT_EQ(run_sharded_polls<ExplicitPoll>(workers, driver), ref)
           << "explicit driver " << driver << " workers " << workers;
@@ -859,31 +878,56 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
     EXPECT_TRUE(done.fired());
     EXPECT_EQ(when, nanoseconds(40));
   }
-  for (int driver : {0, 1}) {
-    Simulation a, b;
-    a.set_shard_tag(0);
-    b.set_shard_tag(1);
-    ShardGroup group({&a, &b}, ShardGroup::Options{2, nanoseconds(100), 16});
-    bool flag = false;
-    SimTime when = -1;
-    std::uint64_t probes = 0;
-    Trigger done;
-    b.spawn(poller(b, flag, when, probes), &done);
-    a.schedule(nanoseconds(500), [] {});
-    const auto resumed = [&when] { return when >= 0; };
-    switch (driver) {
-      case 0:
-        group.run();
-        break;
-      case 1:
-        EXPECT_FALSE(group.run_until_local({{1, resumed}}));
-        break;
+  // Shard a runs events at `a_events` while b's poll deadlocks. The
+  // stop fences every clock at the latest one after crediting b's probes
+  // up to it, so the resumed poll succeeds at its next probe after that
+  // (at 5000 ns, a fence past b's unsettled probe made it time travel).
+  struct GroupCase {
+    std::vector<SimTime> a_events;
+    SimTime fence;
+    SimTime resumed_at;
+  };
+  const GroupCase cases[] = {
+      // b's window ends below a's horizon, 600 ns: its last probe is later.
+      {{nanoseconds(500)}, nanoseconds(590), nanoseconds(600)},
+      {{nanoseconds(500), nanoseconds(5000)}, nanoseconds(5000),
+       nanoseconds(5010)}};
+  for (const GroupCase& c : cases) {
+    for (int driver : {0, 1}) {
+      Simulation a, b;
+      a.set_shard_tag(0);
+      b.set_shard_tag(1);
+      ShardGroup group({&a, &b},
+                       ShardGroup::Options{2, nanoseconds(100), 16});
+      bool flag = false;
+      SimTime when = -1;
+      std::uint64_t probes = 0;
+      Trigger done;
+      b.spawn(poller(b, flag, when, probes), &done);
+      for (SimTime t : c.a_events) a.schedule_at(t, [] {});
+      const auto resumed = [&when] { return when >= 0; };
+      const std::string name = "driver " + std::to_string(driver) +
+                               ", a's last event at " +
+                               std::to_string(c.a_events.back());
+      switch (driver) {
+        case 0:
+          EXPECT_EQ(group.run(), ShardGroup::Outcome::kStopped) << name;
+          break;
+        case 1:
+          EXPECT_EQ(group.run({{1, resumed}}), ShardGroup::Outcome::kStopped)
+              << name;
+          break;
+      }
+      EXPECT_TRUE(group.event_limit_hit()) << name;
+      EXPECT_EQ(a.events_executed(), c.a_events.size()) << name;
+      EXPECT_EQ(group.now(), c.fence) << name;
+      EXPECT_EQ(a.now(), group.now()) << name;
+      EXPECT_EQ(b.now(), group.now()) << name;
+      flag = true;
+      group.run();
+      EXPECT_TRUE(done.fired()) << name;
+      EXPECT_EQ(when, c.resumed_at) << name;
     }
-    EXPECT_TRUE(group.event_limit_hit()) << "driver " << driver;
-    EXPECT_EQ(a.events_executed(), 1u) << "driver " << driver;
-    flag = true;
-    group.run();
-    EXPECT_TRUE(done.fired()) << "driver " << driver;
   }
 }
 
