@@ -5,8 +5,8 @@ Runs each executable under BUILD/bench (a Release build) RUNS times with
 its default arguments, stdout discarded. Each round cycles through every
 binary of every build given, so slow drift on a shared host spreads over
 all of them. Per binary it records the min and max wall time, the user
-and sys CPU time of the fastest run, and the peak resident set size over
-all runs.
+and sys CPU time and the minor page faults of the fastest run, and the
+peak resident set size over all runs.
 
 Each build's result is stored under its LABEL in OUT (other labels
 already in the file are kept), so a before/after pair lives in one file:
@@ -38,7 +38,7 @@ def bench_binaries(build):
 
 
 def run_once(path, workdir):
-    """Wall seconds, user seconds, sys seconds and peak RSS (MB) of one run.
+    """Wall, user and sys seconds, peak RSS (MB) and minor faults of one run.
 
     Runs in `workdir` so files a binary writes by default (simcore_perf's
     BENCH_simcore.json) land there, not in the caller's directory.
@@ -52,7 +52,8 @@ def run_once(path, workdir):
     if proc.returncode != 0:
         sys.exit(f"{path} exited with {proc.returncode}")
     # ru_maxrss is in KiB on Linux.
-    return wall, usage.ru_utime, usage.ru_stime, usage.ru_maxrss / 1024.0
+    return (wall, usage.ru_utime, usage.ru_stime, usage.ru_maxrss / 1024.0,
+            usage.ru_minflt)
 
 
 def host_info():
@@ -75,6 +76,7 @@ def summarize(rows):
         "wall_s_max": round(max(r[0] for r in rows), 4),
         "user_s": round(fastest[1], 4),
         "sys_s": round(fastest[2], 4),
+        "minflt": fastest[4],
         "peak_rss_mb": round(max(r[3] for r in rows), 2),
     }
 

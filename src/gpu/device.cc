@@ -443,7 +443,7 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
         sysmem_read(
             la.addr, in.width,
             [this, w, lane = la.lane, addr = la.addr, &in,
-             pending](std::vector<std::uint8_t> data) {
+             pending](mem::Payload data) {
               std::uint64_t v = 0;
               std::memcpy(&v, data.data(),
                           std::min<std::size_t>(8, data.size()));
@@ -689,17 +689,13 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     if (lanes.size() == 1) {
       const LaneAccess la = lanes.front();
       sim_.schedule(dt + flush, [this, la, width] {
-        std::vector<std::uint8_t> bytes(width);
-        std::memcpy(bytes.data(), &la.value, width);
-        fabric_.write(endpoint_id_, la.addr, std::move(bytes));
+        fabric_.write(endpoint_id_, la.addr, value_payload(la.value, width));
       });
     } else {
       sim_.schedule(dt + flush, [this, lns = std::vector<LaneAccess>(lanes),
                                  width] {
         for (const auto& la : lns) {
-          std::vector<std::uint8_t> bytes(width);
-          std::memcpy(bytes.data(), &la.value, width);
-          fabric_.write(endpoint_id_, la.addr, std::move(bytes));
+          fabric_.write(endpoint_id_, la.addr, value_payload(la.value, width));
         }
       });
     }
@@ -751,7 +747,7 @@ bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
 // Non-posted read credit gate.
 
 void Gpu::sysmem_read(Addr addr, std::uint32_t len,
-                      std::function<void(std::vector<std::uint8_t>)> cb) {
+                      std::function<void(mem::Payload)> cb) {
   sysmem_read_queue_.push_back(SysmemReadJob{addr, len, std::move(cb)});
   pump_sysmem_reads();
 }
@@ -762,9 +758,8 @@ void Gpu::pump_sysmem_reads() {
     SysmemReadJob job = std::move(sysmem_read_queue_.front());
     sysmem_read_queue_.pop_front();
     ++sysmem_reads_in_flight_;
-    fabric_.read(endpoint_id_, job.addr, job.len,
-                 [this, cb = std::move(job.cb)](
-                     std::vector<std::uint8_t> data) {
+    fabric_.read(endpoint_id_, job.addr, fabric_.payloads().acquire(job.len),
+                 [this, cb = std::move(job.cb)](mem::Payload data) {
                    assert(sysmem_reads_in_flight_ > 0);
                    --sysmem_reads_in_flight_;
                    cb(std::move(data));

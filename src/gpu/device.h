@@ -143,9 +143,15 @@ class Gpu : public pcie::Endpoint {
   }
   SimDuration issue_cost() const { return cycles(cfg_.issue_cycles); }
 
+  /// A posted store's bytes: the low `width` bytes of `value`.
+  mem::Payload value_payload(std::uint64_t value, unsigned width) {
+    return fabric_.payloads().copy(
+        {reinterpret_cast<const std::uint8_t*>(&value), width});
+  }
+
   /// Issues a system-memory/MMIO read through the non-posted credit gate.
   void sysmem_read(mem::Addr addr, std::uint32_t len,
-                   std::function<void(std::vector<std::uint8_t>)> cb);
+                   std::function<void(mem::Payload)> cb);
   void pump_sysmem_reads();
 
   /// If a message lifecycle is parked under any loaded lane address (a
@@ -203,7 +209,7 @@ class Gpu : public pcie::Endpoint {
   struct SysmemReadJob {
     mem::Addr addr;
     std::uint32_t len;
-    std::function<void(std::vector<std::uint8_t>)> cb;
+    std::function<void(mem::Payload)> cb;
   };
   std::uint32_t sysmem_reads_in_flight_ = 0;
   std::deque<SysmemReadJob> sysmem_read_queue_;

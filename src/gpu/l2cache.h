@@ -58,11 +58,9 @@ class L2Cache {
   const L2Config& config() const { return cfg_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t lru_stamp = 0;
-  };
+  /// Tag of an empty way. A line address is addr / line_size, which
+  /// never reaches it.
+  static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
 
   std::uint64_t line_addr(mem::Addr addr) const { return addr / cfg_.line_size; }
   std::uint32_t set_of(std::uint64_t line) const {
@@ -70,7 +68,10 @@ class L2Cache {
   }
 
   L2Config cfg_;
-  std::vector<Line> lines_;  // num_sets * ways, set-major
+  // num_sets * ways each, set-major. The tags are contiguous so a set
+  // is checked in one pass over `ways` words.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;  // LRU stamp of each way
   std::uint64_t clock_ = 0;  // LRU stamp source
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

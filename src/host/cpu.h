@@ -54,16 +54,9 @@ class HostCpu {
   /// memory) and charges the CPU-side cost. The write lands later via the
   /// fabric; awaiting this only waits out the CPU cost, as on hardware.
   [[nodiscard]] sim::Delay mmio_write_u64(mem::Addr addr, std::uint64_t value) {
-    std::vector<std::uint8_t> bytes(8);
-    std::memcpy(bytes.data(), &value, 8);
-    fabric_.write(pcie::kRootComplex, addr, std::move(bytes));
-    return {sim_, cfg_.mmio_write_cost};
-  }
-
-  /// Posted write of a byte buffer (descriptor-sized MMIO bursts).
-  [[nodiscard]] sim::Delay mmio_write(mem::Addr addr,
-                                      std::vector<std::uint8_t> bytes) {
-    fabric_.write(pcie::kRootComplex, addr, std::move(bytes));
+    fabric_.write(pcie::kRootComplex, addr,
+                  fabric_.payloads().copy(
+                      {reinterpret_cast<const std::uint8_t*>(&value), 8}));
     return {sim_, cfg_.mmio_write_cost};
   }
 

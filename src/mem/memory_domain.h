@@ -8,6 +8,8 @@
 
 #include <cassert>
 #include <span>
+#include <type_traits>
+#include <utility>
 
 #include "common/status.h"
 #include "mem/address_map.h"
@@ -36,74 +38,55 @@ class MemoryDomain {
   /// Reads bytes from a DRAM-backed address. MMIO addresses are routed by
   /// the PCIe fabric, never through here.
   void read(Addr addr, std::span<std::uint8_t> out) const {
-    const Space s = AddressMap::classify(addr);
-    if (s == Space::kHostDram) {
-      host_dram_.read(addr - AddressMap::kHostDramBase, out);
-    } else if (s == Space::kGpuDram) {
-      gpu_dram_.read(addr - AddressMap::kGpuDramBase, out);
-    } else {
-      assert(false && "MemoryDomain::read on non-DRAM address");
-    }
+    std::uint64_t off = 0;
+    store(*this, addr, off).read(off, out);
   }
 
   void write(Addr addr, std::span<const std::uint8_t> in) {
-    const Space s = AddressMap::classify(addr);
-    if (s == Space::kHostDram) {
-      host_dram_.write(addr - AddressMap::kHostDramBase, in);
-    } else if (s == Space::kGpuDram) {
-      gpu_dram_.write(addr - AddressMap::kGpuDramBase, in);
-    } else {
-      assert(false && "MemoryDomain::write on non-DRAM address");
-    }
+    std::uint64_t off = 0;
+    store(*this, addr, off).write(off, in);
+  }
+
+  /// SparseMemory::fill_in_place on the DRAM store behind `addr`.
+  template <typename Fn>
+  void fill_in_place(Addr addr, std::uint64_t len, Fn&& fn) {
+    std::uint64_t off = 0;
+    store(*this, addr, off).fill_in_place(off, len, std::forward<Fn>(fn));
+  }
+
+  /// True when [addr, addr+len) here and [other_addr, other_addr+len) in
+  /// `other` hold the same bytes (SparseMemory::same_bytes).
+  bool same_bytes(Addr addr, const MemoryDomain& other, Addr other_addr,
+                  std::uint64_t len) const {
+    std::uint64_t off = 0, other_off = 0;
+    const SparseMemory& m = store(*this, addr, off);
+    const SparseMemory& o = store(other, other_addr, other_off);
+    return m.same_bytes(off, o, other_off, len);
   }
 
   std::uint64_t read_u64(Addr addr) const {
-    const Space s = AddressMap::classify(addr);
-    if (s == Space::kHostDram) {
-      return host_dram_.read_u64(addr - AddressMap::kHostDramBase);
-    }
-    assert(s == Space::kGpuDram && "MemoryDomain::read_u64 on non-DRAM");
-    return gpu_dram_.read_u64(addr - AddressMap::kGpuDramBase);
+    std::uint64_t off = 0;
+    return store(*this, addr, off).read_u64(off);
   }
   std::uint32_t read_u32(Addr addr) const {
-    const Space s = AddressMap::classify(addr);
-    if (s == Space::kHostDram) {
-      return host_dram_.read_u32(addr - AddressMap::kHostDramBase);
-    }
-    assert(s == Space::kGpuDram && "MemoryDomain::read_u32 on non-DRAM");
-    return gpu_dram_.read_u32(addr - AddressMap::kGpuDramBase);
+    std::uint64_t off = 0;
+    return store(*this, addr, off).read_u32(off);
   }
   void write_u64(Addr addr, std::uint64_t v) {
-    const Space s = AddressMap::classify(addr);
-    if (s == Space::kHostDram) {
-      host_dram_.write_u64(addr - AddressMap::kHostDramBase, v);
-      return;
-    }
-    assert(s == Space::kGpuDram && "MemoryDomain::write_u64 on non-DRAM");
-    gpu_dram_.write_u64(addr - AddressMap::kGpuDramBase, v);
+    std::uint64_t off = 0;
+    store(*this, addr, off).write_u64(off, v);
   }
   void write_u32(Addr addr, std::uint32_t v) {
-    const Space s = AddressMap::classify(addr);
-    if (s == Space::kHostDram) {
-      host_dram_.write_u32(addr - AddressMap::kHostDramBase, v);
-      return;
-    }
-    assert(s == Space::kGpuDram && "MemoryDomain::write_u32 on non-DRAM");
-    gpu_dram_.write_u32(addr - AddressMap::kGpuDramBase, v);
+    std::uint64_t off = 0;
+    store(*this, addr, off).write_u32(off, v);
   }
 
   /// Width-dispatched scalar load (zero-extended) / store for the GPU
   /// interpreter: one space classification, then the in-page typed fast
   /// path of the backing SparseMemory. Width must be 1, 2, 4 or 8.
   std::uint64_t load_scalar(Addr addr, unsigned width) const {
-    const Space s = AddressMap::classify(addr);
-    const SparseMemory& m =
-        s == Space::kHostDram ? host_dram_ : gpu_dram_;
-    assert((s == Space::kHostDram || s == Space::kGpuDram) &&
-           "MemoryDomain::load_scalar on non-DRAM address");
-    const std::uint64_t off =
-        addr - (s == Space::kHostDram ? AddressMap::kHostDramBase
-                                      : AddressMap::kGpuDramBase);
+    std::uint64_t off = 0;
+    const SparseMemory& m = store(*this, addr, off);
     switch (width) {
       case 1: return m.read_u8(off);
       case 2: return m.read_u16(off);
@@ -112,13 +95,8 @@ class MemoryDomain {
     }
   }
   void store_scalar(Addr addr, unsigned width, std::uint64_t v) {
-    const Space s = AddressMap::classify(addr);
-    SparseMemory& m = s == Space::kHostDram ? host_dram_ : gpu_dram_;
-    assert((s == Space::kHostDram || s == Space::kGpuDram) &&
-           "MemoryDomain::store_scalar on non-DRAM address");
-    const std::uint64_t off =
-        addr - (s == Space::kHostDram ? AddressMap::kHostDramBase
-                                      : AddressMap::kGpuDramBase);
+    std::uint64_t off = 0;
+    SparseMemory& m = store(*this, addr, off);
     switch (width) {
       case 1: m.write_u8(off, static_cast<std::uint8_t>(v)); break;
       case 2: m.write_u16(off, static_cast<std::uint16_t>(v)); break;
@@ -128,6 +106,23 @@ class MemoryDomain {
   }
 
  private:
+  /// The DRAM store of `self` (const or not) backing `addr`, the one place
+  /// an address is classified; sets `offset` to addr's place in it.
+  template <typename Self>
+  static auto store(Self& self, Addr addr, std::uint64_t& offset)
+      -> std::conditional_t<std::is_const_v<Self>, const SparseMemory&,
+                            SparseMemory&> {
+    const Space s = AddressMap::classify(addr);
+    assert((s == Space::kHostDram || s == Space::kGpuDram) &&
+           "MemoryDomain access to a non-DRAM address");
+    if (s == Space::kHostDram) {
+      offset = addr - AddressMap::kHostDramBase;
+      return self.host_dram_;
+    }
+    offset = addr - AddressMap::kGpuDramBase;
+    return self.gpu_dram_;
+  }
+
   SparseMemory host_dram_;
   SparseMemory gpu_dram_;
 };

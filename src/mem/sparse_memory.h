@@ -20,6 +20,7 @@
 // clear()), which is what makes caching and span hand-out safe.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -91,6 +92,29 @@ class SparseMemory {
     if (offset % kPageSize + len > kPageSize) return nullptr;
     return get_or_create_page(offset / kPageSize).data() + offset % kPageSize;
   }
+
+  /// Hands the backing bytes of [offset, offset+len) to `fn` as
+  /// page-contiguous std::span<std::uint8_t> pieces in address order,
+  /// allocating pages as needed, so a generator writes memory in place.
+  template <typename Fn>
+  void fill_in_place(std::uint64_t offset, std::uint64_t len, Fn&& fn) {
+    assert(in_bounds(offset, len) && "SparseMemory fill out of bounds");
+    while (len > 0) {
+      const std::uint64_t chunk =
+          std::min(len, kPageSize - offset % kPageSize);
+      fn(std::span<std::uint8_t>(
+          get_or_create_page(offset / kPageSize).data() + offset % kPageSize,
+          chunk));
+      offset += chunk;
+      len -= chunk;
+    }
+  }
+
+  /// True when [offset, offset+len) holds the same bytes as
+  /// [other_offset, other_offset+len) of `other`. Compares page by page
+  /// (an absent page reads as zero) without copying either range.
+  bool same_bytes(std::uint64_t offset, const SparseMemory& other,
+                  std::uint64_t other_offset, std::uint64_t len) const;
 
   /// Releases all pages (contents revert to zero).
   void clear() {

@@ -232,9 +232,8 @@ int switch_shard(const FabricPlan& plan, int vertex) {
 int Switch::add_port(NetworkLink* link, int side) {
   const int index = static_cast<int>(ports_.size());
   ports_.push_back({link, side});
-  link->attach(side, [this, index](std::vector<std::uint8_t> bytes,
-                                   FrameMeta meta) {
-    forward(index, std::move(bytes), meta);
+  link->attach(side, [this, index](Frame frame, FrameMeta meta) {
+    forward(index, std::move(frame), meta);
   });
   return index;
 }
@@ -257,8 +256,7 @@ Status Switch::set_next_hop(int dst_terminal, int port_index) {
   return Status::ok();
 }
 
-void Switch::forward(int in_port, std::vector<std::uint8_t> bytes,
-                     FrameMeta meta) {
+void Switch::forward(int in_port, Frame frame, FrameMeta meta) {
   const Port& in = ports_[in_port];
   const int dst = meta.dst_node;
   if (dst < 0 || dst >= static_cast<int>(next_hop_.size()) ||
@@ -270,7 +268,7 @@ void Switch::forward(int in_port, std::vector<std::uint8_t> bytes,
     ++frames_dropped_;
     return;
   }
-  relay(in, ports_[next_hop_[dst]], std::move(bytes), meta, totals_);
+  relay(in, ports_[next_hop_[dst]], std::move(frame), meta, totals_);
 }
 
 }  // namespace pg::net

@@ -142,7 +142,7 @@ class Switch {
   std::uint64_t frames_dropped() const { return frames_dropped_; }
 
  private:
-  void forward(int in_port, std::vector<std::uint8_t> bytes, FrameMeta meta);
+  void forward(int in_port, Frame frame, FrameMeta meta);
 
   std::string label_;
   int vertex_ = 0;

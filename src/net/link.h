@@ -7,6 +7,10 @@
 // poll-on-last-payload-element optimization depends on; FIFO links give
 // us that ordering globally.
 //
+// A Frame is a NIC-encoded header plus a payload slice: the payload bytes
+// a DMA read filled travel as they are, never re-encoded into one byte
+// vector, and the wire size is header + payload.
+//
 // A FrameMeta rides next to every frame (in the delivery event capture,
 // never in the wire bytes, so timing is byte-identical with or without
 // it): the destination terminal it steers routed fabrics by, the source
@@ -17,15 +21,16 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/bitops.h"
 #include "common/units.h"
+#include "mem/payload.h"
 #include "obs/flow.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,6 +44,18 @@ struct NetConfig {
   SimDuration latency = nanoseconds(600);  // wire + switch flight time
   std::uint32_t mtu = 4096;                // payload per network packet
   std::uint32_t header_bytes = 16;         // framing per packet
+};
+
+/// What a link carries: a header the sending NIC encodes in place (its
+/// wire format; at most kMaxHeaderBytes) and the payload slice behind it.
+struct Frame {
+  static constexpr std::size_t kMaxHeaderBytes = 44;
+  std::array<std::uint8_t, kMaxHeaderBytes> header{};
+  std::uint8_t header_len = 0;
+  mem::Payload payload;
+
+  /// Bytes on the wire (before per-packet framing).
+  std::uint64_t size() const { return header_len + payload.size(); }
 };
 
 /// Routing metadata that travels with a frame. dst_node < 0 means the
@@ -71,7 +88,7 @@ struct LinkDirStats {
 
 class NetworkLink {
  public:
-  using Handler = std::function<void(std::vector<std::uint8_t>, FrameMeta)>;
+  using Handler = std::function<void(Frame, FrameMeta)>;
 
   NetworkLink(sim::Simulation& sim, NetConfig cfg) : cfg_(cfg) {
     sides_[0].sim = &sim;
@@ -113,8 +130,7 @@ class NetworkLink {
   /// inside it, so the wire timing is byte-identical either way.
   /// `meta` likewise rides in the event capture: the receiving handler
   /// sees it with `hops` incremented by this traversal.
-  void send(int side, std::vector<std::uint8_t> frame, obs::FlowId flow = 0,
-            FrameMeta meta = {}) {
+  void send(int side, Frame frame, obs::FlowId flow = 0, FrameMeta meta = {}) {
     Side& sender = sides_[side];
     Direction& dir = sender.tx;
     sim::Simulation& ssim = *sender.sim;
@@ -164,6 +180,8 @@ class NetworkLink {
         sides_[other].handler(std::move(frame), meta);
       }
     };
+    static_assert(sizeof(deliver) <= sim::InlineFn::kInlineSize,
+                  "a frame delivery must not allocate");
     if (group_ == nullptr || shard_of_[side] == shard_of_[other]) {
       sides_[other].sim->schedule_at(deliver_at, std::move(deliver));
     } else {

@@ -19,21 +19,20 @@ SimTime now_at(const Port& p) { return p.link->endpoint_sim(p.side).now(); }
 
 }  // namespace
 
-void relay(const Port& in, const Port& out, std::vector<std::uint8_t> bytes,
-           FrameMeta meta, FabricTotals& totals) {
+void relay(const Port& in, const Port& out, Frame frame, FrameMeta meta,
+           FabricTotals& totals) {
   const obs::FlowId flow = claim_forwarded_flow(in, meta);
   // hops counts completed traversals, so the incoming link is hops - 1.
   stage_wire_hop(flow, meta.hops - 1u, now_at(in));
   ++totals.frames_forwarded;
-  totals.bytes_forwarded += bytes.size();
-  out.link->send(out.side, std::move(bytes), flow, meta);
+  totals.bytes_forwarded += frame.size();
+  out.link->send(out.side, std::move(frame), flow, meta);
 }
 
 void Terminal::connect(NetworkLink* link, int side) {
   if (default_.link == nullptr) default_ = Port{link, side};
-  link->attach(side, [this, link, side](std::vector<std::uint8_t> bytes,
-                                        FrameMeta meta) {
-    receive(Port{link, side}, std::move(bytes), meta);
+  link->attach(side, [this, link, side](Frame frame, FrameMeta meta) {
+    receive(Port{link, side}, std::move(frame), meta);
   });
 }
 
@@ -58,29 +57,28 @@ Port Terminal::route_for(int dst_node) const {
   return default_;
 }
 
-void Terminal::send(int dst_node, std::vector<std::uint8_t> bytes,
-                    obs::FlowId flow, const Port& hop) {
+void Terminal::send(int dst_node, Frame frame, obs::FlowId flow,
+                    const Port& hop) {
   const Port out = hop.link != nullptr ? hop : route_for(dst_node);
   assert(out.link && "terminal not connected");
   FrameMeta meta;
   if (dst_node >= 0) meta.dst_node = static_cast<std::int16_t>(dst_node);
   if (node_id_ >= 0) meta.src_node = static_cast<std::int16_t>(node_id_);
   ++totals_.frames_originated;
-  totals_.bytes_originated += bytes.size();
-  out.link->send(out.side, std::move(bytes), flow, meta);
+  totals_.bytes_originated += frame.size();
+  out.link->send(out.side, std::move(frame), flow, meta);
 }
 
-void Terminal::receive(const Port& in, std::vector<std::uint8_t> bytes,
-                       FrameMeta meta) {
+void Terminal::receive(const Port& in, Frame frame, FrameMeta meta) {
   if (meta.dst_node >= 0 && node_id_ >= 0 && meta.dst_node != node_id_) {
     const Port out = route_for(meta.dst_node);
     assert(out.link && "relay without an egress link");
-    relay(in, out, std::move(bytes), meta, totals_);
+    relay(in, out, std::move(frame), meta, totals_);
     return;
   }
   ++totals_.frames_delivered;
-  totals_.bytes_delivered += bytes.size();
-  deliver_(std::move(bytes), Arrival{in, meta});
+  totals_.bytes_delivered += frame.size();
+  deliver_(std::move(frame), Arrival{in, meta});
 }
 
 obs::FlowId Terminal::claim_flow(const Arrival& at) const {

@@ -37,8 +37,8 @@ struct Port {
 ///   sum over links of frames_sent == originated + forwarded
 ///   delivered == originated
 /// and the same for bytes — the reconciliation the multihop sweep
-/// hard-checks against the per-link snapshots. Byte counts are encoded
-/// frame bytes, matching the link counters.
+/// hard-checks against the per-link snapshots. Byte counts are frame
+/// bytes (header + payload), matching the link counters.
 struct FabricTotals {
   std::uint64_t frames_originated = 0;
   std::uint64_t bytes_originated = 0;
@@ -75,8 +75,8 @@ inline obs::FlowId claim_forwarded_flow(const Port& in,
 /// same value the per-link trace span records as "hop"), counts the
 /// forward and sends the frame un-decoded out of `out`. Cut-through: the
 /// per-hop cost is the egress link's serialization + flight latency.
-void relay(const Port& in, const Port& out, std::vector<std::uint8_t> bytes,
-           FrameMeta meta, FabricTotals& totals);
+void relay(const Port& in, const Port& out, Frame frame, FrameMeta meta,
+           FabricTotals& totals);
 
 /// A frame delivered to this terminal: the port it arrived on and the
 /// metadata it carried.
@@ -90,7 +90,7 @@ class Terminal {
   /// Receives the frames addressed to this terminal (or direct-attached
   /// frames with no destination).
   using Deliver =
-      std::function<void(std::vector<std::uint8_t>, const Arrival&)>;
+      std::function<void(Frame, const Arrival&)>;
 
   /// `name` prefixes routing errors; `deliver` is the NIC's decoder.
   Terminal(std::string name, Deliver deliver)
@@ -124,8 +124,7 @@ class Terminal {
   /// `hop` when given, else out of route_for(dst_node): stamps the
   /// frame's routing metadata and counts the origination. `flow`, when
   /// nonzero, rides with the frame for wire correlation at the receiver.
-  void send(int dst_node, std::vector<std::uint8_t> bytes, obs::FlowId flow,
-            const Port& hop = {});
+  void send(int dst_node, Frame frame, obs::FlowId flow, const Port& hop = {});
 
   /// The final-hop claim of the lifecycle a message's last frame carries:
   /// the sender queued it under (link, sender side), and delivery is FIFO
@@ -140,8 +139,7 @@ class Terminal {
   /// The next hop toward `dst_node`; dst_node < 0 or an unrouted id
   /// falls back to the default (first-connected) port.
   Port route_for(int dst_node) const;
-  void receive(const Port& in, std::vector<std::uint8_t> bytes,
-               FrameMeta meta);
+  void receive(const Port& in, Frame frame, FrameMeta meta);
 
   std::string name_;
   Deliver deliver_;

@@ -16,38 +16,37 @@ using mem::AddressMap;
 // ---------------------------------------------------------------------------
 // Frame codec.
 
-std::vector<std::uint8_t> ExtollNic::Frame::encode() const {
-  std::vector<std::uint8_t> bytes(32 + payload.size());
-  bytes[0] = static_cast<std::uint8_t>(kind);
-  bytes[1] = port;
-  bytes[2] = static_cast<std::uint8_t>((last ? 1 : 0) |
-                                       (notify_completer ? 2 : 0));
-  bytes[3] = 0;
-  std::memcpy(&bytes[4], &total_size, 4);
-  std::memcpy(&bytes[8], &offset, 8);
-  std::memcpy(&bytes[16], &src_nla, 8);
-  std::memcpy(&bytes[24], &dst_nla, 8);
-  if (!payload.empty()) {
-    std::memcpy(bytes.data() + 32, payload.data(), payload.size());
-  }
-  return bytes;
+net::Frame ExtollNic::Frame::encode() const {
+  net::Frame wire;
+  std::uint8_t* h = wire.header.data();
+  wire.header_len = 32;
+  h[0] = static_cast<std::uint8_t>(kind);
+  h[1] = port;
+  h[2] = static_cast<std::uint8_t>((last ? 1 : 0) | (notify_completer ? 2 : 0));
+  h[3] = 0;
+  std::memcpy(h + 4, &total_size, 4);
+  std::memcpy(h + 8, &offset, 8);
+  std::memcpy(h + 16, &src_nla, 8);
+  std::memcpy(h + 24, &dst_nla, 8);
+  wire.payload = payload;
+  return wire;
 }
 
-Result<ExtollNic::Frame> ExtollNic::Frame::decode(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 32) {
+Result<ExtollNic::Frame> ExtollNic::Frame::decode(net::Frame wire) {
+  if (wire.header_len < 32) {
     return invalid_argument("EXTOLL frame shorter than header");
   }
+  const std::uint8_t* h = wire.header.data();
   Frame f;
-  f.kind = static_cast<Kind>(bytes[0]);
-  f.port = bytes[1];
-  f.last = (bytes[2] & 1) != 0;
-  f.notify_completer = (bytes[2] & 2) != 0;
-  std::memcpy(&f.total_size, &bytes[4], 4);
-  std::memcpy(&f.offset, &bytes[8], 8);
-  std::memcpy(&f.src_nla, &bytes[16], 8);
-  std::memcpy(&f.dst_nla, &bytes[24], 8);
-  f.payload.assign(bytes.begin() + 32, bytes.end());
+  f.kind = static_cast<Kind>(h[0]);
+  f.port = h[1];
+  f.last = (h[2] & 1) != 0;
+  f.notify_completer = (h[2] & 2) != 0;
+  std::memcpy(&f.total_size, h + 4, 4);
+  std::memcpy(&f.offset, h + 8, 8);
+  std::memcpy(&f.src_nla, h + 16, 8);
+  std::memcpy(&f.dst_nla, h + 24, 8);
+  f.payload = std::move(wire.payload);
   return f;
 }
 
@@ -62,9 +61,8 @@ ExtollNic::ExtollNic(sim::Simulation& sim, pcie::Fabric& fabric,
       memory_(memory),
       cfg_(cfg),
       name_(std::move(name)),
-      terminal_(name_, [this](std::vector<std::uint8_t> bytes,
-                              const net::Arrival& at) {
-        on_frame(std::move(bytes), at);
+      terminal_(name_, [this](net::Frame wire, const net::Arrival& at) {
+        on_frame(std::move(wire), at);
       }) {
   endpoint_id_ = fabric_.attach(name_, this, cfg_.pcie_link);
   fabric_.claim_range(endpoint_id_, AddressMap::kExtollBarBase,
@@ -234,20 +232,23 @@ void ExtollNic::execute_put(const WorkRequest& wr, Addr src_addr) {
   f.notify_completer = wr.notify_completer;
   dma_->stream(
       src_addr, wr.size, cfg_.segment_bytes, flow,
-      [this, wr, flow, f](std::uint64_t offset, bool last,
-                          std::vector<std::uint8_t> data) mutable {
+      [this, wr, f](std::uint64_t offset, bool last, mem::Payload data) {
         const SimTime start = std::max(sim_.now(), datapath_busy_until_);
         datapath_busy_until_ = start + core_rate().transfer_time(data.size());
-        f.offset = offset;
-        f.last = last;
-        f.payload = std::move(data);
-        sim_.schedule_at(datapath_busy_until_, [this, wr, flow, last,
-                                                bytes = f.encode()]() mutable {
+        Frame seg = f;
+        seg.offset = offset;
+        seg.last = last;
+        seg.payload = std::move(data);
+        // The capture fills the event's inline buffer exactly, so the
+        // flow is read at send time: the port stays gated, holding this
+        // WR's flow, until requester_finished.
+        sim_.schedule_at(datapath_busy_until_, [this, wr, seg = std::move(seg)] {
           // The last segment carries the lifecycle across the wire;
           // requester_finished (same instant) closes the nic_fetch
           // stage, so wire begins exactly here.
-          terminal_.send(wr.dst_node, std::move(bytes), last ? flow : 0);
-          if (last) requester_finished(wr);
+          terminal_.send(wr.dst_node, seg.encode(),
+                         seg.last ? ports_[wr.port].flow : 0);
+          if (seg.last) requester_finished(wr);
         });
       });
 }
@@ -294,9 +295,8 @@ void ExtollNic::requester_finished(const WorkRequest& wr) {
 // ---------------------------------------------------------------------------
 // Completer / responder.
 
-void ExtollNic::on_frame(std::vector<std::uint8_t> bytes,
-                         const net::Arrival& at) {
-  auto frame = Frame::decode(bytes);
+void ExtollNic::on_frame(net::Frame wire, const net::Arrival& at) {
+  auto frame = Frame::decode(std::move(wire));
   if (!frame.is_ok()) {
     ++protocol_violations_;
     PG_ERROR("extoll", "%s: undecodable frame", name_.c_str());
@@ -395,23 +395,24 @@ void ExtollNic::handle_get_request(const Frame& f, const net::Arrival& at,
   dma_->stream(
       *src, f.total_size, cfg_.segment_bytes, flow,
       [this, resp, hop, reply_to, flow](std::uint64_t offset, bool last,
-                                        std::vector<std::uint8_t> data) mutable {
+                                        mem::Payload data) {
         const SimTime start = std::max(sim_.now(), responder_busy_until_);
         responder_busy_until_ = start + core_cycles(cfg_.responder_cycles) +
                                 core_rate().transfer_time(data.size());
-        resp.offset = offset;
-        resp.last = last;
-        resp.payload = std::move(data);
+        Frame seg = resp;
+        seg.offset = offset;
+        seg.last = last;
+        seg.payload = std::move(data);
         sim_.schedule_at(responder_busy_until_, [this, hop, reply_to, flow,
-                                                 last, bytes = resp.encode()]()
-                                                    mutable {
+                                                 seg = std::move(seg)] {
+          const bool last = seg.last;
           if (last) {
             // The responder's pull + push is the remote half of the
             // get's fetch work; the response's wire leg accumulates into
             // the same "wire" stage.
             obs::flow_stage(flow, name_.c_str(), "nic_fetch", sim_.now());
           }
-          terminal_.send(reply_to, std::move(bytes), last ? flow : 0, hop);
+          terminal_.send(reply_to, seg.encode(), last ? flow : 0, hop);
         });
       });
 }
@@ -433,11 +434,11 @@ void ExtollNic::write_notification(PortState& port, NotifQueue& queue,
   const Addr slot =
       queue.slot_base + (queue.wp % queue.entries) * kNotificationBytes;
   ++queue.wp;
-  std::vector<std::uint8_t> bytes(kNotificationBytes);
+  mem::Payload bytes = fabric_.payloads().acquire(kNotificationBytes);
   const std::uint64_t w0 = n.encode_word0();
   const std::uint64_t w1 = n.encode_word1();
-  std::memcpy(bytes.data(), &w0, 8);
-  std::memcpy(bytes.data() + 8, &w1, 8);
+  std::memcpy(bytes.writable().data(), &w0, 8);
+  std::memcpy(bytes.writable().data() + 8, &w1, 8);
   ++notifications_written_;
   // When a sink is attached, ride the delivery callback to mark the moment
   // the notification lands in host memory (the consumer's poll target).

@@ -142,7 +142,8 @@ class ExtollNic : public pcie::Endpoint {
     NotifQueue cmp_queue;
   };
 
-  /// Wire frame exchanged between two RMA units.
+  /// Wire frame exchanged between two RMA units: a 32-byte header and
+  /// the segment's payload slice.
   struct Frame {
     enum class Kind : std::uint8_t {
       kPutSegment = 1,
@@ -157,10 +158,11 @@ class ExtollNic : public pcie::Endpoint {
     std::uint64_t offset = 0;  // segment offset within the transfer
     Nla src_nla = 0;
     Nla dst_nla = 0;
-    std::vector<std::uint8_t> payload;
+    mem::Payload payload;
 
-    std::vector<std::uint8_t> encode() const;
-    static Result<Frame> decode(const std::vector<std::uint8_t>& bytes);
+    /// Encodes the header in place; the payload rides along un-copied.
+    net::Frame encode() const;
+    static Result<Frame> decode(net::Frame wire);
   };
 
   SimDuration core_cycles(std::uint32_t n) const;
@@ -173,7 +175,7 @@ class ExtollNic : public pcie::Endpoint {
   void execute_get(const WorkRequest& wr);
   void requester_finished(const WorkRequest& wr);
   /// Decodes a frame the terminal delivered to this NIC.
-  void on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at);
+  void on_frame(net::Frame wire, const net::Arrival& at);
   /// Completer side of a put segment or get response: translate, occupy
   /// the completer, DMA-write; the last segment counts `completed` and
   /// `metric`, traces `label`, then notifies or parks the flow.

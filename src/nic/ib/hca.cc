@@ -32,41 +32,42 @@ const char* opcode_name(WqeOpcode op) {
 // ---------------------------------------------------------------------------
 // Frame codec. Header is 44 bytes.
 
-std::vector<std::uint8_t> Hca::Frame::encode() const {
-  std::vector<std::uint8_t> bytes(44 + payload.size());
-  bytes[0] = static_cast<std::uint8_t>(kind);
-  bytes[1] = last ? 1 : 0;
-  bytes[2] = static_cast<std::uint8_t>(status);
-  bytes[3] = 0;
-  std::memcpy(&bytes[4], &dst_qpn, 4);
-  std::memcpy(&bytes[8], &total, 4);
-  std::memcpy(&bytes[12], &imm, 4);
-  std::memcpy(&bytes[16], &psn, 4);
-  std::memcpy(&bytes[20], &offset, 8);
-  std::memcpy(&bytes[28], &raddr, 8);
-  std::memcpy(&bytes[36], &rkey, 4);
-  if (!payload.empty()) {
-    std::memcpy(bytes.data() + 44, payload.data(), payload.size());
-  }
-  return bytes;
+net::Frame Hca::Frame::encode() const {
+  net::Frame wire;
+  std::uint8_t* h = wire.header.data();
+  wire.header_len = 44;
+  h[0] = static_cast<std::uint8_t>(kind);
+  h[1] = last ? 1 : 0;
+  h[2] = static_cast<std::uint8_t>(status);
+  h[3] = 0;
+  std::memcpy(h + 4, &dst_qpn, 4);
+  std::memcpy(h + 8, &total, 4);
+  std::memcpy(h + 12, &imm, 4);
+  std::memcpy(h + 16, &psn, 4);
+  std::memcpy(h + 20, &offset, 8);
+  std::memcpy(h + 28, &raddr, 8);
+  std::memcpy(h + 36, &rkey, 4);
+  wire.payload = payload;
+  return wire;
 }
 
-Result<Hca::Frame> Hca::Frame::decode(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 44) {
+Result<Hca::Frame> Hca::Frame::decode(net::Frame wire) {
+  if (wire.header_len < 44) {
     return invalid_argument("IB frame shorter than header");
   }
+  const std::uint8_t* h = wire.header.data();
   Frame f;
-  f.kind = static_cast<Kind>(bytes[0]);
-  f.last = bytes[1] != 0;
-  f.status = static_cast<WcStatus>(bytes[2]);
-  std::memcpy(&f.dst_qpn, &bytes[4], 4);
-  std::memcpy(&f.total, &bytes[8], 4);
-  std::memcpy(&f.imm, &bytes[12], 4);
-  std::memcpy(&f.psn, &bytes[16], 4);
-  std::memcpy(&f.offset, &bytes[20], 8);
-  std::memcpy(&f.raddr, &bytes[28], 8);
-  std::memcpy(&f.rkey, &bytes[36], 4);
-  f.payload.assign(bytes.begin() + 44, bytes.end());
+  f.kind = static_cast<Kind>(h[0]);
+  f.last = h[1] != 0;
+  f.status = static_cast<WcStatus>(h[2]);
+  std::memcpy(&f.dst_qpn, h + 4, 4);
+  std::memcpy(&f.total, h + 8, 4);
+  std::memcpy(&f.imm, h + 12, 4);
+  std::memcpy(&f.psn, h + 16, 4);
+  std::memcpy(&f.offset, h + 20, 8);
+  std::memcpy(&f.raddr, h + 28, 8);
+  std::memcpy(&f.rkey, h + 36, 4);
+  f.payload = std::move(wire.payload);
   return f;
 }
 
@@ -80,9 +81,8 @@ Hca::Hca(sim::Simulation& sim, pcie::Fabric& fabric, mem::MemoryDomain& memory,
       memory_(memory),
       cfg_(cfg),
       name_(std::move(name)),
-      terminal_(name_, [this](std::vector<std::uint8_t> bytes,
-                              const net::Arrival& at) {
-        on_frame(std::move(bytes), at);
+      terminal_(name_, [this](net::Frame wire, const net::Arrival& at) {
+        on_frame(std::move(wire), at);
       }) {
   endpoint_id_ = fabric_.attach(name_, this, cfg_.pcie_link);
   fabric_.claim_range(endpoint_id_, AddressMap::kIbUarBase,
@@ -95,9 +95,8 @@ Hca::Hca(sim::Simulation& sim, pcie::Fabric& fabric, mem::MemoryDomain& memory,
 
 Hca::~Hca() = default;
 
-void Hca::link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
-                    obs::FlowId flow) {
-  terminal_.send(qp.remote_node, std::move(bytes), flow, qp.route);
+void Hca::link_send(const Qp& qp, net::Frame frame, obs::FlowId flow) {
+  terminal_.send(qp.remote_node, std::move(frame), flow, qp.route);
 }
 
 SimTime Hca::occupy_engine(SimDuration service) {
@@ -253,7 +252,7 @@ void Hca::sq_step(std::uint32_t qpn) {
   // Fetch the WQE across PCIe (host memory, or the P2P path when the ring
   // lives in GPU memory).
   dma_->read(slot, kSendWqeBytes,
-             [this, qpn, slot, t_fetch, flow](std::vector<std::uint8_t> bytes) {
+             [this, qpn, slot, t_fetch, flow](mem::Payload bytes) {
                Qp& qp = qps_[qpn];
                if (obs::metrics()) {
                  obs::count("ib.wqe_fetches");
@@ -375,12 +374,12 @@ void Hca::stream_message(std::uint32_t qpn, Frame::Kind kind,
   }
   dma_->stream(src, wqe.byte_len, cfg_.segment_bytes, flow,
                [this, qpn, f, flow, done = std::move(done)](
-                   std::uint64_t offset, bool last,
-                   std::vector<std::uint8_t> data) mutable {
-                 f.offset = offset;
-                 f.last = last;
-                 f.payload = std::move(data);
-                 link_send(qps_[qpn], f.encode(), last ? flow : 0);
+                   std::uint64_t offset, bool last, mem::Payload data) {
+                 Frame seg = f;
+                 seg.offset = offset;
+                 seg.last = last;
+                 seg.payload = std::move(data);
+                 link_send(qps_[qpn], seg.encode(), last ? flow : 0);
                  if (last) done();
                });
 }
@@ -388,8 +387,8 @@ void Hca::stream_message(std::uint32_t qpn, Frame::Kind kind,
 // ---------------------------------------------------------------------------
 // Receive side.
 
-void Hca::on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at) {
-  auto frame = Frame::decode(bytes);
+void Hca::on_frame(net::Frame wire, const net::Arrival& at) {
+  auto frame = Frame::decode(std::move(wire));
   if (!frame.is_ok()) {
     PG_ERROR("ib", "%s: undecodable frame", name_.c_str());
     return;
@@ -564,17 +563,17 @@ void Hca::handle_read_request(const Frame& f, obs::FlowId flow) {
   dma_->stream(
       f.raddr, f.total, cfg_.segment_bytes, flow,
       [this, qpn = f.dst_qpn, resp, flow](std::uint64_t offset, bool last,
-                                          std::vector<std::uint8_t> data)
-          mutable {
-        resp.offset = offset;
-        resp.last = last;
-        resp.payload = std::move(data);
+                                          mem::Payload data) {
+        Frame seg = resp;
+        seg.offset = offset;
+        seg.last = last;
+        seg.payload = std::move(data);
         if (last) {
           // Responder-side source fetch accumulates into the lifecycle's
           // nic_fetch stage.
           obs::flow_stage(flow, name_.c_str(), "nic_fetch", sim_.now());
         }
-        link_send(qps_[qpn], resp.encode(), last ? flow : 0);
+        link_send(qps_[qpn], seg.encode(), last ? flow : 0);
       });
 }
 
@@ -681,7 +680,7 @@ void Hca::fetch_recv_wqe(Qp& qp, std::function<void(Result<RecvWqe>)> cb) {
   const SimTime ready = occupy_engine(cfg_.recv_lookup);
   sim_.schedule_at(ready, [this, slot, cb = std::move(cb)] {
     dma_->read(slot, kRecvWqeBytes,
-               [cb = std::move(cb)](std::vector<std::uint8_t> bytes) {
+               [cb = std::move(cb)](mem::Payload bytes) {
                  cb(decode_recv_wqe(bytes.data()));
                });
   });
@@ -719,8 +718,7 @@ void Hca::write_cqe(std::uint32_t cq_id, const Cqe& cqe, obs::FlowId flow) {
       obs::flow_push(obs::flow_key(&fabric_, slot + kCqeValidOffset), flow);
     };
   }
-  fabric_.write(endpoint_id_, slot,
-                std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
+  fabric_.write(endpoint_id_, slot, fabric_.payloads().copy(bytes),
                 std::move(on_delivered));
 }
 

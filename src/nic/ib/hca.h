@@ -150,10 +150,12 @@ class Hca : public pcie::Endpoint {
     std::uint64_t raddr = 0;
     std::uint32_t rkey = 0;
     WcStatus status = WcStatus::kSuccess;  // for NAK
-    std::vector<std::uint8_t> payload;
+    mem::Payload payload;
 
-    std::vector<std::uint8_t> encode() const;
-    static Result<Frame> decode(const std::vector<std::uint8_t>& bytes);
+    /// Encodes the 44-byte header in place; the payload rides along
+    /// un-copied.
+    net::Frame encode() const;
+    static Result<Frame> decode(net::Frame wire);
   };
 
   struct PendingAck {
@@ -211,7 +213,7 @@ class Hca : public pcie::Endpoint {
                       mem::Addr src, std::uint32_t psn, obs::FlowId flow,
                       std::function<void()> done);
   /// Decodes a frame the terminal delivered to this HCA.
-  void on_frame(std::vector<std::uint8_t> bytes, const net::Arrival& at);
+  void on_frame(net::Frame wire, const net::Arrival& at);
   void handle_write_segment(const Frame& f, bool with_imm, obs::FlowId flow);
   void handle_send_segment(const Frame& f, obs::FlowId flow);
   void deliver_send_payload(const Frame& f, obs::FlowId flow);
@@ -225,8 +227,7 @@ class Hca : public pcie::Endpoint {
   /// toward the peer when the QP has none (the default port for unrouted
   /// peers). `flow`, when nonzero, rides with the frame for wire
   /// correlation at the receiver (only last frames of a message carry it).
-  void link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
-                 obs::FlowId flow = 0);
+  void link_send(const Qp& qp, net::Frame frame, obs::FlowId flow = 0);
   /// `flow`, when nonzero, is the message lifecycle this completion
   /// closes: its notify_write stage is stamped when the CQE slot write
   /// lands, and the flow is queued for the slot's poller.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <memory>
 
 #include "obs/metrics.h"
@@ -11,14 +10,14 @@
 namespace pg::pcie {
 
 void DmaEngine::read(mem::Addr addr, std::uint64_t len,
-                     std::function<void(std::vector<std::uint8_t>)> on_done,
+                     std::function<void(mem::Payload)> on_done,
                      obs::FlowId flow) {
   assert(len > 0);
   ReadJob* job = reads_.acquire();
   job->engine = this;
   job->base = addr;
   job->length = len;
-  job->buffer.resize(len);
+  job->buffer = fabric_.payloads().acquire(len);
   job->t_start = sim_.now();
   job->flow = flow;
   job->on_done = std::move(on_done);
@@ -34,20 +33,14 @@ void DmaEngine::pump_reads(ReadJob* job) {
     job->next_offset += chunk;
     ++job->outstanding;
     ++reads_issued_;
-    // Packed 40-bit offset / 24-bit chunk: with the engine pointer folded
-    // into the job, the capture is exactly two words, so std::function
-    // stores the callback inline — no heap allocation per chunk on a path
-    // every payload byte of every modeled transfer funnels through.
-    const std::uint64_t packed = offset | (std::uint64_t{chunk} << 40);
-    fabric_.read(self_, job->base + offset, chunk,
-                 [job, packed](std::vector<std::uint8_t> data) {
-                   const std::uint64_t offset = packed & ((1ull << 40) - 1);
-                   const auto chunk = static_cast<std::uint32_t>(packed >> 40);
-                   assert(data.size() == chunk);
-                   std::memcpy(job->buffer.data() + offset, data.data(),
-                               chunk);
+    // The target serves straight into this request's slice of the job's
+    // payload. With the engine pointer folded into the job, the capture
+    // is one word, so std::function stores the callback inline - no heap
+    // allocation per chunk on a path every payload byte funnels through.
+    fabric_.read(self_, job->base + offset, job->buffer.slice(offset, chunk),
+                 [job](mem::Payload slice) {
                    --job->outstanding;
-                   job->received += chunk;
+                   job->received += slice.size();
                    DmaEngine* self = job->engine;
                    if (job->received == job->length) {
                      if (obs::metrics()) {
@@ -100,13 +93,13 @@ void DmaEngine::pull_next(Stream* s, obs::FlowId flow) {
   // One read in flight per stream, so the stream itself knows which
   // segment landed and the callback captures one pointer (stored inline).
   read(s->base + offset, s->pulled - offset,
-       [s](std::vector<std::uint8_t> data) {
+       [s](mem::Payload data) {
          s->engine->segment_landed(s, std::move(data));
        },
        flow);
 }
 
-void DmaEngine::segment_landed(Stream* s, std::vector<std::uint8_t> data) {
+void DmaEngine::segment_landed(Stream* s, mem::Payload data) {
   const std::uint64_t offset = s->pulled - data.size();
   const bool last = s->pulled == s->length;
   if (!last) pull_next(s, 0);
@@ -114,7 +107,7 @@ void DmaEngine::segment_landed(Stream* s, std::vector<std::uint8_t> data) {
   if (last) streams_.release(s);
 }
 
-void DmaEngine::write(mem::Addr addr, std::vector<std::uint8_t> data,
+void DmaEngine::write(mem::Addr addr, mem::Payload data,
                       std::function<void()> on_done, obs::FlowId flow) {
   assert(!data.empty());
   const std::uint64_t total = data.size();
@@ -130,27 +123,18 @@ void DmaEngine::write(mem::Addr addr, std::vector<std::uint8_t> data,
       if (inner) inner();
     };
   }
-  // Single-chunk payloads (the message-rate workload: tiny puts) move
-  // straight into the fabric - no shared-buffer machinery.
-  if (total <= cfg_.write_chunk_size) {
-    ++writes_issued_;
-    fabric_.write(self_, addr, std::move(data), std::move(on_done));
-    return;
-  }
   // Posted writes: issue all chunks back to back; the link model
   // serializes them. Only the final chunk carries the completion callback
-  // ("last byte landed"). All chunks alias one shared payload buffer, so
-  // chunking a large put costs zero extra copies on the DMA side.
-  auto payload = std::make_shared<const std::vector<std::uint8_t>>(
-      std::move(data));
+  // ("last byte landed"). Every chunk is a slice of `data`, so chunking
+  // a large put copies nothing on the DMA side.
   std::uint64_t offset = 0;
   while (offset < total) {
-    const auto chunk = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        cfg_.write_chunk_size, total - offset));
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(cfg_.write_chunk_size, total - offset);
     const bool last = offset + chunk == total;
     ++writes_issued_;
-    fabric_.write_shared(self_, addr + offset, payload, offset, chunk,
-                         last ? std::move(on_done) : std::function<void()>{});
+    fabric_.write(self_, addr + offset, data.slice(offset, chunk),
+                  last ? std::move(on_done) : std::function<void()>{});
     offset += chunk;
   }
 }

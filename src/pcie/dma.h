@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "mem/address_map.h"
+#include "mem/payload.h"
 #include "obs/flow.h"
 #include "pcie/fabric.h"
 #include "sim/simulation.h"
@@ -31,8 +32,7 @@ class DmaEngine {
   /// One streamed segment: its offset within the stream, whether it is
   /// the stream's last, and its bytes.
   using SegmentFn =
-      std::function<void(std::uint64_t offset, bool last,
-                         std::vector<std::uint8_t> data)>;
+      std::function<void(std::uint64_t offset, bool last, mem::Payload data)>;
 
   DmaEngine(sim::Simulation& sim, Fabric& fabric, EndpointId self,
             DmaConfig cfg)
@@ -42,12 +42,12 @@ class DmaEngine {
   DmaEngine(const DmaEngine&) = delete;
   DmaEngine& operator=(const DmaEngine&) = delete;
 
-  /// Gathers [addr, addr+len) and hands the assembled buffer to `on_done`
-  /// once the final completion arrives. A nonzero `flow` annotates the
-  /// completed transfer with that message lifecycle (trace-only).
+  /// Gathers [addr, addr+len) into one payload - each read request's
+  /// completion fills its slice - and hands it to `on_done` once the
+  /// final completion arrives. A nonzero `flow` annotates the completed
+  /// transfer with that message lifecycle (trace-only).
   void read(mem::Addr addr, std::uint64_t len,
-            std::function<void(std::vector<std::uint8_t>)> on_done,
-            obs::FlowId flow = 0);
+            std::function<void(mem::Payload)> on_done, obs::FlowId flow = 0);
 
   /// Streams [addr, addr+len) out of memory in `segment`-byte reads, one
   /// in flight: when segment k lands, the read of segment k+1 is issued
@@ -58,11 +58,12 @@ class DmaEngine {
   void stream(mem::Addr addr, std::uint64_t len, std::uint32_t segment,
               obs::FlowId flow, SegmentFn on_segment);
 
-  /// Scatters `data` to [addr, addr+size); `on_done` runs when the last
-  /// byte has landed (posted writes, so this is target-arrival time).
-  /// A nonzero `flow` annotates the transfer (trace-only).
-  void write(mem::Addr addr, std::vector<std::uint8_t> data,
-             std::function<void()> on_done, obs::FlowId flow = 0);
+  /// Scatters `data` to [addr, addr+size) in write-chunk TLPs that are
+  /// slices of it; `on_done` runs when the last byte has landed (posted
+  /// writes, so this is target-arrival time). A nonzero `flow` annotates
+  /// the transfer (trace-only).
+  void write(mem::Addr addr, mem::Payload data, std::function<void()> on_done,
+             obs::FlowId flow = 0);
 
   std::uint64_t reads_issued() const { return reads_issued_; }
   std::uint64_t writes_issued() const { return writes_issued_; }
@@ -96,13 +97,13 @@ class DmaEngine {
     DmaEngine* engine = nullptr;     // lets chunk callbacks stay small
     mem::Addr base = 0;
     std::uint64_t length = 0;
-    std::vector<std::uint8_t> buffer;
+    mem::Payload buffer;
     std::uint64_t next_offset = 0;   // next segment to request
     std::uint64_t outstanding = 0;   // requests in flight
     std::uint64_t received = 0;      // bytes completed
     SimTime t_start = 0;             // issue time (observability span)
     obs::FlowId flow = 0;            // lifecycle annotation, trace-only
-    std::function<void(std::vector<std::uint8_t>)> on_done;
+    std::function<void(mem::Payload)> on_done;
   };
 
   struct Stream {
@@ -116,7 +117,7 @@ class DmaEngine {
 
   void pump_reads(ReadJob* job);
   void pull_next(Stream* s, obs::FlowId flow);
-  void segment_landed(Stream* s, std::vector<std::uint8_t> data);
+  void segment_landed(Stream* s, mem::Payload data);
 
   sim::Simulation& sim_;
   Fabric& fabric_;

@@ -67,16 +67,17 @@ void Fabric::apply_write(EndpointId target, Addr addr,
   ports_[target].device->inbound_write(addr, data);
 }
 
-bool Fabric::post_write_timing(EndpointId src, Addr addr, std::uint64_t len,
-                               EndpointId& target, SimTime& delivery) {
-  target = kRootComplex;
+void Fabric::write(EndpointId src, Addr addr, mem::Payload data,
+                   std::function<void()> on_delivered) {
+  EndpointId target = kRootComplex;
   if (!route(addr, target)) {
     PG_ERROR("pcie", "write to unrouted address 0x%llx",
              static_cast<unsigned long long>(addr));
     assert(false && "pcie write to unrouted address");
-    return false;
+    return;
   }
   ++transactions_;
+  const std::uint64_t len = data.size();
   const SimTime now = sim_.now();
   // Upstream traversal (issuer side), skipped for the root complex.
   SimTime t = now;
@@ -101,44 +102,15 @@ bool Fabric::post_write_timing(EndpointId src, Addr addr, std::uint64_t len,
                {"src", ports_[src].name},
                {"dst", ports_[target].name}});
   }
-  delivery = t;
-  return true;
+  sim_.schedule_at(t, [this, target, addr, data = std::move(data),
+                       cb = std::move(on_delivered)]() {
+    apply_write(target, addr, data.bytes());
+    if (cb) cb();
+  });
 }
 
-void Fabric::write(EndpointId src, Addr addr, std::vector<std::uint8_t> data,
-                   std::function<void()> on_delivered) {
-  EndpointId target = kRootComplex;
-  SimTime t = 0;
-  if (!post_write_timing(src, addr, data.size(), target, t)) return;
-  sim_.schedule_at(
-      t, [this, target, addr, data = std::move(data),
-          cb = std::move(on_delivered)]() {
-        apply_write(target, addr, data);
-        if (cb) cb();
-      });
-}
-
-void Fabric::write_shared(
-    EndpointId src, Addr addr,
-    std::shared_ptr<const std::vector<std::uint8_t>> payload,
-    std::uint64_t offset, std::uint32_t len,
-    std::function<void()> on_delivered) {
-  assert(payload && offset + len <= payload->size());
-  EndpointId target = kRootComplex;
-  SimTime t = 0;
-  if (!post_write_timing(src, addr, len, target, t)) return;
-  sim_.schedule_at(
-      t, [this, target, addr, payload = std::move(payload), offset, len,
-          cb = std::move(on_delivered)]() {
-        apply_write(target, addr,
-                    std::span<const std::uint8_t>(payload->data() + offset,
-                                                  len));
-        if (cb) cb();
-      });
-}
-
-void Fabric::read(EndpointId src, Addr addr, std::uint32_t len,
-                  std::function<void(std::vector<std::uint8_t>)> on_data) {
+void Fabric::read(EndpointId src, Addr addr, mem::Payload into,
+                  std::function<void(mem::Payload)> on_data) {
   EndpointId target = kRootComplex;
   if (!route(addr, target)) {
     PG_ERROR("pcie", "read of unrouted address 0x%llx",
@@ -160,10 +132,11 @@ void Fabric::read(EndpointId src, Addr addr, std::uint32_t len,
   // We defer sampling to the arrival event so that writes landing before
   // the request is served are observed.
   const SimTime t_issue = now;
-  sim_.schedule_at(arrival, [this, src, target, addr, len, arrival, t_issue,
+  sim_.schedule_at(arrival, [this, src, target, addr, arrival, t_issue,
+                             data = std::move(into),
                              cb = std::move(on_data)]() mutable {
-    std::vector<std::uint8_t> data(len);
-    const SimTime ready = serve_read(target, arrival, addr, data);
+    const std::uint64_t len = data.size();
+    const SimTime ready = serve_read(target, arrival, addr, data.writable());
     // Completion path: target up-link, then issuer down-link.
     SimTime back = ready;
     if (target != kRootComplex) {
@@ -184,7 +157,8 @@ void Fabric::read(EndpointId src, Addr addr, std::uint32_t len,
                  {"src", ports_[src].name},
                  {"dst", ports_[target].name}});
     }
-    sim_.schedule_at(back, [data = std::move(data), cb = std::move(cb)]() {
+    sim_.schedule_at(back, [data = std::move(data),
+                            cb = std::move(cb)]() mutable {
       cb(std::move(data));
     });
   });

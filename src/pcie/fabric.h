@@ -25,6 +25,7 @@
 #include "common/units.h"
 #include "mem/address_map.h"
 #include "mem/memory_domain.h"
+#include "mem/payload.h"
 #include "pcie/link.h"
 #include "sim/simulation.h"
 
@@ -72,25 +73,23 @@ class Fabric {
   void claim_range(EndpointId id, Addr base, std::uint64_t size);
 
   /// Posted write of `data` to `addr`, issued by `src` (kRootComplex for
-  /// the CPU). `on_delivered`, if given, runs when the write lands at the
-  /// target (simulated time has advanced).
-  void write(EndpointId src, Addr addr, std::vector<std::uint8_t> data,
+  /// the CPU). `data` may be a slice of a larger payload: the DMA engine
+  /// chunks one payload into many TLPs that all alias its storage.
+  /// `on_delivered`, if given, runs when the write lands at the target
+  /// (simulated time has advanced).
+  void write(EndpointId src, Addr addr, mem::Payload data,
              std::function<void()> on_delivered = {});
 
-  /// Posted write whose payload is a window into a shared buffer:
-  /// [offset, offset+len) of `*payload`. The DMA engine uses this to
-  /// chunk one payload into many TLPs that all alias a single
-  /// allocation instead of copying each piece. Timing is identical to
-  /// the vector overload.
-  void write_shared(EndpointId src, Addr addr,
-                    std::shared_ptr<const std::vector<std::uint8_t>> payload,
-                    std::uint64_t offset, std::uint32_t len,
-                    std::function<void()> on_delivered = {});
+  /// Split read of `into.size()` bytes at `addr`, issued by `src`. The
+  /// target serves the read straight into `into` (a fresh payload, or a
+  /// slice of the requester's); `on_data` gets it back when the
+  /// completion arrives at the issuer.
+  void read(EndpointId src, Addr addr, mem::Payload into,
+            std::function<void(mem::Payload)> on_data);
 
-  /// Split read of `len` bytes at `addr`, issued by `src`. `on_data` runs
-  /// when the completion arrives back at the issuer.
-  void read(EndpointId src, Addr addr, std::uint32_t len,
-            std::function<void(std::vector<std::uint8_t>)> on_data);
+  /// This node's payload storage: every payload a read fills or a device
+  /// posts on this node comes from here.
+  mem::PayloadPool& payloads() { return payloads_; }
 
   /// Immediate, zero-time access to host DRAM for the CPU (the CPU's own
   /// loads/stores do not cross the fabric; their cost lives in the CPU
@@ -125,16 +124,11 @@ class Fabric {
   SimTime serve_read(EndpointId target, SimTime arrival, Addr addr,
                      std::span<std::uint8_t> out);
 
-  /// Shared front half of the posted-write overloads: routes `addr`,
-  /// occupies the wire for `len` bytes, and emits observability records.
-  /// Returns the delivery time, or false when the address routes nowhere.
-  bool post_write_timing(EndpointId src, Addr addr, std::uint64_t len,
-                         EndpointId& target, SimTime& delivery);
-
   /// Applies a write at the routing target.
   void apply_write(EndpointId target, Addr addr,
                    std::span<const std::uint8_t> data);
 
+  mem::PayloadPool payloads_;
   sim::Simulation& sim_;
   mem::MemoryDomain& memory_;
   FabricConfig cfg_;

@@ -9,17 +9,14 @@ namespace pg::putget {
 void fill_pattern(sys::Node& node, mem::Addr addr, std::uint64_t len,
                   std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::uint8_t> data(len);
-  for (auto& b : data) b = rng.next_byte();
-  node.memory().write(addr, data);
+  node.memory().fill_in_place(addr, len, [&rng](std::span<std::uint8_t> page) {
+    for (auto& b : page) b = rng.next_byte();
+  });
 }
 
 bool ranges_equal(sys::Node& a, mem::Addr addr_a, sys::Node& b,
                   mem::Addr addr_b, std::uint64_t len) {
-  std::vector<std::uint8_t> da(len), db(len);
-  a.memory().read(addr_a, da);
-  b.memory().read(addr_b, db);
-  return da == db;
+  return a.memory().same_bytes(addr_a, b.memory(), addr_b, len);
 }
 
 Result<ExtollPair> ExtollPair::create(sys::Cluster& cluster,

@@ -974,5 +974,129 @@ TEST(GpuSpinPark, SpinOnUnwrittenFlagReportsDeadlock) {
   EXPECT_EQ(g.sim.events_executed(), 10'000u);
 }
 
+// --- L2 tag store -------------------------------------------------------------
+
+/// The L2 tag store as first written: an array of {tag, valid, stamp}
+/// lines scanned way by way, one set scan per invalidated line. Kept as
+/// the oracle for L2Cache's contiguous-tag layout and early-exit set scan.
+class ReferenceL2 {
+ public:
+  explicit ReferenceL2(L2Config cfg)
+      : cfg_(cfg), lines_(static_cast<std::size_t>(cfg.num_sets) * cfg.ways) {}
+
+  bool access(Addr addr) {
+    const std::uint64_t line = addr / cfg_.line_size;
+    Line* slot = &lines_[(line % cfg_.num_sets) * cfg_.ways];
+    Line* victim = slot;
+    ++clock_;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Line& candidate = slot[w];
+      if (candidate.valid && candidate.tag == line) {
+        candidate.lru_stamp = clock_;
+        ++hits_;
+        return true;
+      }
+      if (!candidate.valid) {
+        victim = &candidate;
+      } else if (victim->valid && candidate.lru_stamp < victim->lru_stamp) {
+        victim = &candidate;
+      }
+    }
+    ++misses_;
+    victim->valid = true;
+    victim->tag = line;
+    victim->lru_stamp = clock_;
+    return false;
+  }
+
+  bool holds(Addr addr) const {
+    const std::uint64_t line = addr / cfg_.line_size;
+    const Line* slot = &lines_[(line % cfg_.num_sets) * cfg_.ways];
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      if (slot[w].valid && slot[w].tag == line) return true;
+    }
+    return false;
+  }
+
+  void invalidate_range(Addr addr, std::uint64_t len) {
+    if (len == 0) return;
+    const std::uint64_t first = addr / cfg_.line_size;
+    const std::uint64_t last = (addr + len - 1) / cfg_.line_size;
+    for (std::uint64_t line = first; line <= last; ++line) {
+      Line* slot = &lines_[(line % cfg_.num_sets) * cfg_.ways];
+      for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+        if (slot[w].valid && slot[w].tag == line) {
+          slot[w].valid = false;
+          ++invalidations_;
+        }
+      }
+    }
+  }
+
+  void credit_hits(std::uint64_t n) {
+    clock_ += n;
+    hits_ += n;
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t invalidations() const { return invalidations_; }
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    std::uint64_t lru_stamp = 0;
+  };
+  L2Config cfg_;
+  std::vector<Line> lines_;
+  std::uint64_t clock_ = 0, hits_ = 0, misses_ = 0, invalidations_ = 0;
+};
+
+// Random access / invalidate / holds sequences replayed against the
+// reference: every hit, miss, invalidation count and holds() answer must
+// agree, including ranges wider than the whole cache.
+TEST(L2Cache, MatchesReferenceOnRandomSequences) {
+  L2Config small;
+  small.num_sets = 8;
+  small.ways = 4;
+  for (const L2Config& cfg : {L2Config{}, small}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "sets " << cfg.num_sets << " seed "
+                                      << seed);
+      L2Cache l2(cfg);
+      ReferenceL2 ref(cfg);
+      Rng rng(seed);
+      // A footprint a few times the cache, so sets fill and evict.
+      const std::uint64_t footprint = std::uint64_t{cfg.line_size} *
+                                      cfg.num_sets * cfg.ways * 3;
+      for (int op = 0; op < 10'000; ++op) {
+        const Addr addr = AddressMap::kGpuDramBase + rng.next_below(footprint);
+        const std::uint64_t kind = rng.next_below(100);
+        if (kind < 70) {
+          ASSERT_EQ(l2.access(addr, kind < 20), ref.access(addr)) << op;
+        } else if (kind < 85) {
+          // Mostly small (inbound-write sized) ranges, sometimes wider
+          // than the whole cache.
+          const std::uint64_t len =
+              kind < 84 ? rng.next_below(4096) + 1
+                        : rng.next_below(footprint) + 1;
+          l2.invalidate_range(addr, len);
+          ref.invalidate_range(addr, len);
+        } else if (kind < 98) {
+          ASSERT_EQ(l2.holds(addr), ref.holds(addr)) << op;
+        } else {
+          l2.credit_hits(kind);
+          ref.credit_hits(kind);
+        }
+      }
+      EXPECT_EQ(l2.hits(), ref.hits());
+      EXPECT_EQ(l2.misses(), ref.misses());
+      EXPECT_EQ(l2.invalidations(), ref.invalidations());
+      EXPECT_GT(l2.invalidations(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pg::gpu

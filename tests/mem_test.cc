@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "mem/address_map.h"
 #include "mem/memory_domain.h"
+#include "mem/payload.h"
 #include "mem/registration.h"
 #include "mem/sparse_memory.h"
 
@@ -280,6 +282,137 @@ TEST(Registration, UnknownKeyIsNotFound) {
   auto r = table.check(777, AddressMap::kHostDramBase, 8, Access::kRead);
   EXPECT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+// --- Payload -----------------------------------------------------------------
+
+TEST(Payload, SlicesAliasTheirParentAndOutliveIt) {
+  PayloadPool pool;
+  Payload slice;
+  {
+    Payload parent = pool.acquire(256);
+    for (std::size_t i = 0; i < 256; ++i) {
+      parent.writable()[i] = static_cast<std::uint8_t>(i);
+    }
+    slice = parent.slice(100, 50);
+    EXPECT_EQ(slice.data(), parent.data() + 100);
+    // A write through the parent shows through the slice.
+    parent.writable()[120] = 0xEE;
+    EXPECT_EQ(slice.bytes()[20], 0xEE);
+    const Payload nested = slice.slice(10, 5);
+    EXPECT_EQ(nested.size(), 5u);
+    EXPECT_EQ(nested.bytes()[0], 110);
+  }
+  // The parent is gone; the slice still holds the block.
+  ASSERT_EQ(slice.size(), 50u);
+  EXPECT_EQ(slice.bytes()[0], 100);
+  EXPECT_EQ(slice.bytes()[49], 149);
+  EXPECT_EQ(slice.bytes()[20], 0xEE);
+  EXPECT_EQ(pool.blocks_allocated(), 1u);
+}
+
+TEST(Payload, EmptyPayloadTakesNoStorage) {
+  PayloadPool pool;
+  const Payload none = pool.acquire(0);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.data(), nullptr);
+  EXPECT_TRUE(pool.copy({}).empty());
+  EXPECT_EQ(pool.blocks_allocated(), 0u);
+}
+
+TEST(Payload, ReleasedBlocksAreRecycledPerSizeClass) {
+  PayloadPool pool;
+  const std::uint8_t* first = nullptr;
+  {
+    const Payload p = pool.copy(std::vector<std::uint8_t>(64 * 1024, 7));
+    first = p.data();
+    EXPECT_EQ(p.bytes()[65535], 7);
+  }
+  // Same class (64 KiB): the block comes back, no new allocation.
+  const Payload again = pool.acquire(40 * 1024);
+  EXPECT_EQ(again.data(), first);
+  EXPECT_EQ(pool.blocks_allocated(), 1u);
+  // Another class while that block is out: one more block.
+  const Payload small = pool.acquire(8);
+  EXPECT_EQ(pool.blocks_allocated(), 2u);
+}
+
+TEST(Payload, BlocksReleasedOnAnotherThreadComeHome) {
+  PayloadPool pool;
+  Payload p = pool.acquire(4096);
+  const std::uint8_t* block = p.data();
+  std::thread remote([moved = std::move(p)]() mutable { moved = Payload{}; });
+  remote.join();
+  EXPECT_EQ(pool.acquire(4096).data(), block);
+  EXPECT_EQ(pool.blocks_allocated(), 1u);
+}
+
+// Two threads drop views while the owner keeps acquiring: the hand-over
+// the sharded engine relies on (the thread-sanitizer build checks it).
+TEST(Payload, ConcurrentReleasesWhileTheOwnerAcquires) {
+  PayloadPool pool;
+  constexpr int kPerThread = 2000;
+  std::vector<Payload> batches[2];
+  for (auto& batch : batches) {
+    for (int i = 0; i < kPerThread; ++i) batch.push_back(pool.acquire(256));
+  }
+  std::thread releasers[2];
+  for (int t = 0; t < 2; ++t) {
+    releasers[t] = std::thread([&batch = batches[t]] {
+      for (Payload& p : batch) p = Payload{};
+    });
+  }
+  for (int i = 0; i < 2 * kPerThread; ++i) {
+    Payload p = pool.acquire(200);
+    p.writable()[0] = static_cast<std::uint8_t>(i);
+  }
+  for (std::thread& t : releasers) t.join();
+  // Every block came back: a full batch again needs none beyond those.
+  const std::uint64_t before = pool.blocks_allocated();
+  std::vector<Payload> again;
+  for (int i = 0; i < 2 * kPerThread; ++i) again.push_back(pool.acquire(256));
+  EXPECT_EQ(pool.blocks_allocated(), before);
+}
+
+TEST(Payload, PayloadsMayOutliveTheirPool) {
+  Payload survivor;
+  {
+    PayloadPool pool;
+    survivor = pool.copy(std::vector<std::uint8_t>{1, 2, 3});
+    const Payload idle = pool.acquire(100);  // back in the pool at scope end
+  }
+  // The pool is gone; its bookkeeping lives until this last block drops
+  // (the sanitizer build checks that both are freed).
+  ASSERT_EQ(survivor.size(), 3u);
+  EXPECT_EQ(survivor.bytes()[2], 3);
+}
+
+// --- In-place fill and page-wise comparison ----------------------------------
+
+TEST(SparseMemory, FillInPlaceVisitsPagesInOrder) {
+  SparseMemory mem(1 << 20);
+  std::uint8_t next = 0;
+  std::vector<std::size_t> pieces;
+  mem.fill_in_place(4000, 9000, [&](std::span<std::uint8_t> page) {
+    pieces.push_back(page.size());
+    for (auto& b : page) b = next++;
+  });
+  EXPECT_EQ(pieces, (std::vector<std::size_t>{96, 4096, 4096, 712}));
+  std::vector<std::uint8_t> got(9000);
+  mem.read(4000, got);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], static_cast<std::uint8_t>(i));
+  }
+}
+
+TEST(SparseMemory, SameBytesTreatsAbsentPagesAsZero) {
+  SparseMemory a(1 << 20), b(1 << 20);
+  EXPECT_TRUE(a.same_bytes(0, b, 4096, 3 * 4096));
+  b.write_u8(8192, 0);  // resident but zero
+  EXPECT_TRUE(a.same_bytes(0, b, 4096, 3 * 4096));
+  b.write_u8(8193, 1);
+  EXPECT_FALSE(a.same_bytes(0, b, 4096, 3 * 4096));
+  EXPECT_FALSE(b.same_bytes(4096, a, 0, 3 * 4096));
 }
 
 }  // namespace

@@ -17,6 +17,15 @@ namespace {
 
 using mem::AddressMap;
 
+/// A payload from `fabric`'s pool holding `bytes`.
+mem::Payload payload_of(Fabric& fabric, const std::vector<std::uint8_t>& bytes) {
+  return fabric.payloads().copy(bytes);
+}
+
+std::vector<std::uint8_t> bytes_of(const mem::Payload& p) {
+  return {p.bytes().begin(), p.bytes().end()};
+}
+
 TEST(Link, WireBytesIncludeTlpFraming) {
   LinkConfig cfg;
   cfg.max_payload = 256;
@@ -104,7 +113,7 @@ struct FabricFixture {
 TEST(Fabric, CpuWriteReachesEndpointBar) {
   FabricFixture f;
   f.fabric.write(kRootComplex, AddressMap::kExtollBarBase + 0x10,
-                 {1, 2, 3, 4, 5, 6, 7, 8});
+                 payload_of(f.fabric, {1, 2, 3, 4, 5, 6, 7, 8}));
   f.sim.run();
   ASSERT_EQ(f.nic.writes.size(), 1u);
   EXPECT_EQ(f.nic.writes[0].addr, AddressMap::kExtollBarBase + 0x10);
@@ -115,8 +124,8 @@ TEST(Fabric, WriteToHostDramLandsInMemory) {
   FabricFixture f;
   std::vector<std::uint8_t> data = {0xAA, 0xBB, 0xCC, 0xDD};
   bool delivered = false;
-  f.fabric.write(f.nic_id, AddressMap::kHostDramBase + 512, data,
-                 [&] { delivered = true; });
+  f.fabric.write(f.nic_id, AddressMap::kHostDramBase + 512,
+                 payload_of(f.fabric, data), [&] { delivered = true; });
   f.sim.run();
   EXPECT_TRUE(delivered);
   std::vector<std::uint8_t> got(4);
@@ -129,8 +138,8 @@ TEST(Fabric, ReadFromHostDramReturnsData) {
   f.memory.write_u64(AddressMap::kHostDramBase + 64, 0xFEEDFACE12345678ull);
   std::uint64_t got = 0;
   SimTime completion_time = -1;
-  f.fabric.read(f.nic_id, AddressMap::kHostDramBase + 64, 8,
-                [&](std::vector<std::uint8_t> data) {
+  f.fabric.read(f.nic_id, AddressMap::kHostDramBase + 64,
+                f.fabric.payloads().acquire(8), [&](mem::Payload data) {
                   std::memcpy(&got, data.data(), 8);
                   completion_time = f.sim.now();
                 });
@@ -147,8 +156,8 @@ TEST(Fabric, ReadSamplesDataAtServiceTime) {
   // even though the read was issued first in wall-clock order with an
   // in-flight delay.
   std::uint64_t got = 1;
-  f.fabric.read(f.nic_id, AddressMap::kHostDramBase, 8,
-                [&](std::vector<std::uint8_t> data) {
+  f.fabric.read(f.nic_id, AddressMap::kHostDramBase,
+                f.fabric.payloads().acquire(8), [&](mem::Payload data) {
                   std::memcpy(&got, data.data(), 8);
                 });
   // Direct (zero-time) memory poke well before the request can arrive.
@@ -160,8 +169,9 @@ TEST(Fabric, ReadSamplesDataAtServiceTime) {
 TEST(Fabric, PeerToPeerReadGoesToEndpoint) {
   FabricFixture f;
   std::vector<std::uint8_t> got;
-  f.fabric.read(f.nic_id, AddressMap::kGpuDramBase + 4096, 16,
-                [&](std::vector<std::uint8_t> data) { got = std::move(data); });
+  f.fabric.read(f.nic_id, AddressMap::kGpuDramBase + 4096,
+                f.fabric.payloads().acquire(16),
+                [&](mem::Payload data) { got = bytes_of(data); });
   f.sim.run();
   ASSERT_EQ(f.gpu.reads.size(), 1u);
   EXPECT_EQ(f.gpu.reads[0].addr, AddressMap::kGpuDramBase + 4096);
@@ -175,7 +185,8 @@ TEST(Fabric, PostedWritesFromOneSourceArriveInOrder) {
   std::vector<int> arrival_order;
   for (int i = 0; i < 20; ++i) {
     f.fabric.write(kRootComplex, AddressMap::kExtollBarBase + i * 8,
-                   std::vector<std::uint8_t>(8, static_cast<std::uint8_t>(i)),
+                   payload_of(f.fabric, std::vector<std::uint8_t>(
+                                            8, static_cast<std::uint8_t>(i))),
                    [&arrival_order, i] { arrival_order.push_back(i); });
   }
   f.sim.run();
@@ -185,7 +196,8 @@ TEST(Fabric, PostedWritesFromOneSourceArriveInOrder) {
 
 TEST(Fabric, TracksWireStatistics) {
   FabricFixture f;
-  f.fabric.write(f.nic_id, AddressMap::kHostDramBase, {1, 2, 3, 4});
+  f.fabric.write(f.nic_id, AddressMap::kHostDramBase,
+                 payload_of(f.fabric, {1, 2, 3, 4}));
   f.sim.run();
   EXPECT_EQ(f.fabric.upstream_bytes(f.nic_id), 4u);
   EXPECT_EQ(f.fabric.transactions(), 1u);
@@ -277,7 +289,7 @@ TEST(Dma, GatherReadReassemblesExactBytes) {
   f.memory.write(AddressMap::kHostDramBase + 1000, payload);
   std::vector<std::uint8_t> got;
   f.dma.read(AddressMap::kHostDramBase + 1000, payload.size(),
-             [&](std::vector<std::uint8_t> data) { got = std::move(data); });
+             [&](mem::Payload data) { got = bytes_of(data); });
   f.sim.run();
   EXPECT_EQ(got, payload);
   // 20000 bytes at 4096-byte requests = 5 requests.
@@ -290,7 +302,8 @@ TEST(Dma, ScatterWriteLandsExactBytes) {
   std::vector<std::uint8_t> payload(9000);
   for (auto& b : payload) b = rng.next_byte();
   bool done = false;
-  f.dma.write(AddressMap::kHostDramBase + 2048, payload, [&] { done = true; });
+  f.dma.write(AddressMap::kHostDramBase + 2048, payload_of(f.fabric, payload),
+              [&] { done = true; });
   f.sim.run();
   EXPECT_TRUE(done);
   std::vector<std::uint8_t> got(payload.size());
@@ -307,13 +320,13 @@ TEST(Dma, WindowedReadsOverlap) {
   DmaEngine serial(strict.sim, strict.fabric, strict.nic_id, strict.dma_cfg);
   SimTime serial_done = 0;
   serial.read(AddressMap::kHostDramBase, 256 * KiB,
-              [&](std::vector<std::uint8_t>) { serial_done = strict.sim.now(); });
+              [&](mem::Payload) { serial_done = strict.sim.now(); });
   strict.sim.run();
 
   DmaFixture wide;
   SimTime wide_done = 0;
   wide.dma.read(AddressMap::kHostDramBase, 256 * KiB,
-                [&](std::vector<std::uint8_t>) { wide_done = wide.sim.now(); });
+                [&](mem::Payload) { wide_done = wide.sim.now(); });
   wide.sim.run();
 
   EXPECT_LT(wide_done, serial_done);
