@@ -110,10 +110,11 @@ class NetworkLink {
 
   /// Splits the two endpoints across event shards: side 0 runs on
   /// `shard_a` / side 1 on `shard_b`, and deliveries between different
-  /// shards travel through the group's admission channels instead of a
-  /// shared heap. The link's flight latency is what makes this legal —
-  /// it is the group's lookahead. Sender-side state (busy_until, byte
-  /// counters) is owned by the sending shard throughout.
+  /// shards go through the sending shard's outbox in the group
+  /// (ShardGroup::post) instead of a shared heap. The link's flight
+  /// latency is what makes this legal — it is the group's lookahead.
+  /// Sender-side state (busy_until, byte counters) is owned by the
+  /// sending shard throughout.
   void bind_shards(sim::ShardGroup& group, int shard_a,
                    sim::Simulation& sim_a, int shard_b,
                    sim::Simulation& sim_b) {

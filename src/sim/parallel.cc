@@ -62,11 +62,6 @@ ShardGroup::ShardGroup(std::vector<Simulation*> shards, Options opt)
     s->set_shared_births(&shared_births_);
     s->set_shared_births_active(true);
   }
-  channels_.reserve(static_cast<std::size_t>(n) * n);
-  for (int i = 0; i < n * n; ++i) {
-    channels_.push_back(
-        std::make_unique<SpscChannel<Admission>>(opt_.channel_capacity));
-  }
   // The coordinating caller always participates; the rest are pool
   // threads that join each round's claim race.
   threads_.reserve(static_cast<std::size_t>(opt_.workers - 1));
@@ -103,15 +98,21 @@ void ShardGroup::claim_windows() {
     // state before it touches a window.
     const int i = claim_.fetch_add(1, std::memory_order_acq_rel);
     if (i >= n) return;
-    Slot& s = slots_[static_cast<std::size_t>(i)];
-    // Window execution runs with the shard's observability buffer bound
-    // to this thread (obs helpers defer instead of touching the global
-    // sinks); the coordinator folds the buffers in at the next fence.
-    if (hooks_.bind) hooks_.bind(i, s.sim);
-    s.result = s.sim->run_window(s.cap, s.cond);
-    if (hooks_.unbind) hooks_.unbind();
+    run_window(i);
+    // Release publishes the window's slot, outbox included, to the
+    // coordinator's acquire in run_round().
     windows_done_.fetch_add(1, std::memory_order_release);
   }
+}
+
+void ShardGroup::run_window(int i) {
+  Slot& s = slots_[static_cast<std::size_t>(i)];
+  // Window execution runs with the shard's observability buffer bound
+  // to this thread (obs helpers defer instead of touching the global
+  // sinks); the coordinator folds the buffers in at the next fence.
+  if (hooks_.bind) hooks_.bind(i, s.sim);
+  s.result = s.sim->run_window(s.cap, s.cond);
+  if (hooks_.unbind) hooks_.unbind();
 }
 
 std::uint64_t ShardGroup::run_round() {
@@ -122,12 +123,7 @@ std::uint64_t ShardGroup::run_round() {
   // would do.
   for (Simulation* s : shards_) s->set_shared_births_active(false);
   if (opt_.workers == 1) {
-    for (int i = 0; i < num_shards(); ++i) {
-      Slot& s = slots_[static_cast<std::size_t>(i)];
-      if (hooks_.bind) hooks_.bind(i, s.sim);
-      s.result = s.sim->run_window(s.cap, s.cond);
-      if (hooks_.unbind) hooks_.unbind();
-    }
+    for (int i = 0; i < num_shards(); ++i) run_window(i);
   } else {
     windows_done_.store(0, std::memory_order_relaxed);
     // Release-publishes this round's caps/conds (written before this
@@ -170,24 +166,23 @@ void ShardGroup::post(int src, int dst, SimTime when, SimTime birth_time,
       slots_[static_cast<std::size_t>(dst)].cond != nullptr;
   const Key cap = Key::before(to_waiter ? when : when + opt_.lookahead);
   if (cap < from.cap) from.cap = cap;
-  channels_[static_cast<std::size_t>(src) * num_shards() + dst]->push(
+  from.outbox.push_back(
       Admission{when, birth_time, birth_tag, dst, std::move(fn)});
-  posted_.fetch_add(1, std::memory_order_release);
 }
 
-void ShardGroup::drain_channels() {
-  // Nothing new since the last drain → skip the N^2 channel scan. The
-  // counter is exact here: drains run between rounds, when no window
-  // (and therefore no producer) is executing.
-  if (posted_.load(std::memory_order_acquire) == drained_) return;
+void ShardGroup::drain_outboxes() {
+  // Drains run between rounds, when no window (and therefore no
+  // poster) is executing.
   admit_buf_.clear();
-  for (auto& ch : channels_) ch->drain(admit_buf_);
-  drained_ += admit_buf_.size();
+  for (Slot& s : slots_) {
+    for (Admission& a : s.outbox) admit_buf_.push_back(std::move(a));
+    s.outbox.clear();
+  }
   if (admit_buf_.empty()) return;
   // Global birth-key order makes the admission sequence (and therefore
-  // any tie-resolution bookkeeping) independent of channel layout and
-  // worker timing. Birth tags are globally unique, so this is a strict
-  // total order.
+  // any tie-resolution bookkeeping) independent of which shard posted
+  // and of worker timing. Birth tags are globally unique, so this is a
+  // strict total order.
   std::sort(admit_buf_.begin(), admit_buf_.end(),
             [](const Admission& a, const Admission& b) {
               if (a.when != b.when) return a.when < b.when;
@@ -257,7 +252,7 @@ ShardGroup::Outcome ShardGroup::run(const std::vector<ShardCond>& conds,
     assert(w.cond == nullptr && "one condition per shard");
     w.cond = &c;
   }
-  drain_channels();
+  drain_outboxes();
   // A predicate already true at the start fires "now", before anything
   // runs — the sequential engine checks before stepping, too.
   std::size_t unfired = 0;
@@ -271,7 +266,7 @@ ShardGroup::Outcome ShardGroup::run(const std::vector<ShardCond>& conds,
     }
   }
   while (conds.empty() || unfired > 0) {
-    drain_channels();
+    drain_outboxes();
     const Frontier f = frontier();
     // No shard can send: the group drained, or deadlocked on parked
     // pollers whose predicates are all false, and no event will ever run
@@ -344,7 +339,7 @@ ShardGroup::Outcome ShardGroup::run(const std::vector<ShardCond>& conds,
   // included; finish them so the fence leaves each shard with nothing
   // pending that the stop point precedes.
   for (;;) {
-    drain_channels();
+    drain_outboxes();
     const Frontier f = frontier();
     if (!(f.next < k_star)) break;  // drained included
     for (int i = 0; i < n; ++i) {

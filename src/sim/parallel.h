@@ -7,15 +7,16 @@
 // one shard can affect another shard no earlier than t + lookahead.
 //
 // Execution proceeds in barrier-synchronized rounds (LBTS style):
-//   1. the coordinator drains every cross-shard channel, sorts the
+//   1. the coordinator drains every shard's outbox, sorts the
 //      admissions by birth key, and inserts them into the destination
 //      shards (single-threaded, deterministic);
 //   2. it grants every shard a window capped at its horizon: the
 //      smallest send bound (below) of any other shard plus lookahead,
 //      and releases the workers; each shard executes its window events
-//      in local birth-key order, emitting cross-shard events into
-//      bounded SPSC channels;
-//   3. the barrier closes and the next round begins.
+//      in local birth-key order, appending cross-shard events to its
+//      own outbox (a plain vector only its window's thread writes);
+//   3. the barrier closes, publishing every outbox to the coordinator,
+//      and the next round begins.
 //
 // Determinism is by construction, not by luck: the caps, admissions and
 // per-shard execution are all pure functions of the state at the
@@ -55,13 +56,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/units.h"
 #include "sim/simulation.h"
-#include "sim/spsc.h"
 
 namespace pg::sim {
 
@@ -83,13 +82,6 @@ class ShardGroup {
   struct Options {
     int workers = 1;           // execution threads (incl. the caller)
     SimDuration lookahead = 0; // min cross-shard latency; must be > 0
-    // SPSC ring slots per directed shard pair. Sized for the per-round
-    // burst, not the whole run: a window rarely emits more than a few
-    // cross-shard events before the next barrier, and the locked
-    // overflow path absorbs the rare larger burst. Admissions are
-    // ~128 B (inline callable), so keeping this small keeps the N^2
-    // channel matrix out of the cache the shards need.
-    std::size_t channel_capacity = 32;
   };
 
   /// `shards` must outlive the group; each must carry a unique shard
@@ -176,11 +168,16 @@ class ShardGroup {
     SimTime send_bound = 0;  // set by frontier(); kNever when idle
     const std::function<bool()>* cond = nullptr;
     Simulation::WindowResult result;
+    std::vector<Admission> outbox;  // this round's posts from the shard
   };
 
-  /// Moves every queued cross-shard event into its destination shard,
-  /// in global birth-key order. Coordinator only, between rounds.
-  void drain_channels();
+  /// Moves every outbox's events into their destination shards, in
+  /// global birth-key order. Coordinator only, between rounds.
+  void drain_outboxes();
+
+  /// Executes shard i's window on the calling thread, with the shard's
+  /// observability buffer bound to it.
+  void run_window(int i);
 
   /// The key of the earliest pending event of any shard (parked probes
   /// included), and the two smallest send bounds
@@ -258,16 +255,8 @@ class ShardGroup {
   std::uint64_t shared_births_ = 1;
 
   std::vector<Slot> slots_;
-  // channels_[src * N + dst]: SPSC — the producer is whichever thread
-  // claimed src's window (exactly one per round; rounds are ordered by
-  // the barrier), the consumer is the coordinator between rounds.
-  std::vector<std::unique_ptr<SpscChannel<Admission>>> channels_;
   std::vector<Admission> admit_buf_;
-  // Cross-shard events pushed (producers) vs drained (coordinator);
-  // equality lets drain_channels() skip the full channel scan.
-  std::atomic<std::uint64_t> posted_{0};
-  std::uint64_t drained_ = 0;
-  bool in_round_ = false;  // routes post(): channels vs direct admit
+  bool in_round_ = false;  // routes post(): outbox vs direct admit
 
   std::vector<std::thread> threads_;
   std::atomic<std::uint64_t> round_seq_{0};

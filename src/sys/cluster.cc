@@ -176,8 +176,8 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
   }
   // Switch vertices run on existing node shards (deterministic
   // assignment; see net::switch_shard), so the shard count, the
-  // lookahead, and the cross-shard channel layout stay exactly the
-  // per-node scheme pdes_test gates.
+  // lookahead, and which shard posts each cross-shard event stay exactly
+  // the per-node scheme pdes_test gates.
   auto vertex_sim = [&](int v) -> sim::Simulation& {
     return *shard_sims_[static_cast<std::size_t>(net::switch_shard(plan_, v))];
   };

@@ -96,7 +96,9 @@ TEST(Program, MarksTheLoadOfEverySpinLoop) {
     for (const Decoded& d : prog->decoded()) marked += d.spin_len;
     const Decoded& ld = prog->decoded()[0];
     EXPECT_EQ(ld.spin_len, marked) << "only the first load may be marked";
-    if (ld.spin_len != 0) EXPECT_EQ(ld.target, 0);
+    if (ld.spin_len != 0) {
+      EXPECT_EQ(ld.target, 0);
+    }
     return marked;
   };
   // The device library's poll: ld / setp / bra.

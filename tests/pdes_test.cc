@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/flow.h"
@@ -42,7 +43,7 @@ struct TwoShards {
               b.set_shard_tag(1);
               return std::vector<sim::Simulation*>{&a, &b};
             }(),
-            sim::ShardGroup::Options{workers, lookahead, 16}) {}
+            sim::ShardGroup::Options{workers, lookahead}) {}
 };
 
 TEST(ShardGroup, DrainsBothShardsAndFencesClocks) {
@@ -131,6 +132,80 @@ TEST(ShardGroup, SameTimestampCrossShardOrderIsBirthOrder) {
     EXPECT_EQ(order[1], "a-cross") << "workers=" << workers;
     EXPECT_EQ(order[2], "b-late") << "workers=" << workers;
   }
+}
+
+// A burst far larger than any real round's: four shards each post 120
+// events to every other shard from one window, with non-monotone
+// delivery times that tie across posters, both at different and at
+// equal birth times. Each destination must run them in key order,
+// (when, birth_time, birth_tag), whatever the worker count.
+TEST(ShardGroup, WindowBurstsAdmitInBirthKeyOrder) {
+  using Entry = std::tuple<SimTime, SimTime, sim::EventId, int>;  // key, src
+  constexpr int kShards = 4;
+  constexpr int kPerEvent = 60;
+  std::vector<std::vector<Entry>> logs_at[2];
+  for (int w = 0; w < 2; ++w) {
+    const int workers = w == 0 ? 1 : 4;
+    std::array<sim::Simulation, kShards> sims;
+    std::vector<sim::Simulation*> ptrs;
+    for (int s = 0; s < kShards; ++s) {
+      sims[static_cast<std::size_t>(s)].set_shard_tag(
+          static_cast<std::uint8_t>(s));
+      ptrs.push_back(&sims[static_cast<std::size_t>(s)]);
+    }
+    sim::ShardGroup group(ptrs,
+                          sim::ShardGroup::Options{workers, nanoseconds(100)});
+    std::vector<std::vector<Entry>>& logs = logs_at[w];
+    logs.resize(kShards);
+    const auto burst = [&](int src) {
+      sim::Simulation& from = sims[static_cast<std::size_t>(src)];
+      for (int k = 0; k < kPerEvent; ++k) {
+        for (int dst = 0; dst < kShards; ++dst) {
+          if (dst == src) continue;
+          // 37 is coprime to 25: k cycles through 0..24 out of order.
+          const SimTime when = nanoseconds(200 + (k * 37) % 25);
+          const sim::Simulation::Birth birth = from.take_birth();
+          sim::Simulation& to = sims[static_cast<std::size_t>(dst)];
+          std::vector<Entry>& log = logs[static_cast<std::size_t>(dst)];
+          group.post(src, dst, when, birth.time, birth.tag,
+                     [&to, &log, src] {
+                       const auto& key = to.current_key();
+                       log.emplace_back(key.time, key.birth_time,
+                                        key.birth_tag, src);
+                     });
+        }
+      }
+    };
+    for (int s = 0; s < kShards; ++s) {
+      // Same birth time on every poster, then a distinct one each.
+      sims[static_cast<std::size_t>(s)].schedule_at(nanoseconds(10),
+                                                    [&burst, s] { burst(s); });
+      sims[static_cast<std::size_t>(s)].schedule_at(
+          nanoseconds(20 + s), [&burst, s] { burst(s); });
+    }
+    // Every posting event lies below the first round's horizon (110 ns):
+    // the whole burst leaves in one window per shard.
+    ASSERT_EQ(group.run({}, nanoseconds(50)), Outcome::kDeadline);
+    ASSERT_EQ(group.rounds(), 1u) << "workers=" << workers;
+    group.run();
+    for (int d = 0; d < kShards; ++d) {
+      const std::vector<Entry>& log = logs[static_cast<std::size_t>(d)];
+      SCOPED_TRACE("workers=" + std::to_string(workers) + ", dst " +
+                   std::to_string(d));
+      ASSERT_EQ(log.size(), std::size_t{(kShards - 1) * 2 * kPerEvent});
+      int cross_poster_ties = 0;
+      for (std::size_t i = 1; i < log.size(); ++i) {
+        // Birth tags are unique, so src never decides the comparison.
+        EXPECT_LT(log[i - 1], log[i]) << "at " << i;
+        if (std::get<0>(log[i - 1]) == std::get<0>(log[i]) &&
+            std::get<3>(log[i - 1]) != std::get<3>(log[i])) {
+          ++cross_poster_ties;
+        }
+      }
+      EXPECT_GT(cross_poster_ties, 0);
+    }
+  }
+  EXPECT_EQ(logs_at[0], logs_at[1]);
 }
 
 TEST(ShardGroup, RunUntilLocalStopsEveryShardAtLastFire) {

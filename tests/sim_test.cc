@@ -774,7 +774,7 @@ std::array<PollTrace, 2> run_sharded_polls(int workers, int driver) {
   a.set_shard_tag(0);
   b.set_shard_tag(1);
   const SimDuration lookahead = nanoseconds(100);
-  ShardGroup group({&a, &b}, ShardGroup::Options{workers, lookahead, 16});
+  ShardGroup group({&a, &b}, ShardGroup::Options{workers, lookahead});
   Simulation* sims[2] = {&a, &b};
   std::array<PollTrace, 2> tr;
   std::array<std::vector<char>, 2> flags{std::vector<char>(3, 0),
@@ -897,8 +897,7 @@ TEST(ParkedPoll, DeadlockedPollersReturnDrained) {
       Simulation a, b;
       a.set_shard_tag(0);
       b.set_shard_tag(1);
-      ShardGroup group({&a, &b},
-                       ShardGroup::Options{2, nanoseconds(100), 16});
+      ShardGroup group({&a, &b}, ShardGroup::Options{2, nanoseconds(100)});
       bool flag = false;
       SimTime when = -1;
       std::uint64_t probes = 0;
