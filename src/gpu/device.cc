@@ -19,19 +19,52 @@ using mem::Space;
 
 namespace {
 
-/// Sorts and deduplicates (used for transaction/sector coalescing).
-void unique_sorted(std::vector<std::uint64_t>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
+/// Sets `sectors` to the 32 B sectors that the lanes' `width`-byte
+/// accesses touch, ascending and unique. A sector equal to the last one
+/// added is dropped as it is made, so unit-stride and warp-uniform
+/// accesses, which arrive ascending, need no sort.
+template <typename Lanes>
+void coalesce_sectors(const Lanes& lanes, unsigned width,
+                      std::vector<std::uint64_t>& sectors) {
+  sectors.clear();
+  for (const auto& la : lanes) {
+    const std::uint64_t last = (la.addr + width - 1) / 32;
+    for (std::uint64_t s = la.addr / 32; s <= last; ++s) {
+      if (sectors.empty() || sectors.back() != s) sectors.push_back(s);
+    }
+  }
+  if (!std::is_sorted(sectors.begin(), sectors.end())) {
+    std::sort(sectors.begin(), sectors.end());
+    sectors.erase(std::unique(sectors.begin(), sectors.end()), sectors.end());
+  }
 }
 
-std::uint64_t sign_extend_none(std::uint64_t raw, unsigned width) {
-  // Loads are zero-extended (PTX ld.uN semantics).
+/// The `T`-sized little-endian value at `p`, zero-extended (ld.uN).
+template <typename T>
+std::uint64_t load_le(const std::uint8_t* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// load_le of a run-time width (1, 2, 4 or 8): a fixed-size copy per
+/// width, never a libc call with a variable length.
+std::uint64_t load_le(const std::uint8_t* p, unsigned width) {
   switch (width) {
-    case 1: return raw & 0xFFull;
-    case 2: return raw & 0xFFFFull;
-    case 4: return raw & 0xFFFFFFFFull;
-    default: return raw;
+    case 1: return load_le<std::uint8_t>(p);
+    case 2: return load_le<std::uint16_t>(p);
+    case 4: return load_le<std::uint32_t>(p);
+    default: return load_le<std::uint64_t>(p);
+  }
+}
+
+/// Sets `rd` of every lane in `lanes` to its `T`-sized load from one
+/// page, whose bytes for address `lo` start at `base`.
+template <typename T, typename Lanes>
+void load_lanes(WarpState& ws, unsigned rd, const Lanes& lanes,
+                const std::uint8_t* base, Addr lo) {
+  for (const auto& la : lanes) {
+    ws.set_reg(la.lane, rd, load_le<T>(base + (la.addr - lo)));
   }
 }
 
@@ -43,6 +76,7 @@ std::uint64_t sign_extend_none(std::uint64_t raw, unsigned width) {
 struct Gpu::LaunchState {
   KernelLaunch kl;
   const Decoded* code = nullptr;  // predecoded stream (owned by Program)
+  unsigned num_regs = 0;          // registers per lane of every warp
   DoneFn done;
   std::uint32_t blocks_remaining = 0;
   SimTime t_launch = 0;  // host-side launch time (observability span)
@@ -57,7 +91,7 @@ struct Gpu::BlockState {
 };
 
 struct Gpu::WarpExec {
-  explicit WarpExec(unsigned lanes) : state(lanes) {}
+  WarpExec(unsigned lanes, unsigned num_regs) : state(lanes, num_regs) {}
   WarpState state;
   std::shared_ptr<BlockState> block;
   std::uint32_t warp_in_block = 0;
@@ -148,6 +182,9 @@ void Gpu::launch(const KernelLaunch& kl, DoneFn done) {
   // Predecode once per launch; repeated launches of the same Program hit
   // the cache. The vector is stable, so the raw pointer stays valid.
   ls->code = kl.program->decoded().data();
+  // r0-r3 and the parameters are written at launch even if unnamed.
+  ls->num_regs = std::max<unsigned>(kl.program->num_regs(),
+                                    kFirstParamReg + kl.params.size());
   ls->done = std::move(done);
   ls->blocks_remaining = kl.blocks;
   ls->t_launch = sim_.now();
@@ -194,7 +231,7 @@ void Gpu::start_launch(std::shared_ptr<LaunchState> ls) {
     for (std::uint32_t wi = 0; wi < warps; ++wi) {
       const unsigned lanes = std::min<std::uint32_t>(
           kWarpSize, kl.threads_per_block - wi * kWarpSize);
-      auto w = std::make_shared<WarpExec>(lanes);
+      auto w = std::make_shared<WarpExec>(lanes, ls->num_regs);
       w->block = block;
       w->warp_in_block = wi;
       w->warp_global_id = next_warp_id_++;
@@ -365,20 +402,14 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   }
 
   if (space == Space::kGpuDram) {
+    if (in.width == 8) {
+      counters_.globmem_read64 += lanes.size();
+    } else {
+      counters_.globmem_read_other += lanes.size();
+    }
     // Coalesce into unique 32B sectors; each is one L2 read request.
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      if (in.width == 8) {
-        ++counters_.globmem_read64;
-      } else {
-        ++counters_.globmem_read_other;
-      }
-      const std::uint64_t first = la.addr / 32;
-      const std::uint64_t last = (la.addr + in.width - 1) / 32;
-      for (std::uint64_t s = first; s <= last; ++s) sectors.push_back(s);
-    }
-    unique_sorted(sectors);
+    coalesce_sectors(lanes, in.width, sectors);
     bool all_hit = true;
     for (std::uint64_t s : sectors) {
       const bool hit = l2_.access(s * 32, /*is_write=*/false);
@@ -420,12 +451,7 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   // System memory or MMIO: split transactions over PCIe.
   {
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      sectors.push_back(la.addr / 32);
-      sectors.push_back((la.addr + in.width - 1) / 32);
-    }
-    unique_sorted(sectors);
+    coalesce_sectors(lanes, in.width, sectors);
     counters_.sysmem_read_transactions += sectors.size();
     if (obs::metrics()) {
       obs::count("gpu.sysmem_loads");
@@ -444,10 +470,8 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
             la.addr, in.width,
             [this, w, lane = la.lane, addr = la.addr, &in,
              pending](mem::Payload data) {
-              std::uint64_t v = 0;
-              std::memcpy(&v, data.data(),
-                          std::min<std::size_t>(8, data.size()));
-              w->state.set_reg(lane, in.rd, sign_extend_none(v, in.width));
+              assert(data.size() == std::size_t{in.width});
+              w->state.set_reg(lane, in.rd, load_le(data.data(), in.width));
               // PCIe-read polling (the paper's direct mode): this
               // completion samples host memory, so it detects any
               // lifecycle parked under the polled address.
@@ -482,10 +506,12 @@ void Gpu::complete_l2_load(const std::shared_ptr<WarpExec>& w,
   if (off / mem::SparseMemory::kPageSize ==
       (off + len - 1) / mem::SparseMemory::kPageSize) {
     if (const std::uint8_t* base = dram.span_in_page(off, len)) {
-      for (const auto& la : lns) {
-        std::uint64_t v = 0;
-        std::memcpy(&v, base + (la.addr - lo), in.width);
-        w->state.set_reg(la.lane, in.rd, sign_extend_none(v, in.width));
+      WarpState& ws = w->state;
+      switch (in.width) {
+        case 1: load_lanes<std::uint8_t>(ws, in.rd, lns, base, lo); break;
+        case 2: load_lanes<std::uint16_t>(ws, in.rd, lns, base, lo); break;
+        case 4: load_lanes<std::uint32_t>(ws, in.rd, lns, base, lo); break;
+        default: load_lanes<std::uint64_t>(ws, in.rd, lns, base, lo); break;
       }
     } else {  // page absent: reads as zero
       for (const auto& la : lns) w->state.set_reg(la.lane, in.rd, 0);
@@ -633,19 +659,13 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   }
 
   if (space == Space::kGpuDram) {
-    std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      if (in.width == 8) {
-        ++counters_.globmem_write64;
-      } else {
-        ++counters_.globmem_write_other;
-      }
-      const std::uint64_t first = la.addr / 32;
-      const std::uint64_t last = (la.addr + in.width - 1) / 32;
-      for (std::uint64_t s = first; s <= last; ++s) sectors.push_back(s);
+    if (in.width == 8) {
+      counters_.globmem_write64 += lanes.size();
+    } else {
+      counters_.globmem_write_other += lanes.size();
     }
-    unique_sorted(sectors);
+    std::vector<std::uint64_t>& sectors = w->sectors;
+    coalesce_sectors(lanes, in.width, sectors);
     counters_.l2_write_requests += sectors.size();
     for (std::uint64_t s : sectors) {
       (void)l2_.access(s * 32, /*is_write=*/true);  // write-allocate
@@ -673,12 +693,7 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   // posts an EXTOLL WR to the BAR or rings the IB doorbell).
   {
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      sectors.push_back(la.addr / 32);
-      sectors.push_back((la.addr + in.width - 1) / 32);
-    }
-    unique_sorted(sectors);
+    coalesce_sectors(lanes, in.width, sectors);
     counters_.sysmem_write_transactions += sectors.size();
     const unsigned width = in.width;
     // Stores to MMIO (NIC BAR / doorbells) sit in the write-combine
@@ -719,9 +734,7 @@ bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   counters_.globmem_read64 += lanes.size();
   counters_.globmem_write64 += lanes.size();
   std::vector<std::uint64_t>& sectors = w->sectors;
-  sectors.clear();
-  for (const auto& la : lanes) sectors.push_back(la.addr / 32);
-  unique_sorted(sectors);
+  coalesce_sectors(lanes, 1, sectors);  // the sector of each address
   counters_.l2_write_requests += sectors.size();
   for (std::uint64_t s : sectors) (void)l2_.access(s * 32, true);
 

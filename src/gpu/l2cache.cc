@@ -1,5 +1,6 @@
 #include "gpu/l2cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bitops.h"
@@ -11,11 +12,13 @@ L2Cache::L2Cache(L2Config cfg) : cfg_(cfg) {
   const std::size_t n = static_cast<std::size_t>(cfg_.num_sets) * cfg_.ways;
   tags_.assign(n, kInvalid);
   stamps_.assign(n, 0);
+  valid_.assign(cfg_.num_sets, 0);
 }
 
 bool L2Cache::access(mem::Addr addr, bool is_write) {
   const std::uint64_t line = line_addr(addr);
-  const std::size_t base = static_cast<std::size_t>(set_of(line)) * cfg_.ways;
+  const std::uint32_t set = set_of(line);
+  const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
   const std::uint64_t* tags = &tags_[base];
   std::uint64_t* stamps = &stamps_[base];
   ++clock_;
@@ -42,6 +45,7 @@ bool L2Cache::access(mem::Addr addr, bool is_write) {
   // Allocate on both read and write misses (write-allocate keeps
   // poll-after-own-store hitting).
   (void)is_write;
+  if (empty) ++valid_[set];
   tags_[base + victim] = line;
   stamps[victim] = clock_;
   return false;
@@ -62,11 +66,13 @@ void L2Cache::invalidate_range(mem::Addr addr, std::uint64_t len) {
   const std::uint64_t first = line_addr(addr);
   const std::uint64_t last = line_addr(addr + len - 1);
   for (std::uint64_t line = first; line <= last; ++line) {
-    std::uint64_t* tags =
-        &tags_[static_cast<std::size_t>(set_of(line)) * cfg_.ways];
+    const std::uint32_t set = set_of(line);
+    if (valid_[set] == 0) continue;
+    std::uint64_t* tags = &tags_[static_cast<std::size_t>(set) * cfg_.ways];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
       if (tags[w] == line) {
         tags[w] = kInvalid;
+        --valid_[set];
         ++invalidations_;
         break;  // a line occupies at most one way
       }
@@ -81,6 +87,7 @@ void L2Cache::invalidate_all() {
       ++invalidations_;
     }
   }
+  std::fill(valid_.begin(), valid_.end(), 0);
 }
 
 }  // namespace pg::gpu

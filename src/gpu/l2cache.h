@@ -72,6 +72,10 @@ class L2Cache {
   // is checked in one pass over `ways` words.
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint64_t> stamps_;  // LRU stamp of each way
+  // Valid ways of each set: invalidate_range skips empty sets without
+  // scanning their tags (an inbound write mostly covers lines of sets
+  // the polls never filled).
+  std::vector<std::uint32_t> valid_;
   std::uint64_t clock_ = 0;  // LRU stamp source
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -1,5 +1,6 @@
 #include "gpu/program.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 
@@ -221,7 +222,9 @@ const std::vector<Decoded>& Program::decoded() const {
   if (decoded_.size() == code_.size()) return decoded_;
   decoded_.clear();
   decoded_.reserve(code_.size());
+  num_regs_ = 1;
   for (const Instr& in : code_) {
+    num_regs_ = std::max({num_regs_, in.rd + 1u, in.ra + 1u, in.rb + 1u});
     Decoded d;
     d.op = predecode_op(in);
     d.rd = in.rd;

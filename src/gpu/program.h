@@ -73,6 +73,14 @@ class Program {
   /// returned vector is stable for the Program's lifetime.
   const std::vector<Decoded>& decoded() const;
 
+  /// One past the highest register any instruction names in rd, ra or
+  /// rb: the register file a warp of this program needs, before its
+  /// launch parameters. Computed with (and cached alongside) decoded().
+  unsigned num_regs() const {
+    decoded();
+    return num_regs_;
+  }
+
   /// Structural validation: branch targets in range, widths legal, a
   /// reachable EXIT exists. Run once after assembly.
   Status validate() const;
@@ -84,6 +92,7 @@ class Program {
   std::string name_;
   std::vector<Instr> code_;
   mutable std::vector<Decoded> decoded_;  // predecode cache
+  mutable unsigned num_regs_ = 0;         // set with decoded_
 };
 
 }  // namespace pg::gpu

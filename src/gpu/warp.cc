@@ -4,15 +4,16 @@
 
 namespace pg::gpu {
 
-WarpState::WarpState(unsigned active_lanes) {
+WarpState::WarpState(unsigned active_lanes, unsigned num_regs)
+    : lanes_(active_lanes), num_regs_(num_regs) {
   assert(active_lanes >= 1 && active_lanes <= kWarpSize);
+  assert(num_regs >= 1 && num_regs <= kNumRegs);
   mask_ = active_lanes == kWarpSize ? 0xFFFFFFFFu
                                     : ((1u << active_lanes) - 1u);
-  // resize() value-initializes each file to zero. Sized to the active
-  // count, not kWarpSize: every reg access is bounded by a mask bit, and
-  // the tail warp of the device put/get library is usually one lane —
-  // no point zeroing 8 KiB of registers it can never name.
-  regs_.resize(active_lanes);
+  // Zeroed. Sized to the active count, not kWarpSize: every reg access
+  // is bounded by a mask bit, and the tail warp of the device put/get
+  // library is usually one lane.
+  regs_.assign(std::size_t{num_regs} * active_lanes, 0);
 }
 
 bool WarpState::maybe_reconverge() {

@@ -1,5 +1,11 @@
 // Warp execution state: per-thread registers plus SIMT control flow.
 //
+// The register file is register-major (`regs_[r * lanes + lane]`) and
+// sized to the kernel: `num_regs` registers (gpu::Gpu passes one past
+// the highest register the program or its launch names) for each
+// active lane. A warp-wide op walks one register's lanes contiguously,
+// and a warp only zeroes the registers it can name.
+//
 // Divergence follows the pre-Volta (Kepler-era) hardware scheme the
 // paper's GPUs used: an SSY instruction pushes a reconvergence point;
 // a divergent branch splits the warp into fragments that execute
@@ -13,7 +19,7 @@
 // testable without a simulation.
 #pragma once
 
-#include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -25,8 +31,9 @@ using LaneMask = std::uint32_t;
 
 class WarpState {
  public:
-  /// A warp of `active_lanes` threads (1..32) starting at pc 0.
-  explicit WarpState(unsigned active_lanes);
+  /// A warp of `active_lanes` threads (1..32) starting at pc 0, each
+  /// with registers r0..r(num_regs-1) (1..kNumRegs), all zero.
+  explicit WarpState(unsigned active_lanes, unsigned num_regs = kNumRegs);
 
   // --- basic state ----------------------------------------------------------
 
@@ -38,10 +45,12 @@ class WarpState {
   unsigned active_count() const { return __builtin_popcount(mask_); }
 
   std::uint64_t reg(unsigned lane, unsigned r) const {
-    return regs_[lane][r];
+    assert(lane < lanes_ && r < num_regs_);
+    return regs_[r * lanes_ + lane];
   }
   void set_reg(unsigned lane, unsigned r, std::uint64_t v) {
-    regs_[lane][r] = v;
+    assert(lane < lanes_ && r < num_regs_);
+    regs_[r * lanes_ + lane] = v;
   }
 
   /// Applies `fn(lane)` to every active lane, in ascending lane order.
@@ -107,7 +116,9 @@ class WarpState {
 
   int pc_ = 0;
   LaneMask mask_;
-  std::vector<std::array<std::uint64_t, kNumRegs>> regs_;
+  unsigned lanes_;
+  unsigned num_regs_;
+  std::vector<std::uint64_t> regs_;  // num_regs_ x lanes_, register-major
   std::vector<SyncEntry> sync_stack_;
   std::vector<int> call_stack_;
 };

@@ -121,8 +121,10 @@ void compute_bfs_routes(const FabricPlan& plan,
 }  // namespace
 
 std::string FabricPlan::vertex_name(int vertex) const {
-  if (vertex < num_terminals) return "n" + std::to_string(vertex);
-  return "s" + std::to_string(vertex - num_terminals);
+  const bool terminal = vertex < num_terminals;
+  std::string name(1, terminal ? 'n' : 's');
+  name += std::to_string(terminal ? vertex : vertex - num_terminals);
+  return name;
 }
 
 Result<FabricPlan> build_fabric_plan(Topology t, int num_nodes) {

@@ -1,6 +1,7 @@
 #include "putget/setup.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/rng.h"
 
@@ -9,8 +10,30 @@ namespace pg::putget {
 void fill_pattern(sys::Node& node, mem::Addr addr, std::uint64_t len,
                   std::uint64_t seed) {
   Rng rng(seed);
-  node.memory().fill_in_place(addr, len, [&rng](std::span<std::uint8_t> page) {
-    for (auto& b : page) b = rng.next_byte();
+  // Byte i is byte i % 8 of draw i / 8. A draw that a page piece ends
+  // inside carries its remaining bytes into the next piece, so the bytes
+  // do not depend on where the pages split the range.
+  std::uint64_t word = 0;  // the current draw, its next byte lowest
+  unsigned left = 0;       // bytes of `word` not yet stored
+  node.memory().fill_in_place(addr, len, [&](std::span<std::uint8_t> piece) {
+    std::uint8_t* p = piece.data();
+    std::uint8_t* const end = p + piece.size();
+    auto drain = [&] {
+      for (; left > 0 && p != end; --left, word >>= 8) {
+        *p++ = static_cast<std::uint8_t>(word);
+      }
+    };
+    drain();
+    // Whole draws, stored in the host's (little-endian) order.
+    for (; end - p >= 8; p += 8) {
+      const std::uint64_t v = rng.next_u64();
+      std::memcpy(p, &v, sizeof v);
+    }
+    if (p != end) {
+      word = rng.next_u64();
+      left = 8;
+      drain();
+    }
   });
 }
 

@@ -13,7 +13,8 @@
 namespace pg::putget {
 
 /// Fills [addr, addr+len) on `node` with deterministic pseudo-random
-/// bytes derived from `seed`.
+/// bytes derived from `seed`: the little-endian bytes of successive
+/// Rng(seed).next_u64() draws, the last one cut at `len`.
 void fill_pattern(sys::Node& node, mem::Addr addr, std::uint64_t len,
                   std::uint64_t seed);
 

@@ -196,7 +196,8 @@ void Cluster::wire_backend(Backend which, const net::NetConfig& net_cfg) {
                       vertex_sim(ep.b));
     const int twin =
         pair_links[{std::min(ep.a, ep.b), std::max(ep.a, ep.b)}]++;
-    const std::string suffix = twin == 0 ? "" : "#" + std::to_string(twin);
+    std::string suffix;
+    if (twin != 0) suffix.append(1, '#').append(std::to_string(twin));
     link->set_label(0, bname + "." + plan_.vertex_name(ep.a) + "-" +
                            plan_.vertex_name(ep.b) + suffix);
     link->set_label(1, bname + "." + plan_.vertex_name(ep.b) + "-" +

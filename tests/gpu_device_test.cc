@@ -102,6 +102,88 @@ TEST(GpuDevice, NarrowWidthsZeroExtend) {
   EXPECT_EQ(f.memory.read_u64(kScratch + 72), 0xFFFFFFFFull);
 }
 
+// A full warp loads each width from device memory at unit stride inside
+// one page (the coalesced completion), from device memory at a stride
+// that crosses pages (the per-lane completion) and from host memory (one
+// PCIe read per lane). Every lane must read its bytes zero-extended,
+// exactly as load_scalar does.
+TEST(GpuDevice, WarpLoadsMatchScalarLoadsAtEveryWidth) {
+  struct Source {
+    const char* name;
+    Addr base;
+    std::uint64_t extra_stride;
+  };
+  const Source sources[] = {{"one page", kScratch + 3, 0},
+                            {"page per lane", kScratch + 3, 4096},
+                            {"host", kHostScratch + 3, 0}};
+  for (const Source& src : sources) {
+    for (const unsigned width : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << src.name << " width " << width);
+      GpuFixture f;
+      const std::uint64_t stride = width + src.extra_stride;
+      const Addr out = kScratch + 0x40000;
+      Rng rng(width + src.extra_stride);
+      for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        // Every byte has its top bit set, so a missing zero-extension
+        // shows.
+        f.memory.store_scalar(src.base + lane * stride, 8,
+                              rng.next_u64() | 0x8080808080808080ull);
+      }
+      Assembler a("warp_load");
+      const Reg tid(0), base(4), step(5), dst_base(6), addr(8), v(9), dst(10);
+      a.mul(addr, tid, step);
+      a.add(addr, addr, base);
+      a.ld(v, addr, 0, width);
+      a.muli(dst, tid, 8);
+      a.add(dst, dst, dst_base);
+      a.st(dst, v, 0, 8);
+      a.exit();
+      Program p = f.make(a);
+      f.run({.program = &p, .threads_per_block = kWarpSize,
+             .params = {src.base, stride, out}});
+      for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        const std::uint64_t got = f.memory.read_u64(out + lane * 8);
+        EXPECT_EQ(got, f.memory.load_scalar(src.base + lane * stride, width))
+            << "lane " << lane;
+        if (width < 8) {
+          EXPECT_EQ(got >> (8 * width), 0u) << "lane " << lane;
+        }
+      }
+    }
+  }
+}
+
+// Register files are sized to what the kernel names and what its launch
+// writes: r31 named by every lane of a full warp, and a kernel naming
+// only r4 launched with every parameter register filled.
+TEST(GpuDevice, RegisterFileCoversNamedRegistersAndParams) {
+  GpuFixture f;
+  Assembler a("r31");
+  const Reg tid(0), out(4), dst(30), top(31);
+  a.addi(top, tid, 1000);
+  a.muli(dst, tid, 8);
+  a.add(dst, dst, out);
+  a.st(dst, top, 0, 8);
+  a.exit();
+  Program p = f.make(a);
+  EXPECT_EQ(p.num_regs(), kNumRegs);
+  f.run({.program = &p, .threads_per_block = kWarpSize,
+         .params = {kScratch}});
+  for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+    EXPECT_EQ(f.memory.read_u64(kScratch + lane * 8), 1000u + lane);
+  }
+
+  Assembler b("params");
+  b.st(Reg(4), Reg(4), 0, 8);
+  b.exit();
+  Program q = f.make(b);
+  EXPECT_EQ(q.num_regs(), 5u);
+  std::vector<std::uint64_t> params(kMaxParams, 7);
+  params[0] = kScratch + 0x1000;
+  f.run({.program = &q, .threads_per_block = 5, .params = params});
+  EXPECT_EQ(f.memory.read_u64(kScratch + 0x1000), kScratch + 0x1000);
+}
+
 TEST(GpuDevice, PropertyAluMatchesHostArithmetic) {
   // Random straight-line ALU programs, checked against a host-side
   // evaluation of the same operations.
@@ -978,7 +1060,8 @@ TEST(GpuSpinPark, SpinOnUnwrittenFlagReportsDeadlock) {
 
 /// The L2 tag store as first written: an array of {tag, valid, stamp}
 /// lines scanned way by way, one set scan per invalidated line. Kept as
-/// the oracle for L2Cache's contiguous-tag layout and early-exit set scan.
+/// the oracle for L2Cache's contiguous-tag layout, early-exit set scan and
+/// per-set valid-way counts.
 class ReferenceL2 {
  public:
   explicit ReferenceL2(L2Config cfg)
@@ -1033,6 +1116,13 @@ class ReferenceL2 {
     }
   }
 
+  void invalidate_all() {
+    for (Line& l : lines_) {
+      if (l.valid) ++invalidations_;
+      l.valid = false;
+    }
+  }
+
   void credit_hits(std::uint64_t n) {
     clock_ += n;
     hits_ += n;
@@ -1055,7 +1145,8 @@ class ReferenceL2 {
 
 // Random access / invalidate / holds sequences replayed against the
 // reference: every hit, miss, invalidation count and holds() answer must
-// agree, including ranges wider than the whole cache.
+// agree, including ranges wider than the whole cache and whole-cache
+// invalidations (after which the per-set counts restart from zero).
 TEST(L2Cache, MatchesReferenceOnRandomSequences) {
   L2Config small;
   small.num_sets = 8;
@@ -1083,8 +1174,11 @@ TEST(L2Cache, MatchesReferenceOnRandomSequences) {
                         : rng.next_below(footprint) + 1;
           l2.invalidate_range(addr, len);
           ref.invalidate_range(addr, len);
-        } else if (kind < 98) {
+        } else if (kind < 97) {
           ASSERT_EQ(l2.holds(addr), ref.holds(addr)) << op;
+        } else if (kind == 97 && rng.next_below(10) == 0) {
+          l2.invalidate_all();
+          ref.invalidate_all();
         } else {
           l2.credit_hits(kind);
           ref.credit_hits(kind);

@@ -28,6 +28,8 @@ TEST(Assembler, EmitsAndResolvesLabels) {
   EXPECT_EQ(prog->size(), 6u);
   // The backward branch targets instruction 2 (after the two movi).
   EXPECT_EQ(prog->at(4).target, 2);
+  // r10 is the highest register named.
+  EXPECT_EQ(prog->num_regs(), 11u);
 }
 
 TEST(Assembler, UnboundLabelFails) {
@@ -155,6 +157,35 @@ TEST(WarpState, StartsWithRequestedLanes) {
   EXPECT_EQ(w4.active_count(), 4u);
   WarpState w32(32);
   EXPECT_EQ(w32.mask(), 0xFFFFFFFFu);
+}
+
+// The register file is register-major and sized num_regs x lanes: every
+// (lane, reg) starts at zero, and a write to one changes no other.
+TEST(WarpState, RegisterFileStartsZeroAndKeepsWritesApart) {
+  for (const unsigned lanes : {1u, 5u, 32u}) {
+    for (const unsigned num_regs : {1u, 4u, 17u, kNumRegs}) {
+      SCOPED_TRACE(testing::Message() << lanes << " lanes, " << num_regs
+                                      << " regs");
+      WarpState w(lanes, num_regs);
+      auto nonzero = [&] {
+        unsigned n = 0;
+        for (unsigned l = 0; l < lanes; ++l) {
+          for (unsigned r = 0; r < num_regs; ++r) n += w.reg(l, r) != 0;
+        }
+        return n;
+      };
+      ASSERT_EQ(nonzero(), 0u);
+      for (unsigned l = 0; l < lanes; ++l) {
+        for (unsigned r = 0; r < num_regs; ++r) {
+          const std::uint64_t v = 0xA000'0000'0000'0000ull | (l << 8) | r;
+          w.set_reg(l, r, v);
+          ASSERT_EQ(w.reg(l, r), v);
+          ASSERT_EQ(nonzero(), 1u) << "lane " << l << " r" << r;
+          w.set_reg(l, r, 0);
+        }
+      }
+    }
+  }
 }
 
 TEST(WarpState, UniformBranchDoesNotDiverge) {

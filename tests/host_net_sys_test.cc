@@ -148,13 +148,18 @@ TEST(Sys, NodesAreIsolatedDomains) {
 
 // --- fill_pattern / ranges_equal ----------------------------------------------
 
-/// fill_pattern as first written: the whole pattern in a len-sized vector,
-/// then one copy into memory. The oracle for the in-place fill.
+/// fill_pattern's byte stream built the plain way: the whole pattern in
+/// a len-sized vector, byte i shifted out of draw i / 8, then one copy
+/// into memory. The oracle for the in-place fill.
 void fill_pattern_by_vector(sys::Node& node, mem::Addr addr,
                             std::uint64_t len, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::uint8_t> data(len);
-  for (auto& b : data) b = rng.next_byte();
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    if (i % 8 == 0) word = rng.next_u64();
+    data[i] = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+  }
   node.memory().write(addr, data);
 }
 
