@@ -20,13 +20,26 @@ using mem::Space;
 namespace {
 
 /// Sets `sectors` to the 32 B sectors that the lanes' `width`-byte
-/// accesses touch, ascending and unique. A sector equal to the last one
-/// added is dropped as it is made, so unit-stride and warp-uniform
-/// accesses, which arrive ascending, need no sort.
+/// accesses touch, ascending and unique. Unit-stride lanes (each address
+/// the previous one plus `width`) cover one byte range, whose sectors are
+/// emitted directly. Otherwise a sector equal to the last one added is
+/// dropped as it is made, so warp-uniform accesses, which arrive
+/// ascending, need no sort.
 template <typename Lanes>
 void coalesce_sectors(const Lanes& lanes, unsigned width,
                       std::vector<std::uint64_t>& sectors) {
   sectors.clear();
+  bool unit_stride = true;
+  for (std::size_t i = 1; i < lanes.size() && unit_stride; ++i) {
+    unit_stride = lanes[i].addr == lanes[i - 1].addr + width;
+  }
+  if (unit_stride) {
+    const std::uint64_t last = (lanes.back().addr + width - 1) / 32;
+    for (std::uint64_t s = lanes.front().addr / 32; s <= last; ++s) {
+      sectors.push_back(s);
+    }
+    return;
+  }
   for (const auto& la : lanes) {
     const std::uint64_t last = (la.addr + width - 1) / 32;
     for (std::uint64_t s = la.addr / 32; s <= last; ++s) {
@@ -86,12 +99,25 @@ struct Gpu::BlockState {
   std::shared_ptr<LaunchState> launch;
   std::uint32_t block_index = 0;
   std::uint32_t warps_alive = 0;
-  std::vector<std::shared_ptr<WarpExec>> barrier_parked;
-  std::unique_ptr<mem::SparseMemory> shared;
+  std::vector<WarpExec*> barrier_parked;
+  std::unique_ptr<mem::SparseMemory> shared;  // made at the first store
 };
 
 struct Gpu::WarpExec {
   WarpExec(unsigned lanes, unsigned num_regs) : state(lanes, num_regs) {}
+
+  /// Back to a fresh warp of `lanes` x `num_regs` for the next launch.
+  /// The scratch vectors and the poller are kept: every use rewrites
+  /// the former, and a retired warp's poller is not parked.
+  void reset(unsigned lanes, unsigned num_regs) {
+    state.reset(lanes, num_regs);
+    resumed_pc = -1;
+    spin_mask = 0;
+    spin_regs.clear();
+    spin_load = nullptr;
+    spin_sample.clear();
+  }
+
   WarpState state;
   std::shared_ptr<BlockState> block;
   std::uint32_t warp_in_block = 0;
@@ -107,7 +133,7 @@ struct Gpu::WarpExec {
   // allocate. Safe for deferred reads: memory ops that schedule a
   // continuation (global/sysmem loads, atomics) park the warp until the
   // continuation runs, so the scratch cannot be clobbered meanwhile.
-  // Posted stores copy what they need instead.
+  // Posted stores copy what they need instead (and never the warp).
   std::vector<LaneAccess> scratch;
   std::vector<std::uint64_t> sectors;
 
@@ -188,7 +214,8 @@ void Gpu::launch(const KernelLaunch& kl, DoneFn done) {
   ls->done = std::move(done);
   ls->blocks_remaining = kl.blocks;
   ls->t_launch = sim_.now();
-  sim_.schedule(cfg_.launch_overhead, [this, ls] { start_launch(ls); });
+  sim_.schedule(cfg_.launch_overhead,
+                [this, ls = std::move(ls)] { start_launch(ls); });
 }
 
 void Gpu::launch_stream(std::uint32_t stream, const KernelLaunch& kl,
@@ -216,14 +243,23 @@ void Gpu::launch_stream(std::uint32_t stream, const KernelLaunch& kl,
   }
 }
 
-void Gpu::start_launch(std::shared_ptr<LaunchState> ls) {
+Gpu::WarpExec& Gpu::acquire_warp(unsigned lanes, unsigned num_regs) {
+  if (free_warps_.empty()) {
+    warps_.push_back(std::make_unique<WarpExec>(lanes, num_regs));
+    return *warps_.back();
+  }
+  WarpExec& w = *free_warps_.back();
+  free_warps_.pop_back();
+  w.reset(lanes, num_regs);
+  return w;
+}
+
+void Gpu::start_launch(const std::shared_ptr<LaunchState>& ls) {
   const KernelLaunch& kl = ls->kl;
   for (std::uint32_t b = 0; b < kl.blocks; ++b) {
     auto block = std::make_shared<BlockState>();
     block->launch = ls;
     block->block_index = b;
-    block->shared =
-        std::make_unique<mem::SparseMemory>(cfg_.shared_mem_per_block);
     const std::uint32_t warps =
         static_cast<std::uint32_t>(div_ceil(kl.threads_per_block, kWarpSize));
     block->warps_alive = warps;
@@ -231,29 +267,29 @@ void Gpu::start_launch(std::shared_ptr<LaunchState> ls) {
     for (std::uint32_t wi = 0; wi < warps; ++wi) {
       const unsigned lanes = std::min<std::uint32_t>(
           kWarpSize, kl.threads_per_block - wi * kWarpSize);
-      auto w = std::make_shared<WarpExec>(lanes, ls->num_regs);
+      WarpExec* w = &acquire_warp(lanes, ls->num_regs);
       w->block = block;
       w->warp_in_block = wi;
       w->warp_global_id = next_warp_id_++;
       ++counters_.warps_launched;
-      // Initialize registers per lane.
+      // Initialize registers, one register across all lanes at a time.
+      WarpState& ws = w->state;
       for (unsigned lane = 0; lane < lanes; ++lane) {
-        w->state.set_reg(lane, 0, wi * kWarpSize + lane);  // tid.x
-        w->state.set_reg(lane, 1, b);                      // ctaid.x
-        w->state.set_reg(lane, 2, kl.threads_per_block);   // ntid.x
-        w->state.set_reg(lane, 3, kl.blocks);              // nctaid.x
-        for (std::size_t p = 0; p < kl.params.size(); ++p) {
-          w->state.set_reg(lane, kFirstParamReg + static_cast<unsigned>(p),
-                           kl.params[p]);
-        }
+        ws.set_reg(lane, 0, wi * kWarpSize + lane);  // tid.x
       }
-      sim_.schedule(0, [this, w] { run_warp(w); });
+      ws.fill_reg(1, b);                     // ctaid.x
+      ws.fill_reg(2, kl.threads_per_block);  // ntid.x
+      ws.fill_reg(3, kl.blocks);             // nctaid.x
+      for (std::size_t p = 0; p < kl.params.size(); ++p) {
+        ws.fill_reg(kFirstParamReg + static_cast<unsigned>(p), kl.params[p]);
+      }
+      sim_.schedule(0, [this, w] { run_warp(*w); });
     }
   }
 }
 
-void Gpu::retire_warp(const std::shared_ptr<WarpExec>& w, SimDuration dt) {
-  BlockState& block = *w->block;
+void Gpu::retire_warp(WarpExec& w, SimDuration dt) {
+  BlockState& block = *w.block;
   assert(block.warps_alive > 0);
   --block.warps_alive;
   // A warp exiting may complete a barrier the remaining warps wait on
@@ -262,11 +298,7 @@ void Gpu::retire_warp(const std::shared_ptr<WarpExec>& w, SimDuration dt) {
       block.barrier_parked.size() == block.warps_alive) {
     PG_WARN("gpu", "block %u: warp exited while siblings wait at barrier",
             block.block_index);
-    auto parked = std::move(block.barrier_parked);
-    block.barrier_parked.clear();
-    sim_.schedule(dt + cycles(cfg_.barrier_cycles), [this, parked] {
-      for (const auto& p : parked) run_warp(p);
-    });
+    release_barrier(block, dt);
   }
   if (block.warps_alive == 0) {
     auto ls = block.launch;
@@ -292,6 +324,15 @@ void Gpu::retire_warp(const std::shared_ptr<WarpExec>& w, SimDuration dt) {
       });
     }
   }
+  w.block.reset();
+  free_warps_.push_back(&w);
+}
+
+void Gpu::release_barrier(BlockState& block, SimDuration dt) {
+  sim_.schedule(dt + cycles(cfg_.barrier_cycles),
+                [this, parked = std::exchange(block.barrier_parked, {})] {
+                  for (WarpExec* p : parked) run_warp(*p);
+                });
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +370,8 @@ std::uint64_t Gpu::load_backed(const WarpExec& w, Addr addr,
     const std::uint64_t offset = addr - AddressMap::kGpuSharedBase;
     assert(offset + width <= cfg_.shared_mem_per_block &&
            "shared-memory access out of block allocation");
-    return sparse_load(*w.block->shared, offset, width);
+    const mem::SparseMemory* shared = w.block->shared.get();
+    return shared != nullptr ? sparse_load(*shared, offset, width) : 0;
   }
   return memory_.load_scalar(addr, width);
 }
@@ -340,7 +382,11 @@ void Gpu::store_backed(WarpExec& w, Addr addr, unsigned width,
     const std::uint64_t offset = addr - AddressMap::kGpuSharedBase;
     assert(offset + width <= cfg_.shared_mem_per_block &&
            "shared-memory access out of block allocation");
-    sparse_store(*w.block->shared, offset, width, value);
+    std::unique_ptr<mem::SparseMemory>& shared = w.block->shared;
+    if (!shared) {
+      shared = std::make_unique<mem::SparseMemory>(cfg_.shared_mem_per_block);
+    }
+    sparse_store(*shared, offset, width, value);
     return;
   }
   memory_.store_scalar(addr, width, value);
@@ -373,11 +419,11 @@ void Gpu::flow_poll_detect(mem::Addr addr, unsigned width) {
   obs::flow_poll_scan(name_.c_str(), sim_.now(), keys, 2);
 }
 
-bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                    SimDuration& dt, bool iterated) {
+bool Gpu::exec_load(WarpExec& w, const Decoded& in, SimDuration& dt,
+                    bool iterated) {
   using LaneAccess = WarpExec::LaneAccess;
-  WarpState& ws = w->state;
-  std::vector<LaneAccess>& lanes = w->scratch;
+  WarpState& ws = w.state;
+  std::vector<LaneAccess>& lanes = w.scratch;
   lanes.clear();
   ws.for_each_active([&](unsigned lane) {
     lanes.push_back({lane, ws.reg(lane, in.ra) + in.imm});
@@ -394,7 +440,7 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   if (space == Space::kGpuShared) {
     counters_.shared_reads += lanes.size();
     for (const auto& la : lanes) {
-      ws.set_reg(la.lane, in.rd, load_backed(*w, la.addr, in.width));
+      ws.set_reg(la.lane, in.rd, load_backed(w, la.addr, in.width));
     }
     dt += cycles(cfg_.shared_cycles);
     ws.set_pc(ws.pc() + 1);
@@ -408,7 +454,7 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
       counters_.globmem_read_other += lanes.size();
     }
     // Coalesce into unique 32B sectors; each is one L2 read request.
-    std::vector<std::uint64_t>& sectors = w->sectors;
+    std::vector<std::uint64_t>& sectors = w.sectors;
     coalesce_sectors(lanes, in.width, sectors);
     bool all_hit = true;
     for (std::uint64_t s : sectors) {
@@ -436,21 +482,22 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     // one after it until the polled bytes or lines change. Park under
     // that completion's key instead (tracing and flow scans want every
     // probe as a real event, so those runs stay explicit).
-    if (in.spin_len != 0 && spin_repeats(*w, in, iterated && all_hit) &&
+    if (in.spin_len != 0 && spin_repeats(w, in, iterated && all_hit) &&
         !obs::enabled() && obs::flows() == nullptr) {
       park_spin(w, in, dt + latency);
       return true;
     }
     // Sample at completion: NIC writes landing during the access latency
     // are observed, matching hardware where the L2 serves the request.
-    // The warp is parked, so the continuation reads w->scratch in place.
-    sim_.schedule(dt + latency, [this, w, &in] { complete_l2_load(w, in); });
+    // The warp is parked, so the continuation reads w.scratch in place.
+    sim_.schedule(dt + latency,
+                  [this, w = &w, &in] { complete_l2_load(*w, in); });
     return true;
   }
 
   // System memory or MMIO: split transactions over PCIe.
   {
-    std::vector<std::uint64_t>& sectors = w->sectors;
+    std::vector<std::uint64_t>& sectors = w.sectors;
     coalesce_sectors(lanes, in.width, sectors);
     counters_.sysmem_read_transactions += sectors.size();
     if (obs::metrics()) {
@@ -464,7 +511,7 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     // Zero-copy path overhead (GPU MMU / BAR window) before the request
     // reaches the fabric. The warp is parked; w->scratch stays valid
     // until the last per-lane completion below.
-    sim_.schedule(dt + cfg_.sysmem_read_extra, [this, w, &in, pending] {
+    sim_.schedule(dt + cfg_.sysmem_read_extra, [this, w = &w, &in, pending] {
       for (const auto& la : w->scratch) {
         sysmem_read(
             la.addr, in.width,
@@ -478,7 +525,7 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
               flow_poll_detect(addr, in.width);
               if (--*pending == 0) {
                 w->state.set_pc(w->state.pc() + 1);
-                run_warp(w);
+                run_warp(*w);
               }
             });
       }
@@ -487,9 +534,8 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   }
 }
 
-void Gpu::complete_l2_load(const std::shared_ptr<WarpExec>& w,
-                           const Decoded& in) {
-  const std::vector<WarpExec::LaneAccess>& lns = w->scratch;
+void Gpu::complete_l2_load(WarpExec& w, const Decoded& in) {
+  const std::vector<WarpExec::LaneAccess>& lns = w.scratch;
   // Coalesced fast path: when every active lane hits one backing page
   // (the common case: warp-uniform polls and unit-stride accesses),
   // resolve the page once instead of per lane. Data-only; every counter
@@ -506,7 +552,7 @@ void Gpu::complete_l2_load(const std::shared_ptr<WarpExec>& w,
   if (off / mem::SparseMemory::kPageSize ==
       (off + len - 1) / mem::SparseMemory::kPageSize) {
     if (const std::uint8_t* base = dram.span_in_page(off, len)) {
-      WarpState& ws = w->state;
+      WarpState& ws = w.state;
       switch (in.width) {
         case 1: load_lanes<std::uint8_t>(ws, in.rd, lns, base, lo); break;
         case 2: load_lanes<std::uint16_t>(ws, in.rd, lns, base, lo); break;
@@ -514,19 +560,19 @@ void Gpu::complete_l2_load(const std::shared_ptr<WarpExec>& w,
         default: load_lanes<std::uint64_t>(ws, in.rd, lns, base, lo); break;
       }
     } else {  // page absent: reads as zero
-      for (const auto& la : lns) w->state.set_reg(la.lane, in.rd, 0);
+      for (const auto& la : lns) w.state.set_reg(la.lane, in.rd, 0);
     }
   } else {
     for (const auto& la : lns) {
-      w->state.set_reg(la.lane, in.rd, load_backed(*w, la.addr, in.width));
+      w.state.set_reg(la.lane, in.rd, load_backed(w, la.addr, in.width));
     }
   }
   // The sample above reflects every write landed by now, so if a
   // lifecycle is parked under a polled lane this is the load that
   // detected it.
-  flow_poll_detect(*w, in.width);
-  if (in.spin_len != 0) w->resumed_pc = w->state.pc();
-  w->state.set_pc(w->state.pc() + 1);
+  flow_poll_detect(w, in.width);
+  if (in.spin_len != 0) w.resumed_pc = w.state.pc();
+  w.state.set_pc(w.state.pc() + 1);
   run_warp(w);
 }
 
@@ -563,18 +609,16 @@ bool Gpu::spin_repeats(WarpExec& w, const Decoded& in, bool iterated) {
   return same;
 }
 
-void Gpu::park_spin(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                    SimDuration period) {
-  WarpExec& x = *w;
-  x.spin_load = &in;
+void Gpu::park_spin(WarpExec& w, const Decoded& in, SimDuration period) {
+  w.spin_load = &in;
   // Nothing ran since the completion that sampled these bytes.
-  x.spin_sample.clear();
-  for (const auto& la : x.scratch) {
-    x.spin_sample.push_back(memory_.load_scalar(la.addr, in.width));
+  w.spin_sample.clear();
+  for (const auto& la : w.scratch) {
+    w.spin_sample.push_back(memory_.load_scalar(la.addr, in.width));
   }
-  if (!x.poller) x.poller = std::make_unique<SpinPoller>(*this, x, period);
-  x.poller->wait(period);
-  spinning_.push_back(w);
+  if (!w.poller) w.poller = std::make_unique<SpinPoller>(*this, w, period);
+  w.poller->wait(period);
+  spinning_.push_back(&w);
 }
 
 bool Gpu::spin_woken(const WarpExec& w) const {
@@ -589,14 +633,11 @@ bool Gpu::spin_woken(const WarpExec& w) const {
 }
 
 void Gpu::wake_spin(WarpExec& w) {
-  const auto it = std::find_if(
-      spinning_.begin(), spinning_.end(),
-      [&w](const std::shared_ptr<WarpExec>& p) { return p.get() == &w; });
+  const auto it = std::find(spinning_.begin(), spinning_.end(), &w);
   assert(it != spinning_.end());
-  std::shared_ptr<WarpExec> self = std::move(*it);
-  *it = std::move(spinning_.back());
+  *it = spinning_.back();
   spinning_.pop_back();
-  complete_l2_load(self, *w.spin_load);
+  complete_l2_load(w, *w.spin_load);
 }
 
 void Gpu::credit_spin(const WarpExec& w, std::uint64_t probes) {
@@ -625,16 +666,16 @@ void Gpu::credit_spin(const WarpExec& w, std::uint64_t probes) {
   if (obs::metrics()) obs::count("gpu.l2_loads", probes);
 }
 
-void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                     SimDuration& dt) {
+void Gpu::exec_store(WarpExec& w, const Decoded& in, SimDuration& dt) {
   using LaneAccess = WarpExec::LaneAccess;
-  WarpState& ws = w->state;
+  WarpState& ws = w.state;
   // Stores do not park the warp (they are posted), so the deferred apply
-  // below must own its lane data instead of borrowing w->scratch: a later
+  // below must own its lane data instead of borrowing w.scratch: a later
   // instruction in the same inline slice could clobber the scratch before
-  // the posted write lands. Single-lane stores (the device library's
-  // steady state) capture the one access by value - no allocation.
-  std::vector<LaneAccess>& lanes = w->scratch;
+  // the posted write lands, and the warp may retire before it does.
+  // Single-lane stores (the device library's steady state) capture the
+  // one access by value - no allocation.
+  std::vector<LaneAccess>& lanes = w.scratch;
   lanes.clear();
   ws.for_each_active([&](unsigned lane) {
     lanes.push_back(
@@ -652,7 +693,7 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   if (space == Space::kGpuShared) {
     counters_.shared_writes += lanes.size();
     for (const auto& la : lanes) {
-      store_backed(*w, la.addr, in.width, la.value);
+      store_backed(w, la.addr, in.width, la.value);
     }
     ws.set_pc(ws.pc() + 1);
     return;
@@ -664,7 +705,7 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     } else {
       counters_.globmem_write_other += lanes.size();
     }
-    std::vector<std::uint64_t>& sectors = w->sectors;
+    std::vector<std::uint64_t>& sectors = w.sectors;
     coalesce_sectors(lanes, in.width, sectors);
     counters_.l2_write_requests += sectors.size();
     for (std::uint64_t s : sectors) {
@@ -674,14 +715,13 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     const unsigned width = in.width;
     if (lanes.size() == 1) {
       const LaneAccess la = lanes.front();
-      sim_.schedule(dt, [this, w, la, width] {
-        store_backed(*w, la.addr, width, la.value);
+      sim_.schedule(dt, [this, la, width] {
+        memory_.store_scalar(la.addr, width, la.value);
       });
     } else {
-      sim_.schedule(dt, [this, w, lns = std::vector<LaneAccess>(lanes),
-                         width] {
+      sim_.schedule(dt, [this, lns = std::vector<LaneAccess>(lanes), width] {
         for (const auto& la : lns) {
-          store_backed(*w, la.addr, width, la.value);
+          memory_.store_scalar(la.addr, width, la.value);
         }
       });
     }
@@ -692,7 +732,7 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   // System memory or MMIO: posted PCIe writes (this is how a GPU thread
   // posts an EXTOLL WR to the BAR or rings the IB doorbell).
   {
-    std::vector<std::uint64_t>& sectors = w->sectors;
+    std::vector<std::uint64_t>& sectors = w.sectors;
     coalesce_sectors(lanes, in.width, sectors);
     counters_.sysmem_write_transactions += sectors.size();
     const unsigned width = in.width;
@@ -719,10 +759,9 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   }
 }
 
-bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                      SimDuration& dt) {
-  WarpState& ws = w->state;
-  std::vector<WarpExec::LaneAccess>& lanes = w->scratch;
+bool Gpu::exec_atomic(WarpExec& w, const Decoded& in, SimDuration& dt) {
+  WarpState& ws = w.state;
+  std::vector<WarpExec::LaneAccess>& lanes = w.scratch;
   lanes.clear();
   ws.for_each_active([&](unsigned lane) {
     lanes.push_back(
@@ -733,7 +772,7 @@ bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
          "atomics are supported on device global memory only");
   counters_.globmem_read64 += lanes.size();
   counters_.globmem_write64 += lanes.size();
-  std::vector<std::uint64_t>& sectors = w->sectors;
+  std::vector<std::uint64_t>& sectors = w.sectors;
   coalesce_sectors(lanes, 1, sectors);  // the sector of each address
   counters_.l2_write_requests += sectors.size();
   for (std::uint64_t s : sectors) (void)l2_.access(s * 32, true);
@@ -743,7 +782,7 @@ bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   // completion time; lanes apply in lane order (hardware serializes
   // same-address lane conflicts too). The warp is parked, so the
   // continuation reads w->scratch in place.
-  sim_.schedule(dt + cycles(cfg_.atom_cycles), [this, w, &in, is_add] {
+  sim_.schedule(dt + cycles(cfg_.atom_cycles), [this, w = &w, &in, is_add] {
     for (const auto& la : w->scratch) {
       const std::uint64_t old = load_backed(*w, la.addr, 8);
       const std::uint64_t next = is_add ? old + la.value : la.value;
@@ -751,7 +790,7 @@ bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
       w->state.set_reg(la.lane, in.rd, old);
     }
     w->state.set_pc(w->state.pc() + 1);
-    run_warp(w);
+    run_warp(*w);
   });
   return true;
 }
@@ -784,20 +823,20 @@ void Gpu::pump_sysmem_reads() {
 // ---------------------------------------------------------------------------
 // The interpreter.
 
-void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
-  WarpState& ws = w->state;
+void Gpu::run_warp(WarpExec& w) {
+  WarpState& ws = w.state;
   // The predecoded stream: secondary decode (cmp/cond/sreg dispatch,
   // immediate casts) happened once at launch, so every case below lands
   // directly on its operation with no nested per-lane switch.
-  const Decoded* const code = w->block->launch->code;
+  const Decoded* const code = w.block->launch->code;
 #ifndef NDEBUG
-  const std::size_t code_size = w->block->launch->kl.program->size();
+  const std::size_t code_size = w.block->launch->kl.program->size();
 #endif
   SimDuration dt = 0;
   unsigned steps = 0;
   // The spin load whose completion began this slice, while the slice
   // stays inside that load's loop body.
-  int resumed = std::exchange(w->resumed_pc, -1);
+  int resumed = std::exchange(w.resumed_pc, -1);
   while (steps < cfg_.max_inline_steps) {
     if (ws.done()) {
       retire_warp(w, dt);
@@ -957,20 +996,20 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
         break;
       case XOp::kSregTid:
         alu([&](unsigned lane) -> std::uint64_t {
-          return w->warp_in_block * kWarpSize + lane;
+          return w.warp_in_block * kWarpSize + lane;
         });
         break;
       case XOp::kSregCtaid:
-        alu([&](unsigned) -> std::uint64_t { return w->block->block_index; });
+        alu([&](unsigned) -> std::uint64_t { return w.block->block_index; });
         break;
       case XOp::kSregNtid:
         alu([&](unsigned) -> std::uint64_t {
-          return w->block->launch->kl.threads_per_block;
+          return w.block->launch->kl.threads_per_block;
         });
         break;
       case XOp::kSregNctaid:
         alu([&](unsigned) -> std::uint64_t {
-          return w->block->launch->kl.blocks;
+          return w.block->launch->kl.blocks;
         });
         break;
       case XOp::kSregClock:
@@ -979,7 +1018,7 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
         });
         break;
       case XOp::kSregWarpId:
-        alu([&](unsigned) { return w->warp_global_id; });
+        alu([&](unsigned) { return w.warp_global_id; });
         break;
       case XOp::kBraAlways:
         ++counters_.branches;
@@ -1015,14 +1054,10 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
         break;
       case XOp::kBarSync: {
         ws.set_pc(ws.pc() + 1);
-        BlockState& block = *w->block;
-        block.barrier_parked.push_back(w);
+        BlockState& block = *w.block;
+        block.barrier_parked.push_back(&w);
         if (block.barrier_parked.size() == block.warps_alive) {
-          auto parked = std::move(block.barrier_parked);
-          block.barrier_parked.clear();
-          sim_.schedule(dt + cycles(cfg_.barrier_cycles), [this, parked] {
-            for (const auto& p : parked) run_warp(p);
-          });
+          release_barrier(block, dt);
         }
         return;  // parked until the barrier releases
       }
@@ -1040,7 +1075,7 @@ void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
   }
   // Inline slice exhausted: yield to the event loop (lets DMA traffic and
   // other warps interleave at a bounded granularity).
-  sim_.schedule(dt, [this, w] { run_warp(w); });
+  sim_.schedule(dt, [this, w = &w] { run_warp(*w); });
 }
 
 // ---------------------------------------------------------------------------

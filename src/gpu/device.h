@@ -37,6 +37,18 @@
 // store at access-completion time. Inbound DMA writes invalidate matching
 // L2 lines, so polling loops pay a miss on the first probe after data
 // lands - the effect the paper's dev2dev-pollOnGPU variant exploits.
+//
+// Warp ownership: a Gpu owns its warps (WarpExec) in a pool. A launch
+// takes warps from the pool, resetting each to the launch's lane and
+// register counts (zeroed registers, empty divergence and call stacks,
+// no spin state), and a retired warp goes back to it, so the pool holds
+// at most the peak number of warps in flight. The rule that makes this
+// safe: only what a parked warp waits on holds its pointer - the one
+// event that resumes it (a slice yield, a load, atomic or sysmem-read
+// completion, a barrier release), the block's barrier list, or the
+// spinning list. Nothing else captures a warp: posted stores carry only
+// address, width and value. A block's shared memory is made at its
+// first shared store; a shared load before any store reads zero.
 #pragma once
 
 #include <cstdint>
@@ -130,13 +142,18 @@ class Gpu : public pcie::Endpoint {
   struct StreamState;
   class SpinPoller;
 
-  void start_launch(std::shared_ptr<LaunchState> ls);
-  void run_warp(std::shared_ptr<WarpExec> w);
+  void start_launch(const std::shared_ptr<LaunchState>& ls);
+  /// A pooled warp reset to `lanes` lanes of `num_regs` registers.
+  WarpExec& acquire_warp(unsigned lanes, unsigned num_regs);
+  void run_warp(WarpExec& w);
   /// Completion of a device-memory load: samples every lane, then
   /// resumes the warp.
-  void complete_l2_load(const std::shared_ptr<WarpExec>& w,
-                        const Decoded& in);
-  void retire_warp(const std::shared_ptr<WarpExec>& w, SimDuration dt);
+  void complete_l2_load(WarpExec& w, const Decoded& in);
+  /// Ends the warp's block bookkeeping and returns it to the pool.
+  void retire_warp(WarpExec& w, SimDuration dt);
+  /// Resumes every warp parked at the block's barrier, `dt` plus the
+  /// barrier cost from now.
+  void release_barrier(BlockState& block, SimDuration dt);
 
   SimDuration cycles(std::uint32_t n) const {
     return static_cast<SimDuration>(n) * cfg_.clock_period;
@@ -173,25 +190,22 @@ class Gpu : public pcie::Endpoint {
   /// (continuation scheduled or parked) and the caller must stop the
   /// inline slice. `iterated`: the slice ran exactly one pass of the
   /// load's spin loop since the load's previous completion.
-  bool exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                 SimDuration& dt, bool iterated);
+  bool exec_load(WarpExec& w, const Decoded& in, SimDuration& dt,
+                 bool iterated);
 
   // Spin-loop parking (see the timing model above).
   /// Records the registers the spin body writes; true when this issue
   /// repeats the previous one (iterated, same mask, same registers).
   /// Called at every issue of a spin load.
   bool spin_repeats(WarpExec& w, const Decoded& in, bool iterated);
-  void park_spin(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                 SimDuration period);
+  void park_spin(WarpExec& w, const Decoded& in, SimDuration period);
   /// Wake predicate: a loaded lane's bytes changed or a loaded line left
   /// the L2. Side-effect free, never reads the clock.
   bool spin_woken(const WarpExec& w) const;
   void wake_spin(WarpExec& w);
   void credit_spin(const WarpExec& w, std::uint64_t probes);
-  void exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                  SimDuration& dt);
-  bool exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                   SimDuration& dt);
+  void exec_store(WarpExec& w, const Decoded& in, SimDuration& dt);
+  bool exec_atomic(WarpExec& w, const Decoded& in, SimDuration& dt);
 
   sim::Simulation& sim_;
   pcie::Fabric& fabric_;
@@ -213,9 +227,12 @@ class Gpu : public pcie::Endpoint {
   };
   std::uint32_t sysmem_reads_in_flight_ = 0;
   std::deque<SysmemReadJob> sysmem_read_queue_;
-  // Parked spinning warps: no event holds them while they wait, so the
-  // GPU does.
-  std::vector<std::shared_ptr<WarpExec>> spinning_;
+  // Every warp this GPU made; free_warps_ lists the retired ones.
+  std::vector<std::unique_ptr<WarpExec>> warps_;
+  std::vector<WarpExec*> free_warps_;
+  // Parked spinning warps: no event holds them while they wait, so this
+  // list does.
+  std::vector<WarpExec*> spinning_;
 };
 
 }  // namespace pg::gpu

@@ -17,15 +17,23 @@ L2Cache::L2Cache(L2Config cfg) : cfg_(cfg) {
 
 bool L2Cache::access(mem::Addr addr, bool is_write) {
   const std::uint64_t line = line_addr(addr);
+  ++clock_;
+  // A line sits in at most one way, so a match in the way hit or filled
+  // last is the hit: a warp's sectors mostly share a few lines.
+  if (tags_[last_] == line) {
+    stamps_[last_] = clock_;
+    ++hits_;
+    return true;
+  }
   const std::uint32_t set = set_of(line);
   const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
   const std::uint64_t* tags = &tags_[base];
   std::uint64_t* stamps = &stamps_[base];
-  ++clock_;
   for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
     if (tags[w] == line) {
       stamps[w] = clock_;
       ++hits_;
+      last_ = base + w;
       return true;
     }
   }
@@ -48,6 +56,7 @@ bool L2Cache::access(mem::Addr addr, bool is_write) {
   if (empty) ++valid_[set];
   tags_[base + victim] = line;
   stamps[victim] = clock_;
+  last_ = base + victim;
   return false;
 }
 

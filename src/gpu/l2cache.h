@@ -76,6 +76,10 @@ class L2Cache {
   // scanning their tags (an inbound write mostly covers lines of sets
   // the polls never filled).
   std::vector<std::uint32_t> valid_;
+  // The way access() hit or filled last (an index into tags_). Stale
+  // after an invalidation or a refill, which only costs the set scan:
+  // an empty way never matches and a refilled one holds another line.
+  std::size_t last_ = 0;
   std::uint64_t clock_ = 0;  // LRU stamp source
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

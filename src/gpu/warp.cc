@@ -4,16 +4,25 @@
 
 namespace pg::gpu {
 
-WarpState::WarpState(unsigned active_lanes, unsigned num_regs)
-    : lanes_(active_lanes), num_regs_(num_regs) {
+WarpState::WarpState(unsigned active_lanes, unsigned num_regs) {
+  reset(active_lanes, num_regs);
+}
+
+void WarpState::reset(unsigned active_lanes, unsigned num_regs) {
   assert(active_lanes >= 1 && active_lanes <= kWarpSize);
   assert(num_regs >= 1 && num_regs <= kNumRegs);
+  pc_ = 0;
+  lanes_ = active_lanes;
+  num_regs_ = num_regs;
   mask_ = active_lanes == kWarpSize ? 0xFFFFFFFFu
                                     : ((1u << active_lanes) - 1u);
   // Zeroed. Sized to the active count, not kWarpSize: every reg access
   // is bounded by a mask bit, and the tail warp of the device put/get
-  // library is usually one lane.
+  // library is usually one lane. assign() keeps the capacity, so a
+  // recycled warp allocates nothing.
   regs_.assign(std::size_t{num_regs} * active_lanes, 0);
+  sync_stack_.clear();
+  call_stack_.clear();
 }
 
 bool WarpState::maybe_reconverge() {

@@ -19,6 +19,7 @@
 // testable without a simulation.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -34,6 +35,11 @@ class WarpState {
   /// A warp of `active_lanes` threads (1..32) starting at pc 0, each
   /// with registers r0..r(num_regs-1) (1..kNumRegs), all zero.
   explicit WarpState(unsigned active_lanes, unsigned num_regs = kNumRegs);
+
+  /// Makes this a fresh warp of `active_lanes` x `num_regs`, as the
+  /// constructor would, reusing the register file's storage: registers
+  /// zeroed, both stacks empty, pc 0.
+  void reset(unsigned active_lanes, unsigned num_regs = kNumRegs);
 
   // --- basic state ----------------------------------------------------------
 
@@ -51,6 +57,13 @@ class WarpState {
   void set_reg(unsigned lane, unsigned r, std::uint64_t v) {
     assert(lane < lanes_ && r < num_regs_);
     regs_[r * lanes_ + lane] = v;
+  }
+
+  /// Sets register `r` of every lane to `v`: one contiguous run of the
+  /// register-major file.
+  void fill_reg(unsigned r, std::uint64_t v) {
+    assert(r < num_regs_);
+    std::fill_n(regs_.begin() + std::size_t{r} * lanes_, lanes_, v);
   }
 
   /// Applies `fn(lane)` to every active lane, in ascending lane order.
@@ -115,9 +128,9 @@ class WarpState {
   void next_fragment();
 
   int pc_ = 0;
-  LaneMask mask_;
-  unsigned lanes_;
-  unsigned num_regs_;
+  LaneMask mask_ = 0;
+  unsigned lanes_ = 0;
+  unsigned num_regs_ = 0;
   std::vector<std::uint64_t> regs_;  // num_regs_ x lanes_, register-major
   std::vector<SyncEntry> sync_stack_;
   std::vector<int> call_stack_;

@@ -18,11 +18,20 @@
 // lambda does not allocate unless its captures exceed the inline
 // buffer, and the slot pool reaches steady state at the maximum number
 // of in-flight events.
+//
+// Dispatch in place: a callback is relocated once, from the caller's
+// temporary into its slot, and runs there. The run loop take()s the
+// heap top's key and slot, then run()s the slot: the callback executes,
+// is destroyed and the slot is recycled. Slots live in fixed-size
+// chunks that never move when the pool grows, so a running callback
+// may schedule any number of events (growing the pool) and still read
+// its own captures.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -78,12 +87,12 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `when`; `birth_time` is the
   /// caller's clock (Simulation passes now()).
-  void schedule_at(SimTime when, SimTime birth_time, EventFn fn);
+  void schedule_at(SimTime when, SimTime birth_time, EventFn&& fn);
 
   /// Clock-less convenience for direct queue use (tests, benches): all
   /// events share birth_time 0, so ordering falls back to pure
   /// scheduling order — the classic (time, seq) behaviour.
-  void schedule_at(SimTime when, EventFn fn) {
+  void schedule_at(SimTime when, EventFn&& fn) {
     schedule_at(when, 0, std::move(fn));
   }
 
@@ -100,14 +109,14 @@ class EventQueue {
   /// sender's birth stamp (take_birth_tag() + the sender's clock). Does
   /// not consume a local sequence number.
   void schedule_admitted(SimTime when, SimTime birth_time, EventId birth_tag,
-                         EventFn fn) {
+                         EventFn&& fn) {
     push_entry(when, birth_time, birth_tag, std::move(fn));
   }
 
   /// Enqueues under a full key whose tag this queue already minted with
   /// take_birth_tag() (a parked poller's probe, see Simulation). Neither
   /// consumes a sequence number nor counts toward total_scheduled().
-  void schedule_keyed(const Key& key, EventFn fn) {
+  void schedule_keyed(const Key& key, EventFn&& fn) {
     push_entry(key.time, key.birth_time, key.birth_tag, std::move(fn));
   }
 
@@ -148,38 +157,44 @@ class EventQueue {
     return Key{top.time, top.birth_time, top.tag};
   }
 
-  /// Pops and returns the next event. Requires !empty().
-  /// (time, birth_time, id) is the event's full ordering key — the
-  /// shard-aware observability sinks stamp deferred records with it so
-  /// a post-round merge can reconstruct the global execution order.
-  struct Popped {
-    SimTime time;
-    SimTime birth_time;
-    EventId id;
-    EventFn fn;
+  /// The event take() removed from the heap: its full ordering key and
+  /// the slot its callback still sits in. The shard-aware observability
+  /// sinks stamp deferred records with the key, so a post-round merge
+  /// can reconstruct the global execution order.
+  struct Taken {
+    Key key;
+    std::uint32_t slot;
   };
-  Popped pop() {
-    assert(!heap_.empty());
-    return pop_front();
-  }
 
-  /// Pops the next event only if its key is strictly below `cap`; one
-  /// heap-top inspection and one pop, fused — the window execution hot
-  /// path. Returns false (and leaves the queue untouched) when the queue
-  /// is empty or the next event is at or past the cap.
-  bool pop_if_before(const Key& cap, Popped* out) {
+  /// Removes the next event from the heap if its key is strictly below
+  /// `cap`, leaving its callback in its slot for run(): one heap-top
+  /// inspection and one pop, fused. Returns false (and leaves the queue
+  /// untouched) when the queue is empty or the next event is at or past
+  /// the cap. Every taken slot must be run() exactly once.
+  bool take(const Key& cap, Taken* out) {
     if (heap_.empty()) return false;
     const Entry& top = heap_.front();
     if (!(Key{top.time, top.birth_time, top.tag} < cap)) return false;
-    *out = pop_front();
+    *out = Taken{Key{top.time, top.birth_time, top.tag}, top.slot};
+    pop_heap_top();
     return true;
+  }
+
+  /// Runs a taken event's callback where it lies, then destroys it and
+  /// recycles the slot. The slot stays occupied while the callback runs,
+  /// so events it schedules never land on it.
+  void run(std::uint32_t slot) {
+    EventFn& fn = slot_fn(slot);
+    fn();
+    fn.reset();
+    free_slots_.push_back(slot);
   }
 
   std::uint64_t total_scheduled() const { return scheduled_; }
 
-  /// Callback slots ever allocated: the peak number of events in flight
-  /// at once (popped slots are recycled).
-  std::size_t slot_capacity() const { return slots_.size(); }
+  /// Callback slots ever handed out: the peak number of events in flight
+  /// at once, a running one included (run() recycles its slot).
+  std::size_t slot_capacity() const { return slots_used_; }
 
  private:
   struct Entry {
@@ -205,14 +220,24 @@ class EventQueue {
     return (next_seq_++ << 8) | owner_tag_;
   }
 
-  void push_entry(SimTime when, SimTime birth_time, EventId tag, EventFn fn);
+  // Slots per chunk of the callback pool (a power of two).
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
-  /// pop() / pop_if_before() tail: removes the heap top. Requires
-  /// !empty().
-  Popped pop_front();
+  EventFn& slot_fn(std::uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+  }
+
+  void push_entry(SimTime when, SimTime birth_time, EventId tag,
+                  EventFn&& fn);
+
+  /// take() tail: removes the heap top. Requires !empty().
+  void pop_heap_top();
 
   std::vector<Entry> heap_;
-  std::vector<EventFn> slots_;             // parked callables
+  // Parked callables, kChunkSize per chunk; a chunk never moves.
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  std::uint32_t slots_used_ = 0;           // slots ever handed out
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   std::uint64_t next_seq_ = 1;
   std::uint64_t scheduled_ = 0;

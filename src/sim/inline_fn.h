@@ -4,9 +4,9 @@
 // libstdc++ only stores pointer-like callables inline - every lambda
 // capturing as little as a coroutine handle heap-allocated. The event
 // queue is the hottest loop in the simulator, so InlineFn gives closures
-// up to kInlineSize bytes (64, covering every capture in sim/, gpu/ and
-// pcie/) inline storage inside the heap entry; larger callables fall
-// back to a single heap allocation.
+// up to kInlineSize bytes (88, covering every capture in sim/, gpu/ and
+// pcie/) inline storage inside the event queue's callback slot; larger
+// callables fall back to a single heap allocation.
 #pragma once
 
 #include <cstddef>
@@ -73,6 +73,14 @@ class InlineFn {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// Destroys the callable, leaving this empty.
+  void reset() noexcept {
+    if (ops_) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(void* self);
@@ -100,13 +108,6 @@ class InlineFn {
       },
       [](void* self) noexcept { delete *static_cast<Fn**>(self); },
   };
-
-  void reset() noexcept {
-    if (ops_) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
 
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
   const Ops* ops_ = nullptr;

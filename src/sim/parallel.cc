@@ -150,7 +150,7 @@ std::uint64_t ShardGroup::run_round() {
 }
 
 void ShardGroup::post(int src, int dst, SimTime when, SimTime birth_time,
-                      EventId birth_tag, EventFn fn) {
+                      EventId birth_tag, EventFn&& fn) {
   assert(src != dst);
   if (!in_round_) {
     // Host code: the coordinator owns every shard, admit directly.

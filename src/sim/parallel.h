@@ -109,7 +109,7 @@ class ShardGroup {
   /// waiter of run() and `src` is not, the cap drops to `when`: the event
   /// may fire the wait.
   void post(int src, int dst, SimTime when, SimTime birth_time,
-            EventId birth_tag, EventFn fn);
+            EventId birth_tag, EventFn&& fn);
 
   /// Runs until every condition has fired, exactly like one serial run
   /// stopping on a global AND of the predicates: every event that the

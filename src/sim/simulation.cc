@@ -329,9 +329,10 @@ Simulation::WindowResult Simulation::run_window(
     const EventQueue::Key& cap, const std::function<bool()>* condition) {
   WindowResult out;
   const std::uint64_t before = events_executed_;
-  EventQueue::Popped popped;
-  // The only loop that pops events, for every run (standalone runs and
-  // parallel rounds alike): inspect-and-pop fused into one queue call.
+  EventQueue::Taken next;
+  // The only loop that runs events, for every run (standalone runs and
+  // parallel rounds alike): inspect-and-take fused into one queue call,
+  // then the callback runs in its slot.
   for (;;) {
     // A stall (only parked pollers, no cap) is the caller's to diagnose:
     // another shard may still send this one an event.
@@ -343,12 +344,12 @@ Simulation::WindowResult Simulation::run_window(
       trip_limit("the run loop");
       break;
     }
-    if (!queue_.pop_if_before(cap, &popped)) break;
-    if (popped.time < now_) time_travel(popped.time);
-    now_ = popped.time;
-    current_key_ = EventQueue::Key{popped.time, popped.birth_time, popped.id};
+    if (!queue_.take(cap, &next)) break;
+    if (next.key.time < now_) time_travel(next.key.time);
+    now_ = next.key.time;
+    current_key_ = next.key;
     ++events_executed_;
-    popped.fn();
+    queue_.run(next.slot);
     if (condition != nullptr && (*condition)()) {
       out.fired = true;
       break;

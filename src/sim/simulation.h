@@ -3,7 +3,8 @@
 // Every model component holds a Simulation& and expresses behaviour as
 // events (schedule / schedule_at). A Simulation executes on one thread
 // at a time; determinism comes from the birth-key total order in
-// EventQueue. run_window() is the one loop that pops events: standalone,
+// EventQueue. run_window() is the one loop that runs events, each in its
+// queue slot (EventQueue::take + run): standalone,
 // run(), run_until() and run_until_condition() wrap it, adding only the
 // stall report and the clock advance. A cluster gives every node its own
 // Simulation as one shard of a ShardGroup (sim/parallel.h), which calls
@@ -118,12 +119,12 @@ class Simulation {
   }
 
   /// Schedules `fn` to run `delay` after the current time.
-  void schedule(SimDuration delay, EventFn fn) {
+  void schedule(SimDuration delay, EventFn&& fn) {
     queue_.schedule_at(now_ + delay, now_, std::move(fn));
   }
 
   /// Schedules `fn` at an absolute timestamp (must be >= now()).
-  void schedule_at(SimTime when, EventFn fn) {
+  void schedule_at(SimTime when, EventFn&& fn) {
     queue_.schedule_at(when < now_ ? now_ : when, now_, std::move(fn));
   }
 
@@ -202,7 +203,7 @@ class Simulation {
   /// executed — the ShardGroup's lookahead rule guarantees that; popping
   /// one that does aborts the process.
   void schedule_admitted(SimTime when, SimTime birth_time, EventId birth_tag,
-                         EventFn fn) {
+                         EventFn&& fn) {
     queue_.schedule_admitted(when, birth_time, birth_tag, std::move(fn));
   }
 

@@ -103,10 +103,11 @@ TEST(GpuDevice, NarrowWidthsZeroExtend) {
 }
 
 // A full warp loads each width from device memory at unit stride inside
-// one page (the coalesced completion), from device memory at a stride
-// that crosses pages (the per-lane completion) and from host memory (one
-// PCIe read per lane). Every lane must read its bytes zero-extended,
-// exactly as load_scalar does.
+// one page (the coalesced completion), at unit stride across a page
+// boundary and at a stride that crosses pages (the per-lane completion),
+// and from host memory (one PCIe read per lane). Every lane must read its
+// bytes zero-extended, exactly as load_scalar does, and the load must
+// issue one request per unique 32 B sector.
 TEST(GpuDevice, WarpLoadsMatchScalarLoadsAtEveryWidth) {
   struct Source {
     const char* name;
@@ -114,6 +115,7 @@ TEST(GpuDevice, WarpLoadsMatchScalarLoadsAtEveryWidth) {
     std::uint64_t extra_stride;
   };
   const Source sources[] = {{"one page", kScratch + 3, 0},
+                            {"page straddle", kScratch + 4096 - 19, 0},
                             {"page per lane", kScratch + 3, 4096},
                             {"host", kHostScratch + 3, 0}};
   for (const Source& src : sources) {
@@ -141,13 +143,25 @@ TEST(GpuDevice, WarpLoadsMatchScalarLoadsAtEveryWidth) {
       Program p = f.make(a);
       f.run({.program = &p, .threads_per_block = kWarpSize,
              .params = {src.base, stride, out}});
+      std::set<std::uint64_t> sectors;
       for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        const Addr at = src.base + lane * stride;
         const std::uint64_t got = f.memory.read_u64(out + lane * 8);
-        EXPECT_EQ(got, f.memory.load_scalar(src.base + lane * stride, width))
-            << "lane " << lane;
+        EXPECT_EQ(got, f.memory.load_scalar(at, width)) << "lane " << lane;
         if (width < 8) {
           EXPECT_EQ(got >> (8 * width), 0u) << "lane " << lane;
         }
+        for (std::uint64_t s = at / 32; s <= (at + width - 1) / 32; ++s) {
+          sectors.insert(s);
+        }
+      }
+      // One L2 request (or PCIe read transaction) per unique sector.
+      const PerfCounters& c = f.gpu->counters();
+      if (AddressMap::in_gpu_dram(src.base)) {
+        EXPECT_EQ(c.l2_read_requests, sectors.size());
+      } else {
+        EXPECT_EQ(c.l2_read_requests, 0u);
+        EXPECT_EQ(c.sysmem_read_transactions, sectors.size());
       }
     }
   }
@@ -1056,6 +1070,91 @@ TEST(GpuSpinPark, SpinOnUnwrittenFlagReportsDeadlock) {
   EXPECT_EQ(g.sim.events_executed(), 10'000u);
 }
 
+// A retired warp goes back to its GPU's pool and the next launch reuses
+// it. A full warp that wrote every register, stored to shared memory and
+// parked in a spin loop must leave nothing behind: a later kernel with
+// fewer lanes and registers on the same GPU reads zero from every
+// register it did not write and from shared memory, and counts exactly
+// what it counts on a fresh GPU.
+TEST(GpuDevice, RecycledWarpsStartClean) {
+  GpuFixture f;
+  const Reg tid(0), flag(4), want(5), v(8), pred(9), sh(10), off(11);
+  Assembler a("dirty");
+  for (unsigned r = 6; r < kNumRegs; ++r) {
+    a.movi(Reg(r), 0x5A00 + static_cast<std::int64_t>(r));
+  }
+  a.movi(sh, static_cast<std::int64_t>(AddressMap::kGpuSharedBase));
+  a.muli(off, tid, 8);
+  a.add(sh, sh, off);
+  a.st(sh, Reg(31), 0, 8);
+  a.bind("spin");
+  a.ld(v, flag, 0, 8);
+  a.setp(Cmp::kNe, pred, v, want);
+  a.bra_if(pred, "spin");
+  a.exit();
+  const Program dirty = f.make(a);
+  dma_at(f, f.cfg.launch_overhead + microseconds(20), kScratch, 1);
+  bool finished = false;
+  std::uint64_t checks = 0;  // real events
+  f.gpu->launch({.program = &dirty, .threads_per_block = kWarpSize,
+                 .params = {kScratch, 1}},
+                [&finished] { finished = true; });
+  EXPECT_TRUE(f.sim.run_until_condition([&] {
+    ++checks;
+    return finished;
+  }));
+  f.sim.run();
+  // One sector per probe: far more probes than real events.
+  EXPECT_LT(checks * 4, f.gpu->counters().l2_read_requests)
+      << "the spin never parked";
+
+  // r0-r4 are written at launch; r5-r11 and shared memory never are.
+  constexpr unsigned kLanes = 5, kWords = 13;
+  const Addr out = kScratch + 0x1000;
+  const Reg base(12);
+  Assembler b("clean");
+  b.muli(base, tid, kWords * 8);
+  b.add(base, base, Reg(4));
+  for (unsigned r = 0; r < 12; ++r) {
+    b.st(base, Reg(r), static_cast<std::int64_t>(r * 8), 8);
+  }
+  b.movi(sh, static_cast<std::int64_t>(AddressMap::kGpuSharedBase));
+  b.muli(off, tid, 8);
+  b.add(sh, sh, off);
+  b.ld(v, sh, 0, 8);
+  b.st(base, v, 12 * 8, 8);
+  b.exit();
+  const Program clean = f.make(b);
+  ASSERT_EQ(clean.num_regs(), kWords);
+  const KernelLaunch kl{.program = &clean, .threads_per_block = kLanes,
+                        .params = {out}};
+  const PerfCounters before = f.gpu->counters();
+  const SimDuration took = f.run(kl);
+  for (unsigned lane = 0; lane < kLanes; ++lane) {
+    SCOPED_TRACE(testing::Message() << "lane " << lane);
+    const Addr row = out + lane * kWords * 8;
+    const std::uint64_t launch_regs[] = {lane, 0, kLanes, 1, out};
+    for (unsigned r = 0; r < 5; ++r) {
+      EXPECT_EQ(f.memory.read_u64(row + r * 8), launch_regs[r]) << "r" << r;
+    }
+    for (unsigned r = 5; r < 12; ++r) {
+      EXPECT_EQ(f.memory.read_u64(row + r * 8), 0u) << "r" << r;
+    }
+    EXPECT_EQ(f.memory.read_u64(row + 12 * 8), 0u) << "shared";
+  }
+
+  GpuFixture fresh;
+  EXPECT_EQ(fresh.run(kl), took);
+  const PerfCounters got = f.gpu->counters() - before;
+  const PerfCounters& ref = fresh.gpu->counters();
+  expect_same_counters(got, ref);
+  EXPECT_EQ(got.shared_reads, ref.shared_reads);
+  EXPECT_EQ(got.shared_writes, ref.shared_writes);
+  EXPECT_EQ(got.warps_launched, ref.warps_launched);
+  EXPECT_EQ(got.blocks_launched, ref.blocks_launched);
+  EXPECT_EQ(got.kernels_launched, ref.kernels_launched);
+}
+
 // --- L2 tag store -------------------------------------------------------------
 
 /// The L2 tag store as first written: an array of {tag, valid, stamp}
@@ -1147,6 +1246,8 @@ class ReferenceL2 {
 // reference: every hit, miss, invalidation count and holds() answer must
 // agree, including ranges wider than the whole cache and whole-cache
 // invalidations (after which the per-set counts restart from zero).
+// Repeated accesses to the previous access's line, right after it was
+// invalidated or its set took another line, exercise a stale last way.
 TEST(L2Cache, MatchesReferenceOnRandomSequences) {
   L2Config small;
   small.num_sets = 8;
@@ -1161,11 +1262,39 @@ TEST(L2Cache, MatchesReferenceOnRandomSequences) {
       // A footprint a few times the cache, so sets fill and evict.
       const std::uint64_t footprint = std::uint64_t{cfg.line_size} *
                                       cfg.num_sets * cfg.ways * 3;
+      Addr prev = AddressMap::kGpuDramBase;  // the last access
       for (int op = 0; op < 10'000; ++op) {
         const Addr addr = AddressMap::kGpuDramBase + rng.next_below(footprint);
         const std::uint64_t kind = rng.next_below(100);
-        if (kind < 70) {
-          ASSERT_EQ(l2.access(addr, kind < 20), ref.access(addr)) << op;
+        if (kind < 50) {
+          ASSERT_EQ(l2.access(addr, kind < 15), ref.access(addr)) << op;
+          prev = addr;
+        } else if (kind < 70) {
+          const Addr again =
+              prev / cfg.line_size * cfg.line_size +
+              rng.next_below(cfg.line_size);
+          switch (rng.next_below(4)) {
+            case 0:  // the line itself left
+              l2.invalidate_range(again, 1);
+              ref.invalidate_range(again, 1);
+              break;
+            case 1:
+              if (rng.next_below(4) == 0) {
+                l2.invalidate_all();
+                ref.invalidate_all();
+              }
+              break;
+            case 2: {  // another line of the same set
+              const Addr other =
+                  again + std::uint64_t{cfg.line_size} * cfg.num_sets *
+                              (1 + rng.next_below(cfg.ways));
+              ASSERT_EQ(l2.access(other, false), ref.access(other)) << op;
+              break;
+            }
+            default:
+              break;
+          }
+          ASSERT_EQ(l2.access(again, kind < 55), ref.access(again)) << op;
         } else if (kind < 85) {
           // Mostly small (inbound-write sized) ranges, sometimes wider
           // than the whole cache.

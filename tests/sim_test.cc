@@ -23,13 +23,22 @@
 namespace pg::sim {
 namespace {
 
+/// Takes the next event with no cap; the caller run()s its slot.
+EventQueue::Taken take_next(EventQueue& q) {
+  EventQueue::Taken t{};
+  EXPECT_TRUE(q.take(EventQueue::Key::before(
+                         std::numeric_limits<SimTime>::max()),
+                     &t));
+  return t;
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
   q.schedule_at(30, [&] { order.push_back(3); });
   q.schedule_at(10, [&] { order.push_back(1); });
   q.schedule_at(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run(take_next(q).slot);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -39,7 +48,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) {
     q.schedule_at(5, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run(take_next(q).slot);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -51,9 +60,10 @@ TEST(EventQueue, PropertyNeverRunsOutOfOrder) {
   }
   SimTime last = -1;
   while (!q.empty()) {
-    auto popped = q.pop();
-    EXPECT_GE(popped.time, last);
-    last = popped.time;
+    const EventQueue::Taken t = take_next(q);
+    EXPECT_GE(t.key.time, last);
+    last = t.key.time;
+    q.run(t.slot);
   }
 }
 
@@ -93,11 +103,11 @@ TEST(EventQueue, PropertyEveryInsertionPathPopsInKeyOrder) {
   int ran = -1;
   SimTime floor = 0;
   auto pop_and_check = [&](const std::pair<Key, int>& want) {
-    EventQueue::Popped p = q.pop();
-    EXPECT_EQ(tup(Key{p.time, p.birth_time, p.id}), tup(want.first));
-    p.fn();
+    const EventQueue::Taken t = take_next(q);
+    EXPECT_EQ(tup(t.key), tup(want.first));
+    q.run(t.slot);
     EXPECT_EQ(ran, want.second);
-    floor = p.time;
+    floor = t.key.time;
   };
 
   for (int id = 0; id < 4000; ++id) {
@@ -149,6 +159,31 @@ TEST(EventQueue, PropertyEveryInsertionPathPopsInKeyOrder) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.total_scheduled(), counted);
   EXPECT_EQ(q.slot_capacity(), peak);
+}
+
+TEST(EventQueue, CallbackSurvivesSlotPoolGrowth) {
+  // Callbacks run in their slots. One that schedules enough events to
+  // add several slot chunks must still read its own captures afterwards:
+  // a slot that moved would leave the running closure reading a
+  // moved-from vector (and freed storage, which ASan reports).
+  EventQueue q;
+  constexpr int kSpawned = 2000;
+  int ran = 0;
+  std::vector<int> seen;
+  q.schedule_at(0, [&q, &ran, &seen, words = std::vector<int>{1, 2, 3, 4}] {
+    for (int i = 0; i < kSpawned; ++i) {
+      q.schedule_at(1 + i, [&ran] { ++ran; });
+    }
+    seen = words;
+  });
+  q.run(take_next(q).slot);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(q.slot_capacity(), std::size_t{kSpawned} + 1);
+  while (!q.empty()) q.run(take_next(q).slot);
+  EXPECT_EQ(ran, kSpawned);
+  // Every slot is free again: a new burst reuses them.
+  for (int i = 0; i < kSpawned; ++i) q.schedule_at(0, [] {});
+  EXPECT_EQ(q.slot_capacity(), std::size_t{kSpawned} + 1);
 }
 
 TEST(InlineFn, SmallCapturesStayCallableThroughMoves) {
